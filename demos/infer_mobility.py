@@ -15,7 +15,7 @@ from fundmob.corpus import Affiliation, Authorship, DocType, PublicationRecord
 from fundmob.ackminer import FunderLexicon
 from fundmob.disambig import CorpusIndex, ResearcherCluster
 from fundmob.mobility import aggregate_flows, infer_destination
-from fundmob.periods import label_corpus
+from fundmob.periods import funded_pub_ids, label_corpus
 
 print("destination rules on (own countries, co-author countries):")
 cases = [
@@ -70,7 +70,8 @@ cluster = ResearcherCluster(
     display_name="Chen, Long",
 )
 lexicon = FunderLexicon("China Scholarship Council", ("China Scholarship Council",))
-result = label_corpus(records, [cluster], lexicon, index=CorpusIndex(records))
+funded_ids = funded_pub_ids(records, lexicon)
+result = label_corpus(records, [cluster], funded_ids, index=CorpusIndex(records))
 window = result.windows["chen"]
 print(f"  window: {window.first_funded_date.date} .. {window.last_funded_date.date}")
 for pair in result.pairs:

@@ -22,7 +22,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
-from .corpus import Authorship, PublicationRecord
+from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import contains_bounded, normalize_text, strip_token_punct, token_forms
 
 
@@ -48,14 +48,16 @@ class FunderLexicon:
     @classmethod
     def load(cls, path: str | Path) -> "FunderLexicon":
         """Plain-text lexicon: one variant per line, first line canonical."""
-        lines = [
-            line.strip()
-            for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        lines = [line for _, line in config_lines(path)]
         if not lines:
             raise ValueError(f"lexicon file {path} has no variants")
         return cls(canonical_name=lines[0], variants=tuple(lines))
+
+    @cached_property
+    def variant_keys(self) -> frozenset[str]:
+        """The normalized variants, for exact comparison with normalized
+        organization names."""
+        return frozenset(normalize_text(v) for v in self.variants)
 
     @cached_property
     def _ordered_variants(self) -> tuple[str, ...]:
@@ -69,9 +71,8 @@ class FunderLexicon:
             words = r"\s+".join(re.escape(w) for w in variant.split())
             parts.append(f"(?P<v{i}>{words})")
         body = "|".join(parts)
-        return re.compile(
-            rf"(?<![A-Za-z0-9])(?:{body})(?![A-Za-z0-9])", re.IGNORECASE
-        )
+        # [^\W_] is str.isalnum, the word-character rule of contains_bounded
+        return re.compile(rf"(?<![^\W_])(?:{body})(?![^\W_])", re.IGNORECASE)
 
     def variant_for_group(self, group_name: str) -> str:
         return self._ordered_variants[int(group_name[1:])]
@@ -190,7 +191,7 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
 
 def extract_funding_sentences(
-    ack_text: str, lexicon: FunderLexicon, pub_id: str = ""
+    ack_text: str | None, lexicon: FunderLexicon, pub_id: str = ""
 ) -> list[FundingSentence]:
     """The sentences of ``ack_text`` that mention the funder, in order."""
     if not ack_text:
@@ -372,11 +373,11 @@ def match_funded_authors(
     return sorted(funded, key=lambda f: f.author_position)
 
 
-def mine_record(record: PublicationRecord, lexicon: FunderLexicon) -> list[FundedAuthorship]:
-    """Extract funding sentences and match authors in one step."""
-    if not record.acknowledgment_text:
-        return []
+def mine_record(
+    record: PublicationRecord, lexicon: FunderLexicon
+) -> tuple[list[FundingSentence], list[FundedAuthorship]]:
+    """The funding sentences of one record and the authors they credit."""
     sentences = extract_funding_sentences(
         record.acknowledgment_text, lexicon, pub_id=record.pub_id
     )
-    return match_funded_authors(record, sentences)
+    return sentences, match_funded_authors(record, sentences)

@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="whole counting instead of fractional for field-grouped PP(IC)")
     parser.add_argument("--top-k", type=int, default=10,
                         help="destinations per field in the top-destinations table")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="internal worker threads (output is identical at any level)")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser
 
@@ -56,7 +54,6 @@ def main(argv: list[str] | None = None) -> int:
         out_dir=args.out_dir,
         whole_count=args.whole_count,
         top_k=args.top_k,
-        jobs=args.jobs,
     )
     try:
         manifest = run_pipeline(config)

@@ -109,6 +109,16 @@ class RecordError(ValueError):
     """A single record object violated the schema or an invariant."""
 
 
+def config_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The 1-based line number and stripped text of every line of a
+    config file that is neither blank nor a ``#`` comment."""
+    text = Path(path).read_text(encoding="utf-8")
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 class CountryAliases:
     """Maps raw affiliation country strings to normalized codes.
 
@@ -124,19 +134,12 @@ class CountryAliases:
     def load(cls, path: str | Path) -> "CountryAliases":
         """Read a two-column delimited file: raw_name<TAB>code per line."""
         aliases: dict[str, str] = {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for _, line in config_lines(path):
             raw, _, code = line.partition("\t")
             if not code:
                 raise ValueError(f"malformed alias line (need raw<TAB>code): {line!r}")
             aliases[raw.strip()] = code.strip()
         return cls(aliases)
-
-    @property
-    def codes(self) -> frozenset[str]:
-        return frozenset(self._codes)
 
     def normalize(self, raw: str | None) -> str:
         if raw is None:
@@ -247,7 +250,10 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
     for fw in weights_raw:
         if not isinstance(fw, dict) or "field_id" not in fw or "weight" not in fw:
             raise RecordError("field_weights entries need field_id and weight")
-        weight = float(fw["weight"])
+        try:
+            weight = float(fw["weight"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise RecordError(f"field weight {fw['weight']!r} is not a number") from exc
         if not 0.0 < weight <= 1.0:
             raise RecordError(f"field weight {weight} outside (0, 1]")
         field_weights.append(FieldWeight(str(fw["field_id"]), weight))

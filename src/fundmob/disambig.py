@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Authorship, PublicationRecord
+from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import normalize_text
 
 AuthorshipKey = tuple[str, int]
@@ -30,14 +30,10 @@ class ScoringWeights:
     coauthor: float = 4.0
     funder: float = 1.0
     first_name: float = 2.0
-    #: Reserved: records carry no reference lists, so this feature never
-    #: triggers; kept so config files may declare it.
-    self_citation: float = 0.0
     threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in ("email", "affiliation", "coauthor", "funder",
-                     "first_name", "self_citation"):
+        for name in ("email", "affiliation", "coauthor", "funder", "first_name"):
             if getattr(self, name) < 0:
                 raise ValueError(f"weight {name} must be >= 0")
         if self.threshold <= 0:
@@ -48,10 +44,7 @@ class ScoringWeights:
         """Key-value config: ``name = value`` per line, # comments."""
         values: dict[str, float] = {}
         known = set(cls.__dataclass_fields__)
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for _, line in config_lines(path):
             key, _, raw = line.partition("=")
             key = key.strip()
             if key not in known:
@@ -70,10 +63,7 @@ class ManualOverride:
 def load_overrides(path: str | Path) -> list[ManualOverride]:
     """Tab-delimited: pub_id, position, pub_id, position, MERGE|SPLIT."""
     overrides = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in config_lines(path):
         parts = line.split("\t")
         if len(parts) != 5 or parts[4].upper() not in ("MERGE", "SPLIT"):
             raise ValueError(f"bad override on line {line_no}: {line!r}")

@@ -99,9 +99,10 @@ def pp_ic(
         label = labels.get(record.pub_id)
         if label is None or label in _EXCLUDED:
             continue
-        if not known_countries(record):
+        countries = known_countries(record)
+        if not countries:
             zero_country += 1
-        international = is_international_collab(record)
+        international = len(countries) >= 2
         add(label.value, TOTAL_FIELD, 1.0, international)
         for field, share in _field_shares(record, field_map, whole_count).items():
             add(label.value, field, share, international)

@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import MAINLAND_CHINA, UNKNOWN_COUNTRY
+from .corpus import MAINLAND_CHINA, UNKNOWN_COUNTRY, config_lines
 from .disambig import CorpusIndex, ResearcherCluster
 from .textnorm import normalize_text
 
@@ -72,12 +72,7 @@ class SurnameList:
 
     @classmethod
     def load(cls, path: str | Path) -> "SurnameList":
-        names = {
-            normalize_text(line)
-            for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        }
-        return cls(frozenset(names))
+        return cls(frozenset(normalize_text(line) for _, line in config_lines(path)))
 
     def __contains__(self, surname: str) -> bool:
         return normalize_text(surname) in self.surnames
@@ -203,10 +198,7 @@ def aggregate_flows(assignments: Sequence[MobilityAssignment]) -> FlowTable:
 def load_field_map(path: str | Path) -> dict[str, str]:
     """Tab-delimited field map: field_id<TAB>top-level field name."""
     mapping: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in config_lines(path):
         field_id, _, name = line.partition("\t")
         if not name:
             raise ValueError(f"malformed field map line: {line!r}")

@@ -56,9 +56,8 @@ class NoFundedPapers(Exception):
 def record_acknowledges_funder(record: PublicationRecord, lexicon: FunderLexicon) -> bool:
     """True when the standardized funding organizations or the raw
     acknowledgment text mention the target funder."""
-    lexicon_keys = {normalize_text(v) for v in lexicon.variants}
     for org in record.funding_orgs:
-        if normalize_text(org) in lexicon_keys:
+        if normalize_text(org) in lexicon.variant_keys:
             return True
     if record.acknowledgment_text:
         if detect_funder_mention(record.acknowledgment_text, lexicon):
@@ -142,16 +141,16 @@ class LabelingResult:
 def label_corpus(
     corpus: Sequence[PublicationRecord],
     clusters: Sequence[ResearcherCluster],
-    lexicon: FunderLexicon,
+    funded_ids: set[str],
     index: CorpusIndex | None = None,
 ) -> LabelingResult:
-    """Classify every publication of every funded scholar.
+    """Classify every publication of every funded scholar, given the
+    funder-acknowledging pub ids (:func:`funded_pub_ids`).
 
     Clusters without a funded publication are skipped: they are co-author
     identities, not sponsored scholars.
     """
     index = index or CorpusIndex(corpus)
-    funded_ids = funded_pub_ids(corpus, lexicon)
 
     windows: dict[str, SponsorshipWindow] = {}
     scholar_pubs: dict[str, set[str]] = {}

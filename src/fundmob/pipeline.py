@@ -3,8 +3,7 @@
 Every artifact is deterministic for a given (input, configuration) pair:
 rows are sorted, JSON keys are sorted, and the run manifest captures
 content hashes and stage counts rather than environment details, so two
-runs produce byte-identical output directories regardless of the
-internal parallelism setting.
+runs produce byte-identical output directories.
 """
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,7 +38,6 @@ class PipelineConfig:
     overrides: Path | None = None
     whole_count: bool = False
     top_k: int = 10
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         for name in ("input", "lexicon", "surnames", "field_map",
@@ -79,8 +76,6 @@ def validate_config(config: PipelineConfig) -> list[str]:
             problems.append(f"output directory is not writable: {config.out_dir}")
     if config.top_k < 1:
         problems.append(f"top-k must be positive, got {config.top_k}")
-    if config.jobs < 1:
-        problems.append(f"jobs must be positive, got {config.jobs}")
     return problems
 
 
@@ -115,13 +110,6 @@ def _write_json(path: Path, payload: object) -> None:
     )
 
 
-def _parallel_map(func, items, jobs: int):
-    if jobs <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items))
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write all artifacts; returns the manifest."""
     problems = validate_config(config)
@@ -148,17 +136,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if not funded_ids:
         logger.warning("no funder-acknowledging records; artifacts will be empty")
 
-    def mine(record: corpus.PublicationRecord):
-        if not record.acknowledgment_text:
-            return [], []
-        sentences = ackminer.extract_funding_sentences(
-            record.acknowledgment_text, lexicon, pub_id=record.pub_id
-        )
-        return sentences, ackminer.match_funded_authors(record, sentences)
-
-    mined = _parallel_map(mine, docs, config.jobs)
-    sentence_count = sum(len(sentences) for sentences, _ in mined)
-    funded_authorships = [match for _, matches in mined for match in matches]
+    sentence_count = 0
+    funded_authorships: list[ackminer.FundedAuthorship] = []
+    for record in docs:
+        sentences, matches = ackminer.mine_record(record, lexicon)
+        sentence_count += len(sentences)
+        funded_authorships.extend(matches)
     identified_keys = {(f.pub_id, f.author_position) for f in funded_authorships}
 
     clusters = disambig.cluster_corpus(docs, weights, overrides, index=index)
@@ -170,7 +153,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         c for c in clusters if c.members & identified_keys
     ]
 
-    labeling = periods.label_corpus(docs, funded_clusters, lexicon, index=index)
+    labeling = periods.label_corpus(docs, funded_clusters, funded_ids, index=index)
     during_by_cluster: dict[str, set[str]] = {}
     for pair in labeling.pairs:
         if pair.label is periods.Label.DURING:
@@ -344,20 +327,13 @@ def _write_artifacts(
         ],
     )
 
-    ppic_rows = [
-        [
-            period,
-            field,
-            cell.numerator,
-            cell.denominator,
-            cell.value if cell.value is not None else None,
-        ]
-        for (period, field), cell in sorted(ppic.cells.items())
-    ]
     _write_table(
         out / "pp_ic.tsv",
         ["period", "field", "numerator", "denominator", "proportion"],
-        ppic_rows,
+        [
+            [period, field, cell.numerator, cell.denominator, cell.value]
+            for (period, field), cell in sorted(ppic.cells.items())
+        ],
         footer_comments=[f"records with no known country: {ppic.zero_country_records}"],
     )
 

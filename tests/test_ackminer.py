@@ -78,6 +78,9 @@ class TestDetectFunderMention:
 
     def test_word_boundaries_respected(self, lexicon):
         assert detect_funder_mention("the DCSC scholarship fund", lexicon) == []
+        # non-ASCII letters are word characters too, as in contains_bounded
+        assert detect_funder_mention("ÉChina Scholarship Councilé", lexicon) == []
+        assert detect_funder_mention("(China Scholarship Council)", lexicon)
 
     def test_longest_variant_wins_at_overlap(self):
         lexicon = FunderLexicon("CSC", ("CSC", "CSC scholarship"))
@@ -208,7 +211,7 @@ def worked_example_record():
 class TestMatchFundedAuthors:
     def test_worked_example_identifies_position_two(self, lexicon):
         record = worked_example_record()
-        matches = mine_record(record, lexicon)
+        _, matches = mine_record(record, lexicon)
         assert len(matches) == 1
         match = matches[0]
         assert match.author_position == 2
@@ -221,7 +224,7 @@ class TestMatchFundedAuthors:
             (make_author(1, "Smith", first="John"), make_author(2, "Jones", first="Ann")),
             ack="The first author acknowledges the China Scholarship Council.",
         )
-        matches = mine_record(record, lexicon)
+        _, matches = mine_record(record, lexicon)
         assert [(m.author_position, m.match_kind) for m in matches] == [
             (1, MatchKind.ORDINAL)
         ]
@@ -235,7 +238,7 @@ class TestMatchFundedAuthors:
                 "China Scholarship Council."
             ),
         )
-        matches = mine_record(record, lexicon)
+        _, matches = mine_record(record, lexicon)
         assert [m.author_position for m in matches] == [1, 2]
         assert all(m.match_kind is MatchKind.NAME for m in matches)
 
@@ -245,13 +248,13 @@ class TestMatchFundedAuthors:
             (make_author(1, "Chen", first="Long"),),
             ack="Club members thank the China Scholarship Council.",
         )
-        assert mine_record(club, lexicon) == []
+        assert mine_record(club, lexicon)[1] == []
         token = make_record(
             "r4",
             (make_author(1, "Chen", first="Long"),),
             ack="CL acknowledges the China Scholarship Council.",
         )
-        matches = mine_record(token, lexicon)
+        _, matches = mine_record(token, lexicon)
         assert [m.author_position for m in matches] == [1]
 
     def test_no_match_keeps_record_unidentified(self, lexicon):
@@ -260,7 +263,7 @@ class TestMatchFundedAuthors:
             (make_author(1, "Chen", first="Long"),),
             ack="This work was supported by the China Scholarship Council.",
         )
-        assert mine_record(record, lexicon) == []
+        assert mine_record(record, lexicon)[1] == []
 
     def test_name_match_outranks_ordinal(self, lexicon):
         record = make_record(
@@ -271,7 +274,7 @@ class TestMatchFundedAuthors:
                 "China Scholarship Council."
             ),
         )
-        matches = mine_record(record, lexicon)
+        _, matches = mine_record(record, lexicon)
         assert matches[0].match_kind is MatchKind.NAME
 
     def test_dotted_initial_surname_form_matches(self, lexicon):
@@ -280,7 +283,7 @@ class TestMatchFundedAuthors:
             (make_author(1, "Chen", first="Long"),),
             ack="We thank colleagues. Chen. L is supported by the China Scholarship Council.",
         )
-        matches = mine_record(record, lexicon)
+        _, matches = mine_record(record, lexicon)
         assert [m.author_position for m in matches] == [1]
 
     def test_matches_only_funding_sentences(self, lexicon):
@@ -292,15 +295,25 @@ class TestMatchFundedAuthors:
                 "We also thank J. Smith for helpful comments."
             ),
         )
-        matches = mine_record(record, lexicon)
+        _, matches = mine_record(record, lexicon)
         assert [m.author_position for m in matches] == [2]
 
     def test_evidence_is_member_of_variant_set(self, lexicon):
         record = worked_example_record()
-        for match in mine_record(record, lexicon):
+        for match in mine_record(record, lexicon)[1]:
             author = record.authors[match.author_position - 1]
             variants = generate_name_variants(author, author.position)
             assert match.evidence in variants.variants
+
+    def test_returns_the_funding_sentences_behind_the_matches(self, lexicon):
+        record = worked_example_record()
+        sentences, matches = mine_record(record, lexicon)
+        assert [s.span for s in sentences] == [matches[0].sentence_span]
+        assert all(s.pub_id == record.pub_id for s in sentences)
+
+    def test_no_acknowledgment_gives_nothing(self, lexicon):
+        record = make_record("r9", (make_author(1, "Chen", first="Long"),))
+        assert mine_record(record, lexicon) == ([], [])
 
     def test_deterministic(self, lexicon):
         record = worked_example_record()
@@ -335,7 +348,7 @@ def test_matches_are_sorted_unique_positions(authors, ack):
         ("China Scholarship Council", "CSC scholarship", "Chinese Scholarship Council"),
     )
     record = make_record("h1", authors, ack=ack)
-    matches = mine_record(record, lexicon)
+    _, matches = mine_record(record, lexicon)
     positions = [m.author_position for m in matches]
     assert positions == sorted(set(positions))
     assert set(positions) <= {a.position for a in record.authors}
@@ -353,6 +366,6 @@ def test_adding_author_never_removes_matches(authors, extra_last, extra_first):
         authors + (make_author(len(authors) + 1, extra_last, first=extra_first),),
         ack=ack,
     )
-    before = {(m.author_position, m.match_kind) for m in mine_record(base, lexicon)}
-    after = {(m.author_position, m.match_kind) for m in mine_record(extended, lexicon)}
+    before = {(m.author_position, m.match_kind) for m in mine_record(base, lexicon)[1]}
+    after = {(m.author_position, m.match_kind) for m in mine_record(extended, lexicon)[1]}
     assert before <= after

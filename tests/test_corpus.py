@@ -87,6 +87,17 @@ class TestParseCorpus:
         result = parse_corpus([line(), bad])
         assert len(result.errors) == 1
 
+    @pytest.mark.parametrize(
+        "weight", ["abc", None, [1], {"w": 1}, 10**400],
+        ids=["string", "null", "list", "object", "huge-int"],
+    )
+    def test_non_numeric_weight_is_a_parse_issue(self, weight):
+        bad = line(pub_id="W2", field_weights=[{"field_id": "a", "weight": weight}])
+        result = parse_corpus([line(), bad])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [2]
+        assert "not a number" in result.errors[0].message
+
     def test_records_keep_input_order(self):
         result = parse_corpus([line(pub_id=f"W{i}") for i in range(5)])
         assert [r.pub_id for r in result.records] == [f"W{i}" for i in range(5)]

@@ -299,6 +299,12 @@ class TestOverridesAndConfig:
         with pytest.raises(ValueError):
             ScoringWeights.load(path)
 
+    def test_self_citation_weight_rejected(self, tmp_path):
+        path = tmp_path / "w.cfg"
+        path.write_text("email = 10\nself_citation = 0\n")
+        with pytest.raises(ValueError, match="self_citation"):
+            ScoringWeights.load(path)
+
     def test_split_suppresses_direct_edge(self):
         records = [
             make_record("a", (make_author(1, "Chen", first="Long", email="e@x.y"),)),

@@ -269,7 +269,7 @@ def test_random_scenarios_match_transcription(lexicon):
     rng = random.Random(23)
     for _ in range(100):
         papers, records, clusters = random_scenario(rng)
-        result = label_corpus(records, clusters, lexicon)
+        result = label_corpus(records, clusters, funded_pub_ids(records, lexicon))
         got = {
             (pair.pub_id, int(pair.cluster_id[1:])): _COARSE[pair.label]
             for pair in result.pairs
@@ -281,7 +281,7 @@ def test_partition_and_window_bounds(lexicon):
     rng = random.Random(29)
     for _ in range(50):
         papers, records, clusters = random_scenario(rng)
-        result = label_corpus(records, clusters, lexicon)
+        result = label_corpus(records, clusters, funded_pub_ids(records, lexicon))
         seen = set()
         index = CorpusIndex(records)
         for pair in result.pairs:

@@ -4,6 +4,7 @@ import stat
 
 import pytest
 
+from fundmob import periods
 from fundmob.cli import main
 from fundmob.pipeline import (
     ConfigError,
@@ -178,13 +179,24 @@ class TestCli:
     def test_cli_flags_reach_the_manifest(self, data_dir, tmp_path):
         out = tmp_path / "out"
         code = main(self.common_args(data_dir, out)
-                    + ["--whole-count", "--top-k", "3", "--jobs", "2"])
+                    + ["--whole-count", "--top-k", "3"])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["whole_count"] is True
         assert manifest["config"]["top_k"] == 3
-        # execution-level settings stay out of the manifest by design
-        assert "jobs" not in manifest["config"]
+
+
+def test_funded_ids_are_computed_once_per_run(data_dir, tmp_path, monkeypatch):
+    calls = []
+    original = periods.funded_pub_ids
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(periods, "funded_pub_ids", counting)
+    run_pipeline(demo_config(data_dir, tmp_path / "out"))
+    assert len(calls) == 1
 
 
 def test_overrides_flow_through_pipeline(data_dir, tmp_path):

@@ -204,14 +204,14 @@ def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -
     )
     first_name = obj.get("first_name")
     initials = obj.get("initials")
-    email = obj.get("email")
+    email = str(obj.get("email") or "").strip()
     return Authorship(
         position=position,
         full_name=str(obj.get("full_name", last_name)),
         last_name=last_name,
         first_name=str(first_name) if first_name else None,
         initials=str(initials) if initials else None,
-        email=str(email) if email else None,
+        email=email or None,
         affiliations=affiliations,
     )
 

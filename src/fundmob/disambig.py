@@ -9,18 +9,32 @@ outright. Clustering is connected components of the threshold graph, so
 results are independent of input order. A manual-override file can force
 pairs together or suppress their direct edge, standing in for the manual
 cleaning pass that production pipelines apply.
+
+Scoring is exact but not all-pairs. Each block of two or more
+authorships gets one feature row per member, built once and dropped when
+the block is done, and only pairs that share an *indexed* feature value
+are scored. Which features are indexed follows from the weights alone
+(see :func:`indexed_features`), so a pair that is never scored could
+not have reached the threshold.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import normalize_text
 
 AuthorshipKey = tuple[str, int]
+
+#: the scored features, in the order the scorer adds their weights
+FEATURES = ("email", "affiliation", "coauthor", "funder", "first_name")
+#: on equal weights, the order in which features are left unindexed: the
+#: ones most members of a surname + initial block share come first
+_UNINDEXED_FIRST = ("funder", "first_name", "affiliation", "coauthor", "email")
 
 
 @dataclass(frozen=True)
@@ -33,7 +47,10 @@ class ScoringWeights:
     threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in ("email", "affiliation", "coauthor", "funder", "first_name"):
+        for name in (*FEATURES, "threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"weight {name} must be finite")
+        for name in FEATURES:
             if getattr(self, name) < 0:
                 raise ValueError(f"weight {name} must be >= 0")
         if self.threshold <= 0:
@@ -44,12 +61,17 @@ class ScoringWeights:
         """Key-value config: ``name = value`` per line, # comments."""
         values: dict[str, float] = {}
         known = set(cls.__dataclass_fields__)
-        for _, line in config_lines(path):
+        for line_no, line in config_lines(path):
             key, _, raw = line.partition("=")
-            key = key.strip()
+            key, raw = key.strip(), raw.strip()
             if key not in known:
                 raise ValueError(f"unknown disambiguation weight: {key!r}")
-            values[key] = float(raw.strip())
+            try:
+                values[key] = float(raw)
+            except ValueError:
+                raise ValueError(
+                    f"weight {key!r} on line {line_no} is not a number: {raw!r}"
+                ) from None
         return cls(**values)
 
 
@@ -148,10 +170,56 @@ def _org_keys(author: Authorship) -> set[str]:
     return {normalize_text(a.org_name) for a in author.affiliations if a.org_name.strip()}
 
 
-def _coauthor_keys(record: PublicationRecord, position: int) -> set[tuple[str, str]]:
-    return {
-        block_key(a) for a in record.authors if a.position != position
-    }
+class _FeatureRow(NamedTuple):
+    """What scoring reads of one authorship, normalized once."""
+
+    first_name: str | None
+    email: str | None
+    affiliation: set[str]
+    coauthor: set[tuple[str, str]]
+    funder: set[str]
+
+
+#: per record, the position and block key of each author
+_RecordKeys = dict[str, tuple[tuple[int, tuple[str, str]], ...]]
+
+
+def _feature_row(
+    index: CorpusIndex, key: AuthorshipKey, record_keys: _RecordKeys
+) -> _FeatureRow:
+    """The row of one authorship. ``record_keys`` caches the block keys of
+    each record's authors, which every co-author's row reads again."""
+    author, record = index.author(key), index.record(key[0])
+    authors = record_keys.get(record.pub_id)
+    if authors is None:
+        authors = tuple((a.position, block_key(a)) for a in record.authors)
+        record_keys[record.pub_id] = authors
+    return _FeatureRow(
+        first_name=_full_first_name(author),
+        email=(author.email or "").strip().lower() or None,
+        affiliation=_org_keys(author),
+        coauthor={bk for position, bk in authors if position != key[1]},
+        funder={normalize_text(f) for f in record.funding_orgs},
+    )
+
+
+def _score_rows(a: _FeatureRow, b: _FeatureRow, weights: ScoringWeights) -> float:
+    """Sum of triggered feature weights; conflicting full first names
+    force 0 regardless of any other evidence."""
+    if a.first_name and b.first_name and a.first_name != b.first_name:
+        return 0.0
+    score = 0.0
+    if a.email and a.email == b.email:
+        score += weights.email
+    if not a.affiliation.isdisjoint(b.affiliation):
+        score += weights.affiliation
+    if not a.coauthor.isdisjoint(b.coauthor):
+        score += weights.coauthor
+    if not a.funder.isdisjoint(b.funder):
+        score += weights.funder
+    if a.first_name and a.first_name == b.first_name:
+        score += weights.first_name
+    return score
 
 
 def score_pair(
@@ -165,28 +233,52 @@ def score_pair(
     Symmetric in its arguments. Conflicting full first names force 0
     regardless of any other evidence.
     """
-    author_a, author_b = index.author(a), index.author(b)
-    record_a, record_b = index.record(a[0]), index.record(b[0])
+    return _score_rows(_feature_row(index, a, {}), _feature_row(index, b, {}), weights)
 
-    first_a, first_b = _full_first_name(author_a), _full_first_name(author_b)
-    if first_a and first_b and first_a != first_b:
-        return 0.0
 
-    score = 0.0
-    if author_a.email and author_b.email:
-        if author_a.email.strip().lower() == author_b.email.strip().lower():
-            score += weights.email
-    if _org_keys(author_a) & _org_keys(author_b):
-        score += weights.affiliation
-    if _coauthor_keys(record_a, a[1]) & _coauthor_keys(record_b, b[1]):
-        score += weights.coauthor
-    funders_a = {normalize_text(f) for f in record_a.funding_orgs}
-    funders_b = {normalize_text(f) for f in record_b.funding_orgs}
-    if funders_a & funders_b:
-        score += weights.funder
-    if first_a and first_b and first_a == first_b:
-        score += weights.first_name
-    return score
+def indexed_features(weights: ScoringWeights) -> tuple[str, ...]:
+    """The features whose shared values make a pair a scoring candidate.
+
+    Features are taken cheapest first; the longest such run whose weights
+    sum below the threshold is left unindexed, since a pair sharing none
+    of the other features scores at most that sum. The sum is taken in
+    the scorer's order, so it rounds exactly as a score would.
+    """
+    ordered = sorted(_UNINDEXED_FIRST, key=lambda name: getattr(weights, name))
+    for count in range(len(ordered)):
+        unindexed = ordered[: count + 1]
+        if sum(getattr(weights, n) for n in FEATURES if n in unindexed) >= weights.threshold:
+            return tuple(ordered[count:])
+    return ()
+
+
+def _index_values(row: _FeatureRow, feature: str) -> Iterable:
+    value = getattr(row, feature)
+    if feature in ("first_name", "email"):
+        return (value,) if value else ()
+    return value
+
+
+def _candidate_pairs(
+    rows: Sequence[_FeatureRow], features: Sequence[str]
+) -> Iterator[tuple[int, int]]:
+    """Each pair ``(i, j)``, ``i < j``, of rows sharing a value of one of
+    ``features``, once."""
+    row_keys = [
+        [(feature, value) for feature in features for value in _index_values(row, feature)]
+        for row in rows
+    ]
+    postings: dict[tuple[str, object], list[int]] = {}
+    for i, keys in enumerate(row_keys):
+        for key in keys:
+            postings.setdefault(key, []).append(i)
+    for i, keys in enumerate(row_keys):
+        partners: set[int] = set()
+        for key in keys:
+            partners.update(postings[key])
+        for j in partners:
+            if j > i:
+                yield i, j
 
 
 class _UnionFind:
@@ -241,13 +333,18 @@ def _cluster_keys(
     splits = {frozenset((o.a, o.b)) for o in overrides if o.action == "SPLIT"}
     blocks = [sorted(block) for block in blocks]
     uf = _UnionFind(key for block in blocks for key in block)
+    features = indexed_features(weights)
+    record_keys: _RecordKeys = {}
     for block in blocks:
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                if frozenset((a, b)) in splits:
-                    continue
-                if score_pair(index, a, b, weights) >= weights.threshold:
-                    uf.union(a, b)
+        if len(block) < 2:
+            continue
+        rows = [_feature_row(index, key, record_keys) for key in block]
+        for i, j in _candidate_pairs(rows, features):
+            a, b = block[i], block[j]
+            if frozenset((a, b)) in splits:
+                continue
+            if _score_rows(rows[i], rows[j], weights) >= weights.threshold:
+                uf.union(a, b)
     for o in overrides:
         if o.action == "MERGE" and o.a in uf.parent and o.b in uf.parent:
             uf.union(o.a, o.b)

@@ -98,6 +98,16 @@ class TestParseCorpus:
         assert [e.line_no for e in result.errors] == [2]
         assert "not a number" in result.errors[0].message
 
+    @pytest.mark.parametrize("email, stored", [
+        (" ", None), ("\t\n", None), ("", None), (None, None),
+        ("  Long.Chen@x.org ", "Long.Chen@x.org"),
+    ])
+    def test_email_is_stripped_and_blank_is_none(self, email, stored):
+        author = {"position": 1, "full_name": "Chen, Long", "last_name": "Chen",
+                  "first_name": "Long", "email": email}
+        record = record_from_dict(json.loads(line(authors=[author])))
+        assert record.authors[0].email == stored
+
     def test_records_keep_input_order(self):
         result = parse_corpus([line(pub_id=f"W{i}") for i in range(5)])
         assert [r.pub_id for r in result.records] == [f"W{i}" for i in range(5)]

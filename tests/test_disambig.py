@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from fundmob.corpus import PublicationRecord
+from fundmob import disambig
+from fundmob.corpus import PublicationRecord, record_from_dict
 from fundmob.disambig import (
+    FEATURES,
     CorpusIndex,
     ManualOverride,
     ScoringWeights,
@@ -13,9 +15,11 @@ from fundmob.disambig import (
     block_key,
     cluster_block,
     cluster_corpus,
+    indexed_features,
     load_overrides,
     score_pair,
 )
+from fundmob.textnorm import normalize_text
 
 from .conftest import make_author, make_record
 
@@ -129,6 +133,20 @@ class TestScorePair:
         # flattened given names match: email + first-name bonus
         assert score_pair(index, a, b, WEIGHTS) == 12
 
+    def test_whitespace_only_emails_are_not_shared(self):
+        records = [
+            record_from_dict({
+                "pub_id": pub_id, "pub_year": 2015, "doc_type": "Article",
+                "authors": [{"position": 1, "last_name": "Chen",
+                             "first_name": "Long", "email": " "}],
+            })
+            for pub_id in ("a", "b")
+        ]
+        index = CorpusIndex(records)
+        # only the first-name bonus: a blank email is no email
+        assert score_pair(index, ("a", 1), ("b", 1), WEIGHTS) == 2
+        assert len(cluster_corpus(records, WEIGHTS)) == 2
+
     def test_shared_funder_weight(self):
         index, a, b = pair_fixture(
             make_author(1, "Chen", first="Long"),
@@ -137,6 +155,82 @@ class TestScorePair:
             funding_b=("china scholarship council",),
         )
         assert score_pair(index, a, b, WEIGHTS) == 1
+
+
+# -- the all-pairs reference scorer ------------------------------------------
+# The scoring definition the candidate-pair path replaced, kept verbatim with
+# its helpers so the oracles below share no scoring code with the package.
+# One difference is intended: the package treats an email that is blank after
+# stripping as no email, so no fixture here draws such an email.
+
+
+def _full_first_name(author):
+    """A flattened given name of two or more letters, else None."""
+    if not author.first_name:
+        return None
+    flattened = "".join(
+        ch for ch in normalize_text(author.first_name) if ch.isalpha()
+    )
+    return flattened if len(flattened) >= 2 else None
+
+
+def _org_keys(author):
+    return {normalize_text(a.org_name) for a in author.affiliations if a.org_name.strip()}
+
+
+def _coauthor_keys(record, position):
+    return {
+        block_key(a) for a in record.authors if a.position != position
+    }
+
+
+def reference_score_pair(index, a, b, weights):
+    author_a, author_b = index.author(a), index.author(b)
+    record_a, record_b = index.record(a[0]), index.record(b[0])
+
+    first_a, first_b = _full_first_name(author_a), _full_first_name(author_b)
+    if first_a and first_b and first_a != first_b:
+        return 0.0
+
+    score = 0.0
+    if author_a.email and author_b.email:
+        if author_a.email.strip().lower() == author_b.email.strip().lower():
+            score += weights.email
+    if _org_keys(author_a) & _org_keys(author_b):
+        score += weights.affiliation
+    if _coauthor_keys(record_a, a[1]) & _coauthor_keys(record_b, b[1]):
+        score += weights.coauthor
+    funders_a = {normalize_text(f) for f in record_a.funding_orgs}
+    funders_b = {normalize_text(f) for f in record_b.funding_orgs}
+    if funders_a & funders_b:
+        score += weights.funder
+    if first_a and first_b and first_a == first_b:
+        score += weights.first_name
+    return score
+
+
+def _components(nodes, edges):
+    """Connected components of an undirected graph (BFS)."""
+    adjacency = {node: set() for node in nodes}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen: set = set()
+    components = set()
+    for node in sorted(nodes):
+        if node in seen:
+            continue
+        frontier = [node]
+        component = set()
+        while frontier:
+            current = frontier.pop()
+            if current in component:
+                continue
+            component.add(current)
+            frontier.extend(adjacency[current] - component)
+        seen |= component
+        components.add(frozenset(component))
+    return components
 
 
 # -- random fixtures shared with the acceptance suite ------------------------
@@ -172,28 +266,13 @@ def random_block(rng: random.Random, size: int):
 
 
 def components_oracle(keys, index, weights):
-    """Independent connected components of the threshold graph (BFS)."""
-    adjacency = {key: set() for key in keys}
-    for a, b in itertools.combinations(sorted(keys), 2):
-        if score_pair(index, a, b, weights) >= weights.threshold:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen: set = set()
-    components = set()
-    for key in sorted(keys):
-        if key in seen:
-            continue
-        frontier = [key]
-        component = set()
-        while frontier:
-            current = frontier.pop()
-            if current in component:
-                continue
-            component.add(current)
-            frontier.extend(adjacency[current] - component)
-        seen |= component
-        components.add(frozenset(component))
-    return components
+    """Independent connected components of the threshold graph, scoring
+    every pair with :func:`reference_score_pair`."""
+    edges = [
+        (a, b) for a, b in itertools.combinations(sorted(keys), 2)
+        if reference_score_pair(index, a, b, weights) >= weights.threshold
+    ]
+    return _components(keys, edges)
 
 
 class TestClusterBlock:
@@ -305,6 +384,25 @@ class TestOverridesAndConfig:
         with pytest.raises(ValueError, match="self_citation"):
             ScoringWeights.load(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", [*FEATURES, "threshold"])
+    def test_non_finite_weight_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ScoringWeights(**{name: value})
+
+    def test_non_finite_weight_in_file_rejected(self, tmp_path):
+        path = tmp_path / "w.cfg"
+        path.write_text("email = 10\nthreshold = nan\n")
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            ScoringWeights.load(path)
+
+    @pytest.mark.parametrize("text", ["coauthor = four", "coauthor", "coauthor = "])
+    def test_non_numeric_weight_names_key_and_line(self, tmp_path, text):
+        path = tmp_path / "w.cfg"
+        path.write_text(f"# weights\nemail = 10\n{text}\n")
+        with pytest.raises(ValueError, match="'coauthor' on line 3 is not a number"):
+            ScoringWeights.load(path)
+
     def test_split_suppresses_direct_edge(self):
         records = [
             make_record("a", (make_author(1, "Chen", first="Long", email="e@x.y"),)),
@@ -358,3 +456,156 @@ def test_cluster_corpus_permutation_invariance():
         shuffled = records[:]
         rng.shuffle(shuffled)
         assert cluster_corpus(shuffled, WEIGHTS) == reference
+
+
+# -- candidate pairs ------------------------------------------------------------
+
+
+class TestIndexedFeatures:
+    def test_stock_weights_leave_funder_and_first_name_unindexed(self, data_dir):
+        # funder 1 + first_name 2 = 3 < 5, and adding affiliation reaches 5
+        weights = ScoringWeights.load(data_dir / "disambig_weights.cfg")
+        assert set(indexed_features(weights)) == {"affiliation", "coauthor", "email"}
+
+    def test_low_threshold_indexes_everything(self):
+        weights = ScoringWeights(threshold=0.5)
+        assert set(indexed_features(weights)) == set(FEATURES)
+
+    def test_unreachable_threshold_indexes_nothing(self):
+        weights = ScoringWeights(threshold=20)
+        assert indexed_features(weights) == ()
+        records, _ = random_block(random.Random(3), 12)
+        clusters = cluster_corpus(records, weights)
+        assert len(clusters) == len(CorpusIndex(records).authorships)
+
+
+def _funder_first_name_block():
+    """50 same-block authorships sharing no email, org or co-author; some
+    share a full first name or a funder."""
+    rng = random.Random(23)
+    records = []
+    for i in range(50):
+        author = make_author(
+            1, "Lin", first=rng.choice(["Wei", "Wen", "W.", None]), initials="W.",
+            email=f"lin{i}@example.org", countries=("CN",), orgs=(f"Org {i}",),
+        )
+        funding = tuple(rng.sample(["Funder A", "Funder B", "Funder C", "Funder D"],
+                                   rng.randint(0, 1)))
+        records.append(make_record(f"w{i:02d}", (author,), funding=funding))
+    return records
+
+
+def _count_scored(monkeypatch):
+    scored = []
+    score_rows = disambig._score_rows
+
+    def counting(a, b, weights):
+        scored.append((a, b))
+        return score_rows(a, b, weights)
+
+    monkeypatch.setattr(disambig, "_score_rows", counting)
+    return scored
+
+
+class TestScoredPairs:
+    def test_no_shared_indexed_key_scores_no_pair(self, monkeypatch):
+        records = _funder_first_name_block()
+        assert len(block_authorships(records)) == 1
+        scored = _count_scored(monkeypatch)
+        clusters = cluster_corpus(records, WEIGHTS)
+        assert scored == []
+        assert len(clusters) == 50
+
+    def test_funder_and_first_name_indexed_when_they_reach_threshold(self, monkeypatch):
+        records = _funder_first_name_block()
+        weights = ScoringWeights(funder=3, first_name=3, threshold=5)
+        assert {"funder", "first_name"} <= set(indexed_features(weights))
+        full_first = [r.authors[0].first_name if r.authors[0].first_name in ("Wei", "Wen")
+                      else None for r in records]
+        expected = sum(
+            1 for i, j in itertools.combinations(range(len(records)), 2)
+            if set(records[i].funding_orgs) & set(records[j].funding_orgs)
+            or (full_first[i] and full_first[i] == full_first[j])
+        )
+        scored = _count_scored(monkeypatch)
+        clusters = cluster_corpus(records, weights)
+        assert len(scored) == expected > 0
+        index = CorpusIndex(records)
+        assert {c.members for c in clusters} == components_oracle(
+            list(index.authorships), index, weights
+        )
+
+
+# -- candidate-pair clustering against the all-pairs reference ----------------
+
+_H_SURNAMES = ["Lin", "Li", "Chen"]
+_H_FIRSTS = ["Wei", "Wen", "Lei", "W.", None]
+_H_EMAILS = [None, "a@example.org", " A@Example.org", "b@example.org"]
+_H_ORGS = ["Inst One", "inst one", "Inst Two", "Inst Three"]
+_H_FUNDERS = ["Funder A", "funder a", "Funder B", "Funder C"]
+_H_WEIGHTS = [0.0, 0.1, 0.2, 1.0, 2.0, 4.0, 10.0]
+
+
+@st.composite
+def corpora_with_overrides(draw):
+    """Several records whose authors fall into a few surname + initial
+    blocks, sharing orgs, co-authors, emails and funders, plus MERGE and
+    SPLIT overrides between random authorships."""
+    records = []
+    for i in range(draw(st.integers(1, 14))):
+        authors = []
+        for position in range(1, draw(st.integers(1, 4)) + 1):
+            orgs = tuple(draw(st.lists(st.sampled_from(_H_ORGS), max_size=2)))
+            authors.append(make_author(
+                position, draw(st.sampled_from(_H_SURNAMES)),
+                first=draw(st.sampled_from(_H_FIRSTS)),
+                initials=draw(st.sampled_from([None, "W.", "L."])),
+                email=draw(st.sampled_from(_H_EMAILS)),
+                countries=("CN",) * len(orgs), orgs=orgs,
+            ))
+        funding = tuple(draw(st.lists(st.sampled_from(_H_FUNDERS), max_size=2)))
+        records.append(make_record(f"r{i:02d}", tuple(authors), funding=funding))
+    keys = [(r.pub_id, a.position) for r in records for a in r.authors]
+    overrides = draw(st.lists(
+        st.builds(ManualOverride, st.sampled_from(keys), st.sampled_from(keys),
+                  st.sampled_from(["MERGE", "SPLIT"])),
+        max_size=4,
+    ))
+    return records, overrides
+
+
+@st.composite
+def scoring_weights(draw):
+    values = {name: draw(st.sampled_from(_H_WEIGHTS)) for name in FEATURES}
+    if draw(st.booleans()):
+        # funder + first_name alone reach the threshold, so both are indexed
+        values["funder"] = draw(st.sampled_from([2.0, 4.0]))
+        values["first_name"] = draw(st.sampled_from([2.0, 4.0]))
+        threshold = draw(st.sampled_from([0.3, 2.0, 4.0]))
+    else:
+        threshold = draw(st.sampled_from([0.3, 1.0, 3.0, 5.0, 8.0, 15.0]))
+    return ScoringWeights(threshold=threshold, **values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora_with_overrides(), scoring_weights())
+def test_cluster_corpus_equals_all_pairs_reference(scenario, weights):
+    """cluster_corpus equals the connected components of: every within-block
+    pair scoring at least the threshold under reference_score_pair, minus
+    SPLIT pairs, plus MERGE pairs."""
+    records, overrides = scenario
+    index = CorpusIndex(records)
+    blocks: dict = {}
+    for key, author in index.authorships.items():
+        blocks.setdefault(block_key(author), []).append(key)
+    splits = {frozenset((o.a, o.b)) for o in overrides if o.action == "SPLIT"}
+    edges = [
+        (a, b)
+        for block in blocks.values()
+        for a, b in itertools.combinations(block, 2)
+        if frozenset((a, b)) not in splits
+        and reference_score_pair(index, a, b, weights) >= weights.threshold
+    ]
+    edges += [(o.a, o.b) for o in overrides if o.action == "MERGE"]
+    clusters = cluster_corpus(records, weights, overrides)
+    assert {c.members for c in clusters} == _components(list(index.authorships), edges)

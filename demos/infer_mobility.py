@@ -71,7 +71,7 @@ cluster = ResearcherCluster(
 )
 lexicon = FunderLexicon("China Scholarship Council", ("China Scholarship Council",))
 funded_ids = funded_pub_ids(records, lexicon)
-result = label_corpus(records, [cluster], funded_ids, index=CorpusIndex(records))
+result = label_corpus([cluster], funded_ids, CorpusIndex(records))
 window = result.windows["chen"]
 print(f"  window: {window.first_funded_date.date} .. {window.last_funded_date.date}")
 for pair in result.pairs:

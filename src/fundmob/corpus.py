@@ -173,6 +173,27 @@ def _parse_doc_type(value: object) -> DocType:
     raise RecordError(f"unknown doc_type string: {value!r}")
 
 
+def _parse_int(value: object, label: str) -> int:
+    """An integer field; bools and non-integral numbers are rejected
+    rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise RecordError(f"{label} is not an integer: {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RecordError(f"{label} is not an integer: {value!r}") from exc
+
+
+def _parse_list(obj: dict, key: str, label: str) -> list:
+    """A list field; missing or null is empty, any other non-list is an error."""
+    value = obj.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise RecordError(f"{label} is not a list")
+    return value
+
+
 def _normalize_country(raw: object, aliases: CountryAliases | None) -> str:
     if raw is None:
         return UNKNOWN_COUNTRY
@@ -185,23 +206,23 @@ def _normalize_country(raw: object, aliases: CountryAliases | None) -> str:
 
 
 def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -> Authorship:
+    label = f"author {index + 1}"
     if not isinstance(obj, dict):
-        raise RecordError(f"author {index + 1} is not an object")
-    try:
-        position = int(obj["position"])
-        last_name = str(obj["last_name"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RecordError(f"author {index + 1} missing position/last_name") from exc
+        raise RecordError(f"{label} is not an object")
+    if "position" not in obj or "last_name" not in obj:
+        raise RecordError(f"{label} missing position/last_name")
+    position = _parse_int(obj["position"], f"{label} position")
+    last_name = str(obj["last_name"])
     if not normalize_text(last_name):
-        raise RecordError(f"author {index + 1} has an empty last_name")
-    affiliations = tuple(
-        Affiliation(
+        raise RecordError(f"{label} has an empty last_name")
+    affiliations = []
+    for aff in _parse_list(obj, "affiliations", f"{label} affiliations"):
+        if not isinstance(aff, dict):
+            raise RecordError(f"{label} has an affiliation that is not an object")
+        affiliations.append(Affiliation(
             org_name=str(aff.get("org_name", "")),
             country=_normalize_country(aff.get("country"), aliases),
-        )
-        for aff in obj.get("affiliations") or []
-        if isinstance(aff, dict)
-    )
+        ))
     first_name = obj.get("first_name")
     initials = obj.get("initials")
     email = str(obj.get("email") or "").strip()
@@ -212,7 +233,7 @@ def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -
         first_name=str(first_name) if first_name else None,
         initials=str(initials) if initials else None,
         email=email or None,
-        affiliations=affiliations,
+        affiliations=tuple(affiliations),
     )
 
 
@@ -226,10 +247,7 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
 
     if "pub_year" not in obj:
         raise RecordError("missing pub_year")
-    try:
-        pub_year = int(obj["pub_year"])
-    except (TypeError, ValueError) as exc:
-        raise RecordError("pub_year is not an integer") from exc
+    pub_year = _parse_int(obj["pub_year"], "pub_year")
     if not 1900 <= pub_year <= 2100:
         raise RecordError(f"pub_year {pub_year} outside plausible range 1900-2100")
 
@@ -262,6 +280,10 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
         if abs(total - 1.0) > 1e-9:
             raise RecordError(f"field_weights sum {total!r} != 1")
 
+    funding_orgs = _parse_list(obj, "funding_orgs", "funding_orgs")
+    if not all(isinstance(org, str) for org in funding_orgs):
+        raise RecordError("funding_orgs entries must be strings")
+
     doi_created = obj.get("doi_created_date")
     doi = obj.get("doi")
     return PublicationRecord(
@@ -274,7 +296,7 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
         acknowledgment_text=(
             str(obj["acknowledgment_text"]) if obj.get("acknowledgment_text") else None
         ),
-        funding_orgs=tuple(str(f) for f in obj.get("funding_orgs") or []),
+        funding_orgs=tuple(funding_orgs),
         authors=authors,
         field_weights=tuple(field_weights),
     )
@@ -336,14 +358,16 @@ def parse_corpus(
             continue
         saw_content = True
         try:
-            obj = json.loads(line)
+            record = record_from_dict(json.loads(line), aliases)
         except json.JSONDecodeError as exc:
             result.errors.append(ParseIssue(line_no, f"invalid JSON: {exc.msg}"))
             continue
-        try:
-            record = record_from_dict(obj, aliases)
         except RecordError as exc:
             result.errors.append(ParseIssue(line_no, str(exc)))
+            continue
+        except RecursionError:
+            # nesting deeper than the interpreter's recursion limit
+            result.errors.append(ParseIssue(line_no, "value nested too deeply"))
             continue
         if record.pub_id in seen_ids:
             result.errors.append(

@@ -4,7 +4,8 @@ fractional field distributions, and temporal distributions.
 Proportions with an empty denominator are reported as None, never zero:
 downstream consumers must be able to tell "no data" from "no
 collaboration". All fractional aggregation uses math.fsum so conservation
-identities hold to 1e-9.
+identities hold to 1e-9. Field ids missing from the field map keep their
+own name.
 """
 from __future__ import annotations
 
@@ -59,12 +60,12 @@ _EXCLUDED = {Label.EXCLUDED_CONFLICT, Label.EXCLUDED_WINDOW_GAP}
 
 def _field_shares(
     record: PublicationRecord,
-    field_map: Mapping[str, str] | None,
+    field_map: Mapping[str, str],
     whole_count: bool,
 ) -> dict[str, float]:
     shares: dict[str, float] = {}
     for fw in record.field_weights:
-        name = field_map.get(fw.field_id, fw.field_id) if field_map else fw.field_id
+        name = field_map.get(fw.field_id, fw.field_id)
         weight = 1.0 if whole_count else fw.weight
         shares[name] = shares.get(name, 0.0) + weight
     if whole_count:
@@ -75,7 +76,7 @@ def _field_shares(
 def pp_ic(
     records: Sequence[PublicationRecord],
     labels: Mapping[str, Label],
-    field_map: Mapping[str, str] | None = None,
+    field_map: Mapping[str, str],
     whole_count: bool = False,
 ) -> PpIcReport:
     """Proportion of internationally co-authored papers per period and
@@ -127,7 +128,7 @@ class FieldShare:
 def field_distribution(
     records: Sequence[PublicationRecord],
     identified_ids: set[str],
-    field_map: Mapping[str, str] | None = None,
+    field_map: Mapping[str, str],
 ) -> dict[str, FieldShare]:
     """Fractional paper counts per field, split by whether an identified
     funded scholar authored the record."""
@@ -136,7 +137,7 @@ def field_distribution(
     for record in records:
         bucket = identified if record.pub_id in identified_ids else unidentified
         for fw in record.field_weights:
-            name = field_map.get(fw.field_id, fw.field_id) if field_map else fw.field_id
+            name = field_map.get(fw.field_id, fw.field_id)
             bucket.setdefault(name, []).append(fw.weight)
     fields = sorted(set(identified) | set(unidentified))
     return {
@@ -150,24 +151,14 @@ def field_distribution(
 
 def temporal_distribution(
     records: Sequence[PublicationRecord],
-    tag_of: Callable[[PublicationRecord], str] | Mapping[str, str] | None = None,
+    tag_of: Callable[[PublicationRecord], str],
 ) -> dict[int, dict[str, int]]:
-    """Publication counts per year per tag, with a Total column per year.
-
-    ``tag_of`` may be a callable on records or a pub_id -> tag mapping;
-    None tags everything "All".
-    """
-    if tag_of is None:
-        tagger: Callable[[PublicationRecord], str] = lambda r: "All"
-    elif callable(tag_of):
-        tagger = tag_of
-    else:
-        mapping = tag_of
-        tagger = lambda r: mapping.get(r.pub_id, "All")
+    """Publication counts per year per ``tag_of(record)``, with a Total
+    column per year."""
     years: dict[int, dict[str, int]] = {}
     for record in records:
         row = years.setdefault(record.pub_year, {})
-        tag = tagger(record)
+        tag = tag_of(record)
         row[tag] = row.get(tag, 0) + 1
         row[TOTAL_FIELD] = row.get(TOTAL_FIELD, 0) + 1
     return {year: years[year] for year in sorted(years)}

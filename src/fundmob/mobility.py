@@ -20,11 +20,6 @@ from .disambig import CorpusIndex, ResearcherCluster
 from .textnorm import normalize_text
 
 
-class Role(Enum):
-    OWN = "Own"
-    COAUTHOR = "Coauthor"
-
-
 class Outcome(Enum):
     DESTINATION = "Destination"
     UNIDENTIFIED_MULTI_FOREIGN = "UnidentifiedMultiForeign"
@@ -96,28 +91,26 @@ def is_mainland_chinese_scholar(
 def collect_countries(
     cluster: ResearcherCluster,
     index: CorpusIndex,
-    role: Role,
     during_pub_ids: set[str],
-) -> Counter[str]:
-    """Affiliation countries on the cluster's during-sponsorship papers.
+) -> tuple[Counter[str], Counter[str]]:
+    """Own and co-author affiliation countries on the cluster's
+    during-sponsorship papers, from one pass over them.
 
-    Own: the scholar's affiliations on those papers. Coauthor: the
+    Own: the scholar's affiliations on those papers. Co-author: the
     affiliations of every other author on the same papers. Unknown
     countries are dropped.
     """
-    counts: Counter[str] = Counter()
+    own: Counter[str] = Counter()
+    coauthor: Counter[str] = Counter()
     for pub_id, position in sorted(cluster.members):
         if pub_id not in during_pub_ids:
             continue
-        record = index.record(pub_id)
-        for author in record.authors:
-            is_own = author.position == position
-            if (role is Role.OWN) != is_own:
-                continue
+        for author in index.record(pub_id).authors:
+            counts = own if author.position == position else coauthor
             for aff in author.affiliations:
                 if aff.country != UNKNOWN_COUNTRY:
                     counts[aff.country] += 1
-    return counts
+    return own, coauthor
 
 
 def infer_destination(
@@ -163,8 +156,7 @@ def assign_mobility(
     index: CorpusIndex,
     during_pub_ids: set[str],
 ) -> MobilityAssignment:
-    own = collect_countries(cluster, index, Role.OWN, during_pub_ids)
-    coauthor = collect_countries(cluster, index, Role.COAUTHOR, during_pub_ids)
+    own, coauthor = collect_countries(cluster, index, during_pub_ids)
     return infer_destination(own, coauthor, cluster_id=cluster.cluster_id)
 
 
@@ -241,15 +233,19 @@ def scholar_field_profile(
     return {field: weight / total for field, weight in raw.items()}
 
 
-def field_destination_matrix(
+def top_destinations_by_field(
     assignments: Sequence[MobilityAssignment],
     clusters: Mapping[str, ResearcherCluster],
     index: CorpusIndex,
     field_map: Mapping[str, str],
     during_by_cluster: Mapping[str, set[str]],
-) -> tuple[dict[str, dict[str, float]], int]:
-    """Fractional scholar counts per (field, destination), plus how many
-    destination scholars lacked usable field weights."""
+    k: int = 10,
+) -> FieldDestinations:
+    """Top-k destinations per top-level field by fractional scholar count.
+
+    Each destination scholar adds their field profile to the destination;
+    scholars without usable field weights are counted as excluded.
+    """
     matrix: dict[str, dict[str, float]] = {}
     excluded = 0
     for assignment in assignments:
@@ -265,21 +261,6 @@ def field_destination_matrix(
         for field, share in profile.items():
             row = matrix.setdefault(field, {})
             row[assignment.destination] = row.get(assignment.destination, 0.0) + share
-    return matrix, excluded
-
-
-def top_destinations_by_field(
-    assignments: Sequence[MobilityAssignment],
-    clusters: Mapping[str, ResearcherCluster],
-    index: CorpusIndex,
-    field_map: Mapping[str, str],
-    during_by_cluster: Mapping[str, set[str]],
-    k: int = 10,
-) -> FieldDestinations:
-    """Top-k destinations per top-level field by fractional scholar count."""
-    matrix, excluded = field_destination_matrix(
-        assignments, clusters, index, field_map, during_by_cluster
-    )
     per_field = {
         field: sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
         for field, row in sorted(matrix.items())

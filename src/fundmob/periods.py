@@ -73,40 +73,39 @@ def funded_pub_ids(
 
 def compute_window(
     cluster: ResearcherCluster,
-    index: CorpusIndex,
+    dates: Mapping[str, PubDate],
     funded_ids: set[str],
 ) -> SponsorshipWindow:
     """Min and max resolved dates of the cluster's funded publications."""
-    dates = [
-        resolve_pub_date(index.record(pub_id))
+    funded_dates = [
+        dates[pub_id]
         for pub_id in {key[0] for key in cluster.members}
         if pub_id in funded_ids
     ]
-    if not dates:
+    if not funded_dates:
         raise NoFundedPapers(cluster.cluster_id)
     return SponsorshipWindow(
         cluster_id=cluster.cluster_id,
-        first_funded_date=min(dates, key=lambda d: d.date),
-        last_funded_date=max(dates, key=lambda d: d.date),
+        first_funded_date=min(funded_dates, key=lambda d: d.date),
+        last_funded_date=max(funded_dates, key=lambda d: d.date),
     )
 
 
 def classify_publication(
-    record: PublicationRecord,
+    pub_date: PubDate,
     window: SponsorshipWindow,
     funded: bool,
 ) -> Label:
-    """Single-scholar view of one publication against one window.
+    """Single-scholar view of one publication's date against one window.
 
     Boundary dates count as inside the closed window, so an unfunded
     paper dated exactly on a window edge is a window-gap exclusion.
     """
     if funded:
         return Label.DURING
-    pub_date = resolve_pub_date(record).date
-    if pub_date < window.first_funded_date.date:
+    if pub_date.date < window.first_funded_date.date:
         return Label.BEFORE
-    if pub_date > window.last_funded_date.date:
+    if pub_date.date > window.last_funded_date.date:
         return Label.AFTER
     return Label.EXCLUDED_WINDOW_GAP
 
@@ -136,37 +135,32 @@ class LabelingResult:
     pairs: list[PeriodLabel]
     windows: dict[str, SponsorshipWindow]
     record_labels: dict[str, Label]
+    #: resolved date of every labeled publication
+    dates: dict[str, PubDate]
 
 
 def label_corpus(
-    corpus: Sequence[PublicationRecord],
     clusters: Sequence[ResearcherCluster],
     funded_ids: set[str],
-    index: CorpusIndex | None = None,
+    index: CorpusIndex,
 ) -> LabelingResult:
     """Classify every publication of every funded scholar, given the
     funder-acknowledging pub ids (:func:`funded_pub_ids`).
 
     Clusters without a funded publication are skipped: they are co-author
-    identities, not sponsored scholars.
+    identities, not sponsored scholars. Each labeled publication's date
+    is resolved once.
     """
-    index = index or CorpusIndex(corpus)
-
-    windows: dict[str, SponsorshipWindow] = {}
-    scholar_pubs: dict[str, set[str]] = {}
-    for cluster in clusters:
-        try:
-            windows[cluster.cluster_id] = compute_window(cluster, index, funded_ids)
-        except NoFundedPapers:
-            continue
-        scholar_pubs[cluster.cluster_id] = {key[0] for key in cluster.members}
+    scholar_pubs = {c.cluster_id: {key[0] for key in c.members} for c in clusters}
+    scholars = [c for c in clusters if scholar_pubs[c.cluster_id] & funded_ids]
+    labeled = set().union(*(scholar_pubs[c.cluster_id] for c in scholars))
+    dates = {pub_id: resolve_pub_date(index.record(pub_id)) for pub_id in labeled}
+    windows = {c.cluster_id: compute_window(c, dates, funded_ids) for c in scholars}
 
     per_record: dict[str, dict[str, Label]] = {}
-    for cid, pubs in scholar_pubs.items():
-        for pub_id in pubs:
-            label = classify_publication(
-                index.record(pub_id), windows[cid], pub_id in funded_ids
-            )
+    for cid, window in windows.items():
+        for pub_id in scholar_pubs[cid]:
+            label = classify_publication(dates[pub_id], window, pub_id in funded_ids)
             per_record.setdefault(pub_id, {})[cid] = label
 
     pairs: list[PeriodLabel] = []
@@ -176,4 +170,4 @@ def label_corpus(
         for cid in sorted(final):
             pairs.append(PeriodLabel(pub_id=pub_id, cluster_id=cid, label=final[cid]))
         record_labels[pub_id] = next(iter(final.values()))
-    return LabelingResult(pairs=pairs, windows=windows, record_labels=record_labels)
+    return LabelingResult(pairs, windows, record_labels, dates)

@@ -136,9 +136,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if not funded_ids:
         logger.warning("no funder-acknowledging records; artifacts will be empty")
 
+    # a record outside funded_ids mentions no funder, so it has no
+    # funding sentence and nothing to mine
+    funded_records = [r for r in docs if r.pub_id in funded_ids]
     sentence_count = 0
     funded_authorships: list[ackminer.FundedAuthorship] = []
-    for record in docs:
+    for record in funded_records:
         sentences, matches = ackminer.mine_record(record, lexicon)
         sentence_count += len(sentences)
         funded_authorships.extend(matches)
@@ -153,7 +156,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         c for c in clusters if c.members & identified_keys
     ]
 
-    labeling = periods.label_corpus(docs, funded_clusters, funded_ids, index=index)
+    labeling = periods.label_corpus(funded_clusters, funded_ids, index)
     during_by_cluster: dict[str, set[str]] = {}
     for pair in labeling.pairs:
         if pair.label is periods.Label.DURING:
@@ -178,7 +181,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         assignments, cluster_map, index, field_map, during_by_cluster, k=config.top_k
     )
 
-    funded_records = [r for r in docs if r.pub_id in funded_ids]
     identified_record_ids = {f.pub_id for f in funded_authorships}
     labeled_records = [
         index.record(pub_id) for pub_id in sorted(labeling.record_labels)
@@ -321,7 +323,7 @@ def _write_artifacts(
                 pair.label.value,
                 labeling.windows[pair.cluster_id].first_funded_date.date.isoformat(),
                 labeling.windows[pair.cluster_id].last_funded_date.date.isoformat(),
-                corpus.resolve_pub_date(index.record(pair.pub_id)).source.value,
+                labeling.dates[pair.pub_id].source.value,
             ]
             for pair in labeling.pairs
         ],

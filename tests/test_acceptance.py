@@ -139,7 +139,8 @@ def test_criterion_4_period_classification_oracle(lexicon):
         rng = random.Random(103)
         for _ in range(500):
             papers, records, clusters = random_scenario(rng)
-            result = label_corpus(records, clusters, funded_pub_ids(records, lexicon))
+            funded = funded_pub_ids(records, lexicon)
+            result = label_corpus(clusters, funded, CorpusIndex(records))
             got = {
                 (pair.pub_id, int(pair.cluster_id[1:])): _COARSE[pair.label]
                 for pair in result.pairs
@@ -174,14 +175,14 @@ def test_criterion_6_indicator_conservation():
         for size in (50, 400, 1000):
             records, labels = random_corpus(rng, size)
 
-            dist = field_distribution(records, {r.pub_id for r in records[::3]})
+            dist = field_distribution(records, {r.pub_id for r in records[::3]}, {})
             total = math.fsum(share.total for share in dist.values())
             expected = math.fsum(
                 fw.weight for r in records for fw in r.field_weights
             )
             assert abs(total - expected) < 1e-9
 
-            report = pp_ic(records, labels)
+            report = pp_ic(records, labels, {})
             counted = [
                 r for r in records
                 if labels[r.pub_id] in (Label.BEFORE, Label.DURING, Label.AFTER)
@@ -199,7 +200,7 @@ def test_criterion_6_indicator_conservation():
                 assert abs(recombined - pooled_num / pooled_den) < 1e-9
 
             tags = {r.pub_id: rng.choice(["SCIE", "SSCI"]) for r in records}
-            temporal = temporal_distribution(records, tags)
+            temporal = temporal_distribution(records, lambda r: tags[r.pub_id])
             assert sum(row[TOTAL_FIELD] for row in temporal.values()) == len(records)
             for row in temporal.values():
                 assert sum(v for t, v in row.items() if t != TOTAL_FIELD) == row[TOTAL_FIELD]

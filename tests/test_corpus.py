@@ -98,6 +98,41 @@ class TestParseCorpus:
         assert [e.line_no for e in result.errors] == [2]
         assert "not a number" in result.errors[0].message
 
+    @pytest.mark.parametrize("overrides", [
+        {"funding_orgs": "China Scholarship Council"},
+        {"funding_orgs": {"name": "China Scholarship Council"}},
+        {"funding_orgs": [None]},
+        {"authors": [{"position": 1, "last_name": "Chen", "affiliations": "Tsinghua"}]},
+        {"authors": [{"position": 1, "last_name": "Chen",
+                      "affiliations": {"org_name": "Tsinghua", "country": "CN"}}]},
+        {"authors": [{"position": 1, "last_name": "Chen", "affiliations": ["Tsinghua"]}]},
+    ], ids=["orgs-string", "orgs-object", "orgs-null-entry", "affs-string",
+            "affs-object", "affs-string-entry"])
+    def test_malformed_list_field_is_a_parse_issue(self, overrides):
+        result = parse_corpus([line(), line(pub_id="W2", **overrides)])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [2]
+
+    @pytest.mark.parametrize("overrides", [
+        {"pub_year": 2015.9},
+        {"pub_year": True},
+        {"authors": [{"position": 1.5, "last_name": "Chen"}]},
+        {"authors": [{"position": True, "last_name": "Chen"}]},
+    ], ids=["year-fraction", "year-bool", "position-fraction", "position-bool"])
+    def test_year_and_position_must_be_integral(self, overrides):
+        integral = line(pub_year=2015.0, authors=[{"position": 1.0, "last_name": "Chen"}])
+        result = parse_corpus([integral, line(pub_id="W2", **overrides)])
+        assert [(r.pub_id, r.pub_year, r.authors[0].position)
+                for r in result.records] == [("W1", 2015, 1)]
+        assert [e.line_no for e in result.errors] == [2]
+        assert "not an integer" in result.errors[0].message
+
+    def test_too_deeply_nested_line_is_a_parse_issue(self):
+        deep = "[" * 100_000 + "]" * 100_000
+        result = parse_corpus([deep, line()])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [1]
+
     @pytest.mark.parametrize("email, stored", [
         (" ", None), ("\t\n", None), ("", None), (None, None),
         ("  Long.Chen@x.org ", "Long.Chen@x.org"),

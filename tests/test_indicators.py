@@ -74,21 +74,21 @@ class TestPpIc:
     def test_simple_ratio(self):
         records = [paper("a", ["CN", "DE"]), paper("b", ["CN"]), paper("c", ["US", "CN"])]
         labels = {p: Label.DURING for p in "abc"}
-        report = pp_ic(records, labels)
+        report = pp_ic(records, labels, {})
         cell = report.cells[("During", TOTAL_FIELD)]
         assert cell.value == pytest.approx(2 / 3)
 
     def test_empty_group_is_undefined_not_zero(self):
-        report = pp_ic([], {})
+        report = pp_ic([], {}, {})
         assert report.cells == {}
         # a degenerate cell constructed by grouping nothing stays undefined
         records = [paper("a", ["CN"], (("fa", 1.0),))]
-        report = pp_ic(records, {"a": Label.DURING})
+        report = pp_ic(records, {"a": Label.DURING}, {})
         assert report.cells[("During", "fa")].value == 0.0
 
     def test_hand_computed_weighted_fixture(self):
         records, labels = ppic_fixture()
-        report = pp_ic(records, labels)
+        report = pp_ic(records, labels, {})
         cells = report.cells
         assert cells[("During", TOTAL_FIELD)].value == pytest.approx(3 / 4)
         assert cells[("During", "fa")].value == pytest.approx(0.5 / 1.5)
@@ -102,36 +102,36 @@ class TestPpIc:
 
     def test_excluded_labels_omitted(self):
         records, labels = ppic_fixture()
-        report = pp_ic(records, labels)
+        report = pp_ic(records, labels, {})
         periods = {period for period, _ in report.cells}
         assert periods == {"During", "Before", "After"}
 
     def test_whole_count_mode(self):
         records, labels = ppic_fixture()
-        report = pp_ic(records, labels, whole_count=True)
+        report = pp_ic(records, labels, {}, whole_count=True)
         assert report.cells[("During", "fa")].value == pytest.approx(1 / 2)
         assert report.cells[("During", "fb")].value == pytest.approx(2 / 2)
 
     def test_field_map_groups_ids(self):
         records, labels = ppic_fixture()
-        report = pp_ic(records, labels, field_map={"fa": "F", "fb": "F"})
+        report = pp_ic(records, labels, {"fa": "F", "fb": "F"})
         assert report.cells[("During", "F")].denominator == pytest.approx(3.0)
 
     def test_zero_country_coverage_counter(self):
         records = [paper("a", []), paper("b", ["CN"])]
-        report = pp_ic(records, {"a": Label.DURING, "b": Label.DURING})
+        report = pp_ic(records, {"a": Label.DURING, "b": Label.DURING}, {})
         assert report.zero_country_records == 1
 
 
 class TestFieldDistribution:
     def test_even_split(self):
         records = [paper("a", ["CN"], (("fa", 0.5), ("fb", 0.5)))]
-        dist = field_distribution(records, identified_ids=set())
+        dist = field_distribution(records, identified_ids=set(), field_map={})
         assert dist["fa"].total == pytest.approx(0.5)
         assert dist["fb"].total == pytest.approx(0.5)
 
     def test_empty_corpus(self):
-        assert field_distribution([], set()) == {}
+        assert field_distribution([], set(), {}) == {}
 
     def test_identified_split_hand_sums(self):
         records = [
@@ -140,7 +140,7 @@ class TestFieldDistribution:
             paper("c", ["CN"], (("fb", 1.0),)),
             paper("d", ["CN"], (("fa", 0.3), ("fb", 0.7))),
         ]
-        dist = field_distribution(records, identified_ids={"a", "c"})
+        dist = field_distribution(records, identified_ids={"a", "c"}, field_map={})
         assert dist["fa"].identified == pytest.approx(0.6)
         assert dist["fa"].unidentified == pytest.approx(1.3)
         assert dist["fb"].identified == pytest.approx(1.4)
@@ -151,12 +151,12 @@ class TestFieldDistribution:
 
 class TestTemporalDistribution:
     def test_empty(self):
-        assert temporal_distribution([]) == {}
+        assert temporal_distribution([], lambda r: "All") == {}
 
     def test_year_counts(self):
         records = [paper("a", [], year=2009), paper("b", [], year=2009),
                    paper("c", [], year=2010)]
-        dist = temporal_distribution(records)
+        dist = temporal_distribution(records, lambda r: "All")
         assert dist[2009][TOTAL_FIELD] == 2
         assert dist[2010][TOTAL_FIELD] == 1
         assert list(dist) == [2009, 2010]
@@ -165,7 +165,7 @@ class TestTemporalDistribution:
         records = [paper(f"p{i}", [], year=2009 + (i % 3)) for i in range(10)]
         tags = {r.pub_id: ("SCIE" if i % 2 else "SSCI")
                 for i, r in enumerate(records)}
-        dist = temporal_distribution(records, tags)
+        dist = temporal_distribution(records, lambda r: tags[r.pub_id])
         for year, row in dist.items():
             assert sum(v for tag, v in row.items() if tag != TOTAL_FIELD) == row[TOTAL_FIELD]
 
@@ -193,7 +193,9 @@ def random_corpus(rng: random.Random, size: int):
 def test_field_distribution_conserves_fractional_counts():
     rng = random.Random(37)
     records, _ = random_corpus(rng, 300)
-    dist = field_distribution(records, identified_ids={r.pub_id for r in records[::2]})
+    dist = field_distribution(
+        records, identified_ids={r.pub_id for r in records[::2]}, field_map={}
+    )
     total = math.fsum(share.total for share in dist.values())
     expected = math.fsum(fw.weight for r in records for fw in r.field_weights)
     assert abs(total - expected) < 1e-9
@@ -202,7 +204,7 @@ def test_field_distribution_conserves_fractional_counts():
 def test_ppic_cells_are_well_formed():
     rng = random.Random(39)
     records, labels = random_corpus(rng, 300)
-    report = pp_ic(records, labels)
+    report = pp_ic(records, labels, {})
     for cell in report.cells.values():
         assert 0 <= cell.numerator <= cell.denominator
         if cell.value is not None:
@@ -212,7 +214,7 @@ def test_ppic_cells_are_well_formed():
 def test_ppic_groups_recombine_to_pooled_proportion():
     rng = random.Random(41)
     records, labels = random_corpus(rng, 300)
-    report = pp_ic(records, labels)
+    report = pp_ic(records, labels, {})
     counted = [r for r in records
                if labels[r.pub_id] in (Label.BEFORE, Label.DURING, Label.AFTER)]
     pooled_num = sum(1 for r in counted if is_international_collab(r))
@@ -232,7 +234,7 @@ def test_ppic_groups_recombine_to_pooled_proportion():
 def test_ppic_field_denominators_recombine_per_period():
     rng = random.Random(43)
     records, labels = random_corpus(rng, 200)
-    report = pp_ic(records, labels)
+    report = pp_ic(records, labels, {})
     for period in ("Before", "During", "After"):
         field_cells = [cell for (p, field), cell in report.cells.items()
                        if p == period and field != TOTAL_FIELD]
@@ -251,9 +253,9 @@ def test_rescaling_one_paper_leaves_other_shares_unchanged():
     fixed = paper("a", ["CN"], (("fa", 0.5), ("fb", 0.5)))
     original = paper("b", ["CN"], (("fa", 0.25), ("fb", 0.75)))
     rescaled = paper("b", ["CN"], (("fa", 0.2), ("fb", 0.8)))
-    alone = field_distribution([fixed], set())
-    with_original = field_distribution([fixed, original], set())
-    with_rescaled = field_distribution([fixed, rescaled], set())
+    alone = field_distribution([fixed], set(), {})
+    with_original = field_distribution([fixed, original], set(), {})
+    with_rescaled = field_distribution([fixed, rescaled], set(), {})
     for field, b_orig, b_new in (("fa", 0.25, 0.2), ("fb", 0.75, 0.8)):
         assert with_original[field].total - b_orig == pytest.approx(
             alone[field].total, abs=1e-12)
@@ -272,7 +274,7 @@ def test_temporal_tags_conserved_on_random_corpus():
     rng = random.Random(47)
     records, _ = random_corpus(rng, 250)
     tags = {r.pub_id: rng.choice(["SCIE", "SSCI", "ESCI"]) for r in records}
-    dist = temporal_distribution(records, tags)
+    dist = temporal_distribution(records, lambda r: tags[r.pub_id])
     assert sum(row[TOTAL_FIELD] for row in dist.values()) == len(records)
     for row in dist.values():
         assert sum(v for tag, v in row.items() if tag != TOTAL_FIELD) == row[TOTAL_FIELD]

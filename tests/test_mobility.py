@@ -7,12 +7,10 @@ from fundmob.mobility import (
     FlowTable,
     MobilityAssignment,
     Outcome,
-    Role,
     Rule,
     SurnameList,
     aggregate_flows,
     collect_countries,
-    field_destination_matrix,
     infer_destination,
     is_mainland_chinese_scholar,
     load_field_map,
@@ -62,13 +60,13 @@ class TestCollectCountries:
             make_author(1, "Chen", countries=("CN", "NL")),
         ))]
         cluster = cluster_for("c", [("a", 1)])
-        counts = collect_countries(cluster, CorpusIndex(records), Role.OWN, {"a"})
-        assert set(counts) == {"CN", "NL"}
+        own, _ = collect_countries(cluster, CorpusIndex(records), {"a"})
+        assert set(own) == {"CN", "NL"}
 
     def test_no_affiliations_gives_empty(self):
         records = [make_record("a", (make_author(1, "Chen"),))]
         cluster = cluster_for("c", [("a", 1)])
-        assert collect_countries(cluster, CorpusIndex(records), Role.OWN, {"a"}) == Counter()
+        assert collect_countries(cluster, CorpusIndex(records), {"a"}) == (Counter(), Counter())
 
     def test_coauthor_distinct_set(self):
         records = [
@@ -82,8 +80,27 @@ class TestCollectCountries:
             )),
         ]
         cluster = cluster_for("c", [("a", 1), ("b", 1)])
-        counts = collect_countries(cluster, CorpusIndex(records), Role.COAUTHOR, {"a", "b"})
-        assert set(counts) == {"US", "CN"}
+        _, coauthor = collect_countries(cluster, CorpusIndex(records), {"a", "b"})
+        assert set(coauthor) == {"US", "CN"}
+
+    def test_own_and_coauthor_from_one_call(self):
+        records = [
+            make_record("a", (
+                make_author(1, "Chen", countries=("CN", "NL")),
+                make_author(2, "Smith", countries=("US", "Unknown")),
+            )),
+            # the cluster holds both authorships of this paper: each is
+            # the other's co-author
+            make_record("b", (
+                make_author(1, "Chen", countries=("DE",)),
+                make_author(2, "Chen", countries=("FR",)),
+            )),
+            make_record("c", (make_author(1, "Chen", countries=("JP",)),)),
+        ]
+        cluster = cluster_for("c", [("a", 1), ("b", 1), ("b", 2), ("c", 1)])
+        own, coauthor = collect_countries(cluster, CorpusIndex(records), {"a", "b"})
+        assert own == Counter({"CN": 1, "NL": 1, "DE": 1, "FR": 1})
+        assert coauthor == Counter({"US": 1, "DE": 1, "FR": 1})
 
     def test_unknown_dropped_and_non_during_ignored(self):
         records = [
@@ -91,8 +108,8 @@ class TestCollectCountries:
             make_record("b", (make_author(1, "Chen", countries=("FR",)),)),
         ]
         cluster = cluster_for("c", [("a", 1), ("b", 1)])
-        counts = collect_countries(cluster, CorpusIndex(records), Role.OWN, {"a"})
-        assert set(counts) == {"DE"}
+        own, _ = collect_countries(cluster, CorpusIndex(records), {"a"})
+        assert set(own) == {"DE"}
 
 
 class TestInferDestination:
@@ -288,11 +305,13 @@ class TestTopDestinations:
     def test_matrix_mass_conserved(self):
         records, clusters, during, assignments = top_destinations_fixture()
         index = CorpusIndex(records)
-        matrix, excluded = field_destination_matrix(
-            assignments, clusters, index, FIELD_MAP, during
+        # k covers every destination, so no ranking is cut
+        k = len({a.destination for a in assignments})
+        result = top_destinations_by_field(
+            assignments, clusters, index, FIELD_MAP, during, k=k
         )
-        total = sum(v for row in matrix.values() for v in row.values())
-        scholars_with_weights = len(assignments) - excluded
+        total = sum(n for ranking in result.per_field.values() for _, n in ranking)
+        scholars_with_weights = len(assignments) - result.excluded_scholars
         assert abs(total - scholars_with_weights) < 1e-9
 
     def test_profile_normalizes_to_unit_mass(self):

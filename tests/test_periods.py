@@ -27,6 +27,10 @@ def cluster_for(cid, members):
     )
 
 
+def dates_of(records):
+    return {r.pub_id: resolve_pub_date(r) for r in records}
+
+
 class TestFundedPredicate:
     def test_funding_orgs_hit(self, lexicon):
         record = make_record("a", (make_author(1, "X"),), funding=CSC)
@@ -52,9 +56,9 @@ class TestComputeWindow:
     def test_singleton_window(self, lexicon):
         record = make_record("a", (make_author(1, "X"),), funding=CSC,
                              doi_created=date(2015, 6, 1))
-        index = CorpusIndex([record])
         window = compute_window(
-            cluster_for("c", [("a", 1)]), index, funded_pub_ids([record], lexicon)
+            cluster_for("c", [("a", 1)]), dates_of([record]),
+            funded_pub_ids([record], lexicon),
         )
         assert window.first_funded_date.date == date(2015, 6, 1)
         assert window.last_funded_date.date == date(2015, 6, 1)
@@ -66,9 +70,8 @@ class TestComputeWindow:
             make_record("b", (make_author(1, "X"),), funding=CSC,
                         doi_created=date(2016, 9, 10)),
         ]
-        index = CorpusIndex(records)
         window = compute_window(
-            cluster_for("c", [("a", 1), ("b", 1)]), index,
+            cluster_for("c", [("a", 1), ("b", 1)]), dates_of(records),
             funded_pub_ids(records, lexicon),
         )
         assert window.first_funded_date.date == date(2014, 3, 1)
@@ -82,9 +85,8 @@ class TestComputeWindow:
             make_record("c", (make_author(1, "X"),), funding=CSC,
                         doi_created=date(2014, 1, 2)),
         ]
-        index = CorpusIndex(records)
         window = compute_window(
-            cluster_for("c", [("a", 1), ("b", 1), ("c", 1)]), index,
+            cluster_for("c", [("a", 1), ("b", 1), ("c", 1)]), dates_of(records),
             funded_pub_ids(records, lexicon),
         )
         # hand sort: 2013-05-20 (doi) < 2013-07-01 (fallback) < 2014-01-02
@@ -94,9 +96,8 @@ class TestComputeWindow:
 
     def test_no_funded_papers_raises(self, lexicon):
         record = make_record("a", (make_author(1, "X"),))
-        index = CorpusIndex([record])
         with pytest.raises(NoFundedPapers):
-            compute_window(cluster_for("c", [("a", 1)]), index, set())
+            compute_window(cluster_for("c", [("a", 1)]), dates_of([record]), set())
 
 
 def window_fixture(lexicon):
@@ -106,9 +107,8 @@ def window_fixture(lexicon):
         make_record("w2", (make_author(1, "X"),), funding=CSC,
                     doi_created=date(2016, 8, 5)),
     ]
-    index = CorpusIndex(records)
     return compute_window(
-        cluster_for("c", [("w1", 1), ("w2", 1)]), index,
+        cluster_for("c", [("w1", 1), ("w2", 1)]), dates_of(records),
         funded_pub_ids(records, lexicon),
     )
 
@@ -118,31 +118,31 @@ class TestClassifyPublication:
         window = window_fixture(lexicon)
         early = make_record("p", (make_author(1, "X"),), funding=CSC,
                             doi_created=date(2001, 1, 1))
-        assert classify_publication(early, window, funded=True) is Label.DURING
+        assert classify_publication(resolve_pub_date(early), window, funded=True) is Label.DURING
 
     def test_before(self, lexicon):
         window = window_fixture(lexicon)
         record = make_record("p", (make_author(1, "X"),),
                              doi_created=date(2014, 12, 31))
-        assert classify_publication(record, window, funded=False) is Label.BEFORE
+        assert classify_publication(resolve_pub_date(record), window, funded=False) is Label.BEFORE
 
     def test_after(self, lexicon):
         window = window_fixture(lexicon)
         record = make_record("p", (make_author(1, "X"),),
                              doi_created=date(2016, 8, 6))
-        assert classify_publication(record, window, funded=False) is Label.AFTER
+        assert classify_publication(resolve_pub_date(record), window, funded=False) is Label.AFTER
 
     def test_inside_window_unfunded_excluded(self, lexicon):
         window = window_fixture(lexicon)
         record = make_record("p", (make_author(1, "X"),),
                              doi_created=date(2015, 6, 15))
-        assert classify_publication(record, window, funded=False) is Label.EXCLUDED_WINDOW_GAP
+        assert classify_publication(resolve_pub_date(record), window, funded=False) is Label.EXCLUDED_WINDOW_GAP
 
     def test_boundary_tie_counts_as_inside(self, lexicon):
         window = window_fixture(lexicon)
         record = make_record("p", (make_author(1, "X"),),
                              doi_created=date(2015, 1, 10))
-        assert classify_publication(record, window, funded=False) is Label.EXCLUDED_WINDOW_GAP
+        assert classify_publication(resolve_pub_date(record), window, funded=False) is Label.EXCLUDED_WINDOW_GAP
 
 
 class TestReconcile:
@@ -269,7 +269,8 @@ def test_random_scenarios_match_transcription(lexicon):
     rng = random.Random(23)
     for _ in range(100):
         papers, records, clusters = random_scenario(rng)
-        result = label_corpus(records, clusters, funded_pub_ids(records, lexicon))
+        funded = funded_pub_ids(records, lexicon)
+        result = label_corpus(clusters, funded, CorpusIndex(records))
         got = {
             (pair.pub_id, int(pair.cluster_id[1:])): _COARSE[pair.label]
             for pair in result.pairs
@@ -281,7 +282,8 @@ def test_partition_and_window_bounds(lexicon):
     rng = random.Random(29)
     for _ in range(50):
         papers, records, clusters = random_scenario(rng)
-        result = label_corpus(records, clusters, funded_pub_ids(records, lexicon))
+        funded = funded_pub_ids(records, lexicon)
+        result = label_corpus(clusters, funded, CorpusIndex(records))
         seen = set()
         index = CorpusIndex(records)
         for pair in result.pairs:

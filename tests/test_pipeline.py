@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import os
 import stat
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from fundmob import periods
+import fundmob
+from fundmob import ackminer, corpus, mobility, periods
 from fundmob.cli import main
 from fundmob.pipeline import (
     ConfigError,
@@ -197,6 +201,84 @@ def test_funded_ids_are_computed_once_per_run(data_dir, tmp_path, monkeypatch):
     monkeypatch.setattr(periods, "funded_pub_ids", counting)
     run_pipeline(demo_config(data_dir, tmp_path / "out"))
     assert len(calls) == 1
+
+
+def test_only_funder_acknowledging_records_are_mined(data_dir, tmp_path, monkeypatch):
+    mined = []
+    original = ackminer.mine_record
+
+    def counting(record, lexicon):
+        mined.append(record.pub_id)
+        return original(record, lexicon)
+
+    monkeypatch.setattr(ackminer, "mine_record", counting)
+    stages = run_pipeline(demo_config(data_dir, tmp_path / "out"))["stages"]
+    assert (len(mined), stages["records_after_doc_filter"]) == (7, 11)
+    assert len(set(mined)) == stages["funded_records"] == 7
+
+
+def test_each_labeled_date_is_resolved_once_per_run(data_dir, tmp_path, monkeypatch):
+    resolved = Counter()
+    original = corpus.resolve_pub_date
+
+    def counting(record):
+        resolved[record.pub_id] += 1
+        return original(record)
+
+    monkeypatch.setattr(corpus, "resolve_pub_date", counting)
+    monkeypatch.setattr(periods, "resolve_pub_date", counting)
+    out = tmp_path / "out"
+    run_pipeline(demo_config(data_dir, out))
+    rows = (out / "period_labels.tsv").read_text().splitlines()[2:]
+    assert set(resolved) == {row.split("\t")[0] for row in rows}
+    assert set(resolved.values()) == {1}
+
+
+def test_countries_are_collected_once_per_chinese_scholar(data_dir, tmp_path, monkeypatch):
+    scholars = []
+    original = mobility.collect_countries
+
+    def counting(cluster, *args):
+        scholars.append(cluster.cluster_id)
+        return original(cluster, *args)
+
+    monkeypatch.setattr(mobility, "collect_countries", counting)
+    stages = run_pipeline(demo_config(data_dir, tmp_path / "out"))["stages"]
+    assert len(scholars) == len(set(scholars)) == stages["chinese_scholar_clusters"]
+
+
+def load_bench_tracing():
+    """``bench/tracing.py``, which times the benchmark's traced run by
+    swapping the fundmob attributes it names; loaded without importing
+    the rest of the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("fundmob_bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    tracing = load_bench_tracing()
+    missing = []
+    for module, attr in tracing.patched_attributes():
+        try:
+            tracing.resolve(fundmob, module, attr)
+        except AttributeError:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def test_every_traced_span_is_reached_from_run_pipeline(data_dir, tmp_path):
+    tracing = load_bench_tracing()
+    tracer = tracing.Tracer()
+    tracer.install(fundmob)
+    try:
+        run_pipeline(demo_config(data_dir, tmp_path / "out"))
+    finally:
+        tracer.uninstall()
+    reached = {span[0] for span in tracer.spans}
+    assert {span for _, _, span in tracing.SPANNED} <= reached
 
 
 def test_overrides_flow_through_pipeline(data_dir, tmp_path):

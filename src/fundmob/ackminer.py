@@ -17,6 +17,7 @@ substring false positives inside ordinary words.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -132,13 +133,17 @@ _ABBREVIATIONS = frozenset({
 })
 
 _BOUNDARY_RE = re.compile(r"([.!?]+)(\s+)")
-_LEFT_TOKEN_RE = re.compile(r"([A-Za-z]+)$")
-_RIGHT_INITIAL_RE = re.compile(r"^[A-Z]\.?(?![A-Za-z])")
+_RIGHT_INITIAL_RE = re.compile(r"[A-Z]\.?(?![A-Za-z])")
+_ASCII_LETTERS = frozenset(string.ascii_letters)
 
 
 def _is_sentence_break(text: str, punct_start: int, punct_end: int, rest_start: int) -> bool:
-    rest = text[rest_start:]
-    if not rest or not (rest[0].isupper() or rest[0].isdigit()):
+    # reads the text in place: slicing the tail or the head at every
+    # boundary would make splitting quadratic in the text length
+    if rest_start >= len(text):
+        return False
+    first = text[rest_start]
+    if not (first.isupper() or first.isdigit()):
         return False
     # initials and abbreviations only involve periods; ! and ? always break
     if set(text[punct_start:punct_end]) != {"."}:
@@ -146,21 +151,24 @@ def _is_sentence_break(text: str, punct_start: int, punct_end: int, rest_start: 
     # "Chen. L is ..." - a bare or dotted single capital after the period
     # is an initial belonging to the previous name, not a new sentence.
     # Bare "A" and "I" are exempt: they are ordinary English words.
-    initial = _RIGHT_INITIAL_RE.match(rest)
+    initial = _RIGHT_INITIAL_RE.match(text, rest_start)
     if initial and not (initial.group() in ("A", "I")):
         return False
-    left = _LEFT_TOKEN_RE.search(text[:punct_start])
-    if left:
-        token = left.group(1)
+    # the ASCII letters right before the period, skipping one newline
+    # directly before it ("Dr\n. Smith" still reads "Dr")
+    token_end = punct_start - 1 if text.endswith("\n", 0, punct_start) else punct_start
+    token_start = token_end
+    while token_start > 0 and text[token_start - 1] in _ASCII_LETTERS:
+        token_start -= 1
+    if token_start < token_end:
+        token = text[token_start:token_end]
         if token.lower() in _ABBREVIATIONS:
             return False
         # compound initials like "X.H." or "e.g." - single letter with a
         # dot right before it; standalone single letters ("We thank X.")
         # still end the sentence.
-        if len(token) == 1:
-            before = left.start(1) - 1
-            if before >= 0 and text[before] == ".":
-                return False
+        if len(token) == 1 and token_start > 0 and text[token_start - 1] == ".":
+            return False
     return True
 
 
@@ -196,12 +204,14 @@ def extract_funding_sentences(
     """The sentences of ``ack_text`` that mention the funder, in order."""
     if not ack_text:
         return []
-    sentences = []
-    for start, end in split_sentences(ack_text):
-        chunk = ack_text[start:end]
-        if detect_funder_mention(chunk, lexicon):
-            sentences.append(FundingSentence(pub_id=pub_id, text=chunk, span=(start, end)))
-    return sentences
+    # every span starts at 0 or after whitespace and the search stops at
+    # its end, so searching in place sees what searching the slice sees
+    mentions = lexicon.mention_pattern.search
+    return [
+        FundingSentence(pub_id=pub_id, text=ack_text[start:end], span=(start, end))
+        for start, end in split_sentences(ack_text)
+        if mentions(ack_text, start, end)
+    ]
 
 
 _ORDINAL_WORDS = (
@@ -317,8 +327,11 @@ class _SentenceView:
         )
 
 
-def _variant_occurs(variant: str, view: _SentenceView) -> bool:
-    stripped = strip_token_punct(variant)
+def _with_stripped(variants: frozenset[str]) -> list[tuple[str, str]]:
+    return [(v, strip_token_punct(v)) for v in variants]
+
+
+def _variant_occurs(variant: str, stripped: str, view: _SentenceView) -> bool:
     if len(stripped) <= SHORT_VARIANT_LIMIT:
         return variant in view.tokens or stripped in view.tokens
     return contains_bounded(variant, view.normalized) or (
@@ -342,14 +355,16 @@ def match_funded_authors(
     funded = []
     for author in record.authors:
         variant_set = generate_name_variants(author, author.position)
+        variants = _with_stripped(variant_set.variants)
+        phrases = _with_stripped(variant_set.ordinal_phrases)
         name_hits: list[tuple[str, tuple[int, int]]] = []
         ordinal_hits: list[tuple[str, tuple[int, int]]] = []
         for view in views:
-            for variant in variant_set.variants:
-                if _variant_occurs(variant, view):
+            for variant, stripped in variants:
+                if _variant_occurs(variant, stripped, view):
                     name_hits.append((variant, view.span))
-            for phrase in variant_set.ordinal_phrases:
-                if _variant_occurs(phrase, view):
+            for phrase, stripped in phrases:
+                if _variant_occurs(phrase, stripped, view):
                     ordinal_hits.append((phrase, view.span))
         if name_hits:
             evidence = max((h[0] for h in name_hits), key=lambda v: (len(v), v))

@@ -194,10 +194,22 @@ def _parse_list(obj: dict, key: str, label: str) -> list:
     return value
 
 
-def _normalize_country(raw: object, aliases: CountryAliases | None) -> str:
+def _parse_str(obj: dict, key: str, default: str | None = None, owner: str = "") -> str | None:
+    """A string field; missing or null is ``default``, any other non-string
+    is an error rather than its ``str()``. ``owner`` prefixes the field
+    name in the error ("author 2 ")."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise RecordError(f"{owner}{key} is not a string")
+    return value
+
+
+def _normalize_country(raw: str | None, aliases: CountryAliases | None) -> str:
     if raw is None:
         return UNKNOWN_COUNTRY
-    text = str(raw).strip()
+    text = raw.strip()
     if not text:
         return UNKNOWN_COUNTRY
     if aliases is None:
@@ -207,12 +219,13 @@ def _normalize_country(raw: object, aliases: CountryAliases | None) -> str:
 
 def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -> Authorship:
     label = f"author {index + 1}"
+    owner = f"{label} "
     if not isinstance(obj, dict):
         raise RecordError(f"{label} is not an object")
     if "position" not in obj or "last_name" not in obj:
         raise RecordError(f"{label} missing position/last_name")
     position = _parse_int(obj["position"], f"{label} position")
-    last_name = str(obj["last_name"])
+    last_name = _parse_str(obj, "last_name", "", owner)
     if not normalize_text(last_name):
         raise RecordError(f"{label} has an empty last_name")
     affiliations = []
@@ -220,18 +233,18 @@ def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -
         if not isinstance(aff, dict):
             raise RecordError(f"{label} has an affiliation that is not an object")
         affiliations.append(Affiliation(
-            org_name=str(aff.get("org_name", "")),
-            country=_normalize_country(aff.get("country"), aliases),
+            org_name=_parse_str(aff, "org_name", "", owner),
+            country=_normalize_country(
+                _parse_str(aff, "country", owner=owner), aliases
+            ),
         ))
-    first_name = obj.get("first_name")
-    initials = obj.get("initials")
-    email = str(obj.get("email") or "").strip()
+    email = (_parse_str(obj, "email", owner=owner) or "").strip()
     return Authorship(
         position=position,
-        full_name=str(obj.get("full_name", last_name)),
+        full_name=_parse_str(obj, "full_name", last_name, owner),
         last_name=last_name,
-        first_name=str(first_name) if first_name else None,
-        initials=str(initials) if initials else None,
+        first_name=_parse_str(obj, "first_name", owner=owner) or None,
+        initials=_parse_str(obj, "initials", owner=owner) or None,
         email=email or None,
         affiliations=tuple(affiliations),
     )
@@ -266,7 +279,7 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
     weights_raw = obj.get("field_weights") or []
     field_weights = []
     for fw in weights_raw:
-        if not isinstance(fw, dict) or "field_id" not in fw or "weight" not in fw:
+        if not isinstance(fw, dict) or fw.get("field_id") is None or "weight" not in fw:
             raise RecordError("field_weights entries need field_id and weight")
         try:
             weight = float(fw["weight"])
@@ -274,7 +287,7 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
             raise RecordError(f"field weight {fw['weight']!r} is not a number") from exc
         if not 0.0 < weight <= 1.0:
             raise RecordError(f"field weight {weight} outside (0, 1]")
-        field_weights.append(FieldWeight(str(fw["field_id"]), weight))
+        field_weights.append(FieldWeight(_parse_str(fw, "field_id"), weight))
     if field_weights:
         total = sum(fw.weight for fw in field_weights)
         if abs(total - 1.0) > 1e-9:
@@ -285,17 +298,14 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
         raise RecordError("funding_orgs entries must be strings")
 
     doi_created = obj.get("doi_created_date")
-    doi = obj.get("doi")
     return PublicationRecord(
         pub_id=pub_id,
-        title=str(obj.get("title", "")),
+        title=_parse_str(obj, "title", ""),
         pub_year=pub_year,
         doc_type=doc_type,
-        doi=str(doi) if doi else None,
+        doi=_parse_str(obj, "doi") or None,
         doi_created_date=_parse_date(doi_created, "doi_created_date") if doi_created else None,
-        acknowledgment_text=(
-            str(obj["acknowledgment_text"]) if obj.get("acknowledgment_text") else None
-        ),
+        acknowledgment_text=_parse_str(obj, "acknowledgment_text") or None,
         funding_orgs=tuple(funding_orgs),
         authors=authors,
         field_weights=tuple(field_weights),

@@ -120,8 +120,6 @@ def reconcile_multi_scholar(
     (including window-gap vs. before/after mixtures) excludes the record
     as conflicting.
     """
-    if not per_scholar:
-        return {}
     if funded:
         return {cid: Label.DURING for cid in per_scholar}
     labels = set(per_scholar.values())

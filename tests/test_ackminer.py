@@ -1,8 +1,13 @@
+import re
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from fundmob.ackminer import (
+    _ABBREVIATIONS,
     FunderLexicon,
+    FundingSentence,
     MatchKind,
     detect_funder_mention,
     extract_funding_sentences,
@@ -369,3 +374,224 @@ def test_adding_author_never_removes_matches(authors, extra_last, extra_first):
     before = {(m.author_position, m.match_kind) for m in mine_record(base, lexicon)[1]}
     after = {(m.author_position, m.match_kind) for m in mine_record(extended, lexicon)[1]}
     assert before <= after
+
+
+# -- the splitter against the simple reference it replaced ------------------
+#
+# reference_split_sentences is the slicing splitter the package used before
+# it read the text in place: it copies the tail and searches the whole head
+# at every boundary, so it is quadratic in the text length, but it is the
+# definition the fast splitter must reproduce.
+
+_REF_BOUNDARY_RE = re.compile(r"([.!?]+)(\s+)")
+_REF_LEFT_TOKEN_RE = re.compile(r"([A-Za-z]+)$")
+_REF_RIGHT_INITIAL_RE = re.compile(r"^[A-Z]\.?(?![A-Za-z])")
+
+
+def _reference_is_sentence_break(text, punct_start, punct_end, rest_start):
+    rest = text[rest_start:]
+    if not rest or not (rest[0].isupper() or rest[0].isdigit()):
+        return False
+    # initials and abbreviations only involve periods; ! and ? always break
+    if set(text[punct_start:punct_end]) != {"."}:
+        return True
+    # "Chen. L is ..." - a bare or dotted single capital after the period
+    # is an initial belonging to the previous name, not a new sentence.
+    # Bare "A" and "I" are exempt: they are ordinary English words.
+    initial = _REF_RIGHT_INITIAL_RE.match(rest)
+    if initial and not (initial.group() in ("A", "I")):
+        return False
+    left = _REF_LEFT_TOKEN_RE.search(text[:punct_start])
+    if left:
+        token = left.group(1)
+        if token.lower() in _ABBREVIATIONS:
+            return False
+        # compound initials like "X.H." or "e.g." - single letter with a
+        # dot right before it; standalone single letters ("We thank X.")
+        # still end the sentence.
+        if len(token) == 1:
+            before = left.start(1) - 1
+            if before >= 0 and text[before] == ".":
+                return False
+    return True
+
+
+def reference_split_sentences(text):
+    spans = []
+    start = 0
+    for m in _REF_BOUNDARY_RE.finditer(text):
+        if not _reference_is_sentence_break(text, m.start(1), m.end(1), m.end()):
+            continue
+        spans.append((start, m.end(1)))
+        start = m.end()
+    if start < len(text):
+        spans.append((start, len(text)))
+    trimmed = []
+    for s, e in spans:
+        while s < e and text[s].isspace():
+            s += 1
+        while e > s and text[e - 1].isspace():
+            e -= 1
+        if s < e:
+            trimmed.append((s, e))
+    return trimmed
+
+
+def reference_funding_sentences(text, lexicon, pub_id=""):
+    return [
+        FundingSentence(pub_id=pub_id, text=text[s:e], span=(s, e))
+        for s, e in reference_split_sentences(text)
+        if detect_funder_mention(text[s:e], lexicon)
+    ]
+
+
+# pieces that reach every rule of the splitter: each punctuation mark, each
+# kind of whitespace (a newline right before a period too), the bare "A" and
+# "I", other capitals, digits, lower case, a non-ASCII capital,
+# abbreviations, dotted initials, and funder names with and without letters
+# glued onto them
+_SPLIT_PIECES = st.sampled_from([
+    ".", "!", "?", "...", " ", "  ", "\t", "\n", "\n.", " \n",
+    "A", "I", "B", "L", "Q", "0", "7", "a", "x", "we", "É", "é",
+    "Dr", "No", "e.g", "al", "X.", "X.H.", "Chen", "Chen. L",
+    "China Scholarship Council", "CSC scholarship", "xCSC scholarship",
+    "Chinese Scholarship Councilé",
+])
+# runs of words with sentence ends between them, so that most texts hold
+# several candidate boundaries and several sentences naming the funder
+_WORDS = st.sampled_from([
+    "We", "thank", "the", "A", "I", "L", "3", "É", "Dr", "No", "e.g", "al",
+    "X.H.", "Chen.", "China Scholarship Council", "CSC scholarship",
+])
+_ENDS = st.sampled_from([". ", "! ", "? ", "... ", ".\n", "\n. ", ".\t", " "])
+_sentence_texts = st.lists(
+    st.tuples(st.lists(_WORDS, min_size=1, max_size=5).map(" ".join), _ENDS), max_size=8,
+).map(lambda parts: "".join(words + end for words, end in parts))
+_texts = st.one_of(st.lists(_SPLIT_PIECES, max_size=40).map("".join), _sentence_texts)
+_LEXICON = FunderLexicon(
+    "China Scholarship Council",
+    ("China Scholarship Council", "CSC scholarship", "Chinese Scholarship Council"),
+)
+
+
+class TestSplitterOracle:
+    @given(_texts)
+    def test_split_sentences_equals_reference(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+    @given(_texts)
+    def test_funding_sentences_equal_reference(self, text):
+        assert extract_funding_sentences(text, _LEXICON, pub_id="p") == (
+            reference_funding_sentences(text, _LEXICON, pub_id="p")
+        )
+
+    @pytest.mark.parametrize("text", [
+        "Thanks to Dr\n. Smith for help.",
+        "We thank X\n. Y\n. Zhang. Funding came later.",
+        "See e.g\n. The CSC scholarship funded it.",
+        "Sentence one.\n\nSentence two. ",
+        "We thank É. Chen and X.H. Li. A grant. I agree! 3 more? ok.",
+    ])
+    def test_edge_cases_equal_reference(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+    def test_long_acknowledgment_splits_in_linear_time(self):
+        # about 80k characters and 1,000 sentences; the slicing reference
+        # re-scans the text at every boundary and takes seconds here
+        text = " ".join(
+            f"Long Chen thanks Dr. Wang, X.H. Li, e.g. the CSC scholarship "
+            f"(No. {i:05d}) and others."
+            for i in range(1000)
+        )
+        assert 75_000 <= len(text) <= 85_000
+        start = time.perf_counter()
+        spans = split_sentences(text)
+        elapsed = time.perf_counter() - start
+        assert len(spans) == 1000
+        assert elapsed < 1.0
+
+
+# -- metamorphic properties of mining ---------------------------------------
+#
+# Spans move when the text around a sentence changes, so these compare what
+# was matched: (author_position, evidence, match_kind).
+
+_FUNDING_SENTENCES = [
+    "Long Chen is supported by the China Scholarship Council.",
+    "The second author thanks the CSC scholarship.",
+    "Wei Li and Min Zhao acknowledge the Chinese Scholarship Council.",
+    "The China Scholarship Council funded a visit of Zhi-Chao Wang.",
+]
+# none names a funder, an author or a position, and each ends on a word
+# the splitter reads as the end of a sentence
+_FILLER_SENTENCES = [
+    "We thank the reviewers.",
+    "Data were collected in 2015.",
+    "The authors declare no conflict of interest!",
+    "Computing time was provided by the university.",
+    "Did the anonymous referees help?",
+]
+
+
+def _matched(record):
+    return [
+        (m.author_position, m.evidence, m.match_kind)
+        for m in mine_record(record, _LEXICON)[1]
+    ]
+
+
+@given(
+    random_authors(),
+    st.lists(st.sampled_from(_FUNDING_SENTENCES), min_size=1, max_size=3),
+    st.data(),
+)
+def test_non_funder_sentences_leave_matches_unchanged(authors, funding, data):
+    fillers = [
+        data.draw(st.lists(st.sampled_from(_FILLER_SENTENCES), max_size=2))
+        for _ in range(len(funding) + 1)
+    ]
+    padded = list(fillers[0])
+    for sentence, after in zip(funding, fillers[1:]):
+        padded += [sentence, *after]
+    base = make_record("m1", authors, ack=" ".join(funding))
+    extended = make_record("m1", authors, ack=" ".join(padded))
+    assert _matched(extended) == _matched(base)
+
+
+_ACCENTED = str.maketrans("aeiouncAEIOUNC", "áéíóúñçÁÉÍÓÚÑÇ")
+
+
+def _upper_first_token(name):
+    first, sep, rest = name.partition(" ")
+    return first.upper() + sep + rest
+
+
+_NAME_EDITS = {
+    "upper": str.upper,
+    "lower": str.lower,
+    "upper-first-token": _upper_first_token,
+    "accents": lambda name: name.translate(_ACCENTED),
+    "accents-upper": lambda name: name.translate(_ACCENTED).upper(),
+}
+_NAME_FORMS = {
+    "given-surname": lambda a: f"{a.first_name} {a.last_name}",
+    "surname-given": lambda a: f"{a.last_name} {a.first_name}",
+    "surname-comma-given": lambda a: f"{a.last_name}, {a.first_name}",
+}
+
+
+@given(
+    random_authors(),
+    st.data(),
+    st.sampled_from(sorted(_NAME_FORMS)),
+    st.sampled_from(sorted(_NAME_EDITS)),
+)
+def test_case_and_diacritics_of_a_name_match_the_same_authors(authors, data, form, edit):
+    author = data.draw(st.sampled_from(authors))
+    name = _NAME_FORMS[form](author) if author.first_name else author.last_name
+    # the name sits inside the sentence, away from the sentence start whose
+    # case the splitter reads
+    template = "We thank the reviewers. This work by {} was funded by the China Scholarship Council."
+    plain = make_record("m2", authors, ack=template.format(name))
+    edited = make_record("m2", authors, ack=template.format(_NAME_EDITS[edit](name)))
+    assert _matched(edited) == _matched(plain)

@@ -127,6 +127,63 @@ class TestParseCorpus:
         assert [e.line_no for e in result.errors] == [2]
         assert "not an integer" in result.errors[0].message
 
+    @pytest.mark.parametrize("field, value", [
+        ("title", ["a", "list"]),
+        ("doi", 10.1),
+        ("acknowledgment_text", ["China Scholarship Council"]),
+        ("acknowledgment_text", {"text": "China Scholarship Council"}),
+        ("full_name", 1),
+        ("last_name", ["Chen"]),
+        ("first_name", True),
+        ("initials", ["L"]),
+        ("email", 0),
+        ("org_name", ["Tsinghua"]),
+        ("country", 86),
+        ("field_id", 7),
+    ])
+    def test_non_string_field_is_a_parse_issue(self, field, value):
+        author = {"position": 1, "full_name": "Chen, Long", "last_name": "Chen",
+                  "first_name": "Long", "initials": "L", "email": "l@x.org",
+                  "affiliations": [{"org_name": "Tsinghua", "country": "CN"}]}
+        fields = {"title": "T", "doi": "10.1/x", "acknowledgment_text": "Thanks.",
+                  "field_weights": [{"field_id": "phys", "weight": 1.0}]}
+        if field in ("org_name", "country"):
+            author["affiliations"][0][field] = value
+        elif field == "field_id":
+            fields["field_weights"][0]["field_id"] = value
+        elif field in author:
+            author[field] = value
+        else:
+            fields[field] = value
+        result = parse_corpus([line(), line(pub_id="W2", authors=[author], **fields)])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [2]
+        assert field in result.errors[0].message
+        assert "not a string" in result.errors[0].message
+
+    def test_null_string_fields_read_as_absent(self):
+        author = {"position": 1, "full_name": None, "last_name": "Chen",
+                  "first_name": None, "initials": None, "email": None,
+                  "affiliations": [{"org_name": None, "country": None}]}
+        record = record_from_dict(json.loads(line(
+            title=None, doi=None, acknowledgment_text=None, authors=[author],
+        )))
+        assert (record.title, record.doi, record.acknowledgment_text) == ("", None, None)
+        parsed = record.authors[0]
+        assert (parsed.full_name, parsed.first_name, parsed.initials, parsed.email) == (
+            "Chen", None, None, None)
+        assert parsed.affiliations[0].org_name == ""
+        assert parsed.affiliations[0].country == UNKNOWN_COUNTRY
+
+    @pytest.mark.parametrize("overrides", [
+        {"authors": [{"position": 1, "last_name": None}]},
+        {"field_weights": [{"field_id": None, "weight": 1.0}]},
+    ], ids=["null-last-name", "null-field-id"])
+    def test_null_required_string_is_a_parse_issue(self, overrides):
+        result = parse_corpus([line(), line(pub_id="W2", **overrides)])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [2]
+
     def test_too_deeply_nested_line_is_a_parse_issue(self):
         deep = "[" * 100_000 + "]" * 100_000
         result = parse_corpus([deep, line()])

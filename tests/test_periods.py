@@ -168,6 +168,10 @@ class TestReconcile:
         labels = reconcile_multi_scholar(False, {"a": Label.EXCLUDED_WINDOW_GAP})
         assert labels == {"a": Label.EXCLUDED_WINDOW_GAP}
 
+    @pytest.mark.parametrize("funded", [False, True])
+    def test_no_scholars_gives_no_labels(self, funded):
+        assert reconcile_multi_scholar(funded, {}) == {}
+
 
 # -- randomized equivalence with a direct transcription of the rules ---------
 

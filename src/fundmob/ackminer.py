@@ -8,23 +8,24 @@ and mark an author as funded when any variant or positional phrase occurs
 in a funding sentence.
 
 Variant strings are stored normalized (case-folded, diacritics stripped)
-with dotted-initial forms kept as explicit entries; sentences are compared
-both verbatim and with token-edge punctuation stripped, so "Chen. L",
-"C.L." and "Chen L" all resolve. Variants of three characters or fewer
-("cl", "bw") only match whole delimiter-bounded tokens, which suppresses
-substring false positives inside ordinary words.
+with dotted-initial forms kept as explicit entries. Variants and sentences
+are compared with token-edge punctuation stripped from both, so "Chen. L",
+"C.L." and "Chen L" all resolve; a variant made only of edge punctuation
+never matches. Variants of three characters or fewer ("cl", "bw") only
+match whole tokens, which suppresses substring false positives inside
+ordinary words.
 """
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 from .corpus import Authorship, PublicationRecord, config_lines
-from .textnorm import contains_bounded, normalize_text, strip_token_punct, token_forms
+from .textnorm import contains_bounded, normalize_text, strip_token_punct
 
 
 @dataclass(frozen=True)
@@ -234,22 +235,6 @@ def ordinal_phrases(position: int) -> set[str]:
     return phrases
 
 
-def _given_parts(author: Authorship) -> list[str]:
-    """Normalized pieces of the given name: "Zhi-Chao" -> ["zhi", "chao"]."""
-    source = author.first_name or ""
-    parts = [p for p in re.split(r"[\s\-]+", normalize_text(source)) if p]
-    return parts
-
-
-def _initial_letters(author: Authorship) -> list[str]:
-    parts = _given_parts(author)
-    if parts:
-        return [p[0] for p in parts]
-    if author.initials:
-        return [ch for ch in normalize_text(author.initials) if ch.isalpha()]
-    return []
-
-
 def generate_name_variants(author: Authorship, position: int) -> NameVariantSet:
     """Expand one authorship into the surface forms matched in sentences.
 
@@ -260,41 +245,43 @@ def generate_name_variants(author: Authorship, position: int) -> NameVariantSet:
     grammar is a documented superset of the common acknowledgment styles.
     """
     last = normalize_text(author.last_name)
+    given = normalize_text(author.first_name) if author.first_name else ""
+    initials = normalize_text(author.initials) if author.initials else ""
+    initial_letters = [ch for ch in initials if ch.isalpha()]
     variants: set[str] = set()
 
     given_forms: set[str] = set()
     if author.first_name:
-        hyphenated = normalize_text(author.first_name)
-        given_forms.add(hyphenated)
-        if "-" in hyphenated:
-            given_forms.add(hyphenated.replace("-", ""))
-            given_forms.add(hyphenated.replace("-", " "))
+        given_forms.add(given)
+        if "-" in given:
+            given_forms.add(given.replace("-", ""))
+            given_forms.add(given.replace("-", " "))
     elif author.initials:
-        raw = normalize_text(author.initials)
-        given_forms.add(raw)
-        flattened = "".join(ch for ch in raw if ch.isalpha())
-        if flattened:
-            given_forms.add(flattened)
+        given_forms.add(initials)
+        if initial_letters:
+            given_forms.add("".join(initial_letters))
 
-    for given in given_forms:
-        variants.add(f"{given} {last}")
-        variants.add(f"{last} {given}")
-        variants.add(f"{last}, {given}")
+    for form in given_forms:
+        variants.add(f"{form} {last}")
+        variants.add(f"{last} {form}")
+        variants.add(f"{last}, {form}")
 
-    initials = _initial_letters(author)
-    if initials:
-        dotted = "".join(f"{ch}." for ch in initials)
+    # one letter per given-name part ("Zhi-Chao" -> z, c); a given name
+    # without parts ("-") falls back to the letters of the initials
+    letters = [part[0] for part in re.split(r"[\s\-]+", given) if part] or initial_letters
+    if letters:
+        dotted = "".join(f"{ch}." for ch in letters)
         variants.add(f"{dotted} {last}")
-        if len(initials) > 1:
-            hyphen_dotted = ".-".join(initials) + "."
+        if len(letters) > 1:
+            hyphen_dotted = ".-".join(letters) + "."
             variants.add(f"{hyphen_dotted} {last}")
             # bare given-initial tokens of multi-part given names: "Zhi-Chao"
             # is also credited as "ZC", "Z.C." or "Z.-C."
-            variants.add("".join(initials))
+            variants.add("".join(letters))
             variants.add(dotted)
             variants.add(hyphen_dotted)
-        variants.add(f"{last}. {initials[0]}")
-        surname_first = [last[0]] + initials
+        variants.add(f"{last}. {letters[0]}")
+        surname_first = [last[0]] + letters
         variants.add("".join(surname_first))
         variants.add("".join(f"{ch}." for ch in surname_first))
 
@@ -309,34 +296,24 @@ def generate_name_variants(author: Authorship, position: int) -> NameVariantSet:
 SHORT_VARIANT_LIMIT = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SentenceView:
     span: tuple[int, int]
-    normalized: str
     stripped: str
-    tokens: set[str] = field(default_factory=set)
+    tokens: frozenset[str]
 
     @classmethod
     def of(cls, sentence: FundingSentence) -> "_SentenceView":
-        normalized = normalize_text(sentence.text)
-        return cls(
-            span=sentence.span,
-            normalized=normalized,
-            stripped=strip_token_punct(normalized),
-            tokens=token_forms(normalized),
-        )
+        stripped = strip_token_punct(normalize_text(sentence.text))
+        return cls(span=sentence.span, stripped=stripped, tokens=frozenset(stripped.split()))
 
 
-def _with_stripped(variants: frozenset[str]) -> list[tuple[str, str]]:
-    return [(v, strip_token_punct(v)) for v in variants]
-
-
-def _variant_occurs(variant: str, stripped: str, view: _SentenceView) -> bool:
+def _variant_occurs(stripped: str, view: _SentenceView) -> bool:
+    """Whether an edge-stripped variant occurs in the sentence: a whole
+    token when short, else word-bounded. The empty variant never does."""
     if len(stripped) <= SHORT_VARIANT_LIMIT:
-        return variant in view.tokens or stripped in view.tokens
-    return contains_bounded(variant, view.normalized) or (
-        bool(stripped) and contains_bounded(stripped, view.stripped)
-    )
+        return stripped in view.tokens
+    return contains_bounded(stripped, view.stripped)
 
 
 def match_funded_authors(
@@ -355,36 +332,29 @@ def match_funded_authors(
     funded = []
     for author in record.authors:
         variant_set = generate_name_variants(author, author.position)
-        variants = _with_stripped(variant_set.variants)
-        phrases = _with_stripped(variant_set.ordinal_phrases)
-        name_hits: list[tuple[str, tuple[int, int]]] = []
-        ordinal_hits: list[tuple[str, tuple[int, int]]] = []
-        for view in views:
-            for variant, stripped in variants:
-                if _variant_occurs(variant, stripped, view):
-                    name_hits.append((variant, view.span))
-            for phrase, stripped in phrases:
-                if _variant_occurs(phrase, stripped, view):
-                    ordinal_hits.append((phrase, view.span))
-        if name_hits:
-            evidence = max((h[0] for h in name_hits), key=lambda v: (len(v), v))
-            span = min(h[1] for h in name_hits if h[0] == evidence)
-            kind = MatchKind.NAME
-        elif ordinal_hits:
-            evidence = max((h[0] for h in ordinal_hits), key=lambda v: (len(v), v))
-            span = min(h[1] for h in ordinal_hits if h[0] == evidence)
-            kind = MatchKind.ORDINAL
-        else:
-            continue
-        funded.append(
-            FundedAuthorship(
-                pub_id=record.pub_id,
-                author_position=author.position,
-                evidence=evidence,
-                sentence_span=span,
-                match_kind=kind,
-            )
-        )
+        for kind, forms in (
+            (MatchKind.NAME, variant_set.variants),
+            (MatchKind.ORDINAL, variant_set.ordinal_phrases),
+        ):
+            stripped_forms = [(form, strip_token_punct(form)) for form in forms]
+            hits = [
+                (form, view.span)
+                for view in views
+                for form, stripped in stripped_forms
+                if _variant_occurs(stripped, view)
+            ]
+            if hits:
+                evidence = max((form for form, _ in hits), key=lambda v: (len(v), v))
+                funded.append(
+                    FundedAuthorship(
+                        pub_id=record.pub_id,
+                        author_position=author.position,
+                        evidence=evidence,
+                        sentence_span=min(span for form, span in hits if form == evidence),
+                        match_kind=kind,
+                    )
+                )
+                break
     return sorted(funded, key=lambda f: f.author_position)
 
 

@@ -254,9 +254,15 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
     """Build and validate one record from a decoded JSON object."""
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
-    if not obj.get("pub_id"):
+    pub_id = obj.get("pub_id")
+    if not pub_id:
         raise RecordError("missing pub_id")
-    pub_id = str(obj["pub_id"])
+    # integer ids keep their decimal text form; any other non-string is an
+    # error rather than its str()
+    if isinstance(pub_id, int) and not isinstance(pub_id, bool):
+        pub_id = str(pub_id)
+    elif not isinstance(pub_id, str):
+        raise RecordError("pub_id is not a string or an integer")
 
     if "pub_year" not in obj:
         raise RecordError("missing pub_year")
@@ -276,9 +282,8 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
     if positions != list(range(1, len(authors) + 1)):
         raise RecordError(f"author position gap or disorder: {positions}")
 
-    weights_raw = obj.get("field_weights") or []
     field_weights = []
-    for fw in weights_raw:
+    for fw in _parse_list(obj, "field_weights", "field_weights"):
         if not isinstance(fw, dict) or fw.get("field_id") is None or "weight" not in fw:
             raise RecordError("field_weights entries need field_id and weight")
         try:
@@ -312,45 +317,6 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
     )
 
 
-def record_to_dict(record: PublicationRecord) -> dict:
-    """Inverse of :func:`record_from_dict`; round-trips structurally."""
-    return {
-        "pub_id": record.pub_id,
-        "title": record.title,
-        "pub_year": record.pub_year,
-        "doc_type": record.doc_type.value,
-        "doi": record.doi,
-        "doi_created_date": (
-            record.doi_created_date.isoformat() if record.doi_created_date else None
-        ),
-        "acknowledgment_text": record.acknowledgment_text,
-        "funding_orgs": list(record.funding_orgs),
-        "authors": [
-            {
-                "position": a.position,
-                "full_name": a.full_name,
-                "last_name": a.last_name,
-                "first_name": a.first_name,
-                "initials": a.initials,
-                "email": a.email,
-                "affiliations": [
-                    {"org_name": aff.org_name, "country": aff.country}
-                    for aff in a.affiliations
-                ],
-            }
-            for a in record.authors
-        ],
-        "field_weights": [
-            {"field_id": fw.field_id, "weight": fw.weight} for fw in record.field_weights
-        ],
-    }
-
-
-def serialize_corpus(records: Iterable[PublicationRecord]) -> Iterator[str]:
-    for record in records:
-        yield json.dumps(record_to_dict(record), sort_keys=True, ensure_ascii=False)
-
-
 def parse_corpus(
     lines: Iterable[str], aliases: CountryAliases | None = None
 ) -> ParseResult:
@@ -378,6 +344,11 @@ def parse_corpus(
         except RecursionError:
             # nesting deeper than the interpreter's recursion limit
             result.errors.append(ParseIssue(line_no, "value nested too deeply"))
+            continue
+        except ValueError as exc:
+            # json.loads refuses an integer literal longer than the
+            # interpreter's int conversion limit (sys.get_int_max_str_digits)
+            result.errors.append(ParseIssue(line_no, f"invalid JSON: {exc}"))
             continue
         if record.pub_id in seen_ids:
             result.errors.append(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .ackminer import FunderLexicon, detect_funder_mention
+from .ackminer import FunderLexicon
 from .corpus import PubDate, PublicationRecord, resolve_pub_date
 from .disambig import CorpusIndex, ResearcherCluster
 from .textnorm import normalize_text
@@ -59,10 +59,10 @@ def record_acknowledges_funder(record: PublicationRecord, lexicon: FunderLexicon
     for org in record.funding_orgs:
         if normalize_text(org) in lexicon.variant_keys:
             return True
-    if record.acknowledgment_text:
-        if detect_funder_mention(record.acknowledgment_text, lexicon):
-            return True
-    return False
+    return bool(
+        record.acknowledgment_text
+        and lexicon.mention_pattern.search(record.acknowledgment_text)
+    )
 
 
 def funded_pub_ids(

@@ -2,10 +2,10 @@
 and surname matching.
 
 The pipeline is: Unicode NFKD -> strip diacritics -> case-fold -> collapse
-whitespace. Punctuation is preserved at this stage; token-edge punctuation
-(commas, periods, brackets) is stripped separately at comparison time so
-that dotted-initial forms like "c.l." can still be kept as explicit
-variants.
+whitespace. Punctuation is preserved at this stage, so dotted-initial
+forms like "c.l." stay distinct variants. Name matching strips token-edge
+punctuation (commas, periods, brackets) from both sides before comparing,
+so "(c.l.)," in a sentence and the variant "c.l." meet as "c.l".
 """
 from __future__ import annotations
 
@@ -37,10 +37,6 @@ def strip_token_punct(text: str) -> str:
     return " ".join(tok for tok in tokens if tok)
 
 
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum()
-
-
 def contains_bounded(needle: str, haystack: str) -> bool:
     """True when needle occurs in haystack delimited by non-word characters."""
     if not needle:
@@ -51,20 +47,9 @@ def contains_bounded(needle: str, haystack: str) -> bool:
         idx = haystack.find(needle, start)
         if idx < 0:
             return False
-        before_ok = idx == 0 or not _is_word_char(haystack[idx - 1])
+        before_ok = idx == 0 or not haystack[idx - 1].isalnum()
         after = idx + n
-        after_ok = after >= len(haystack) or not _is_word_char(haystack[after])
+        after_ok = after >= len(haystack) or not haystack[after].isalnum()
         if before_ok and after_ok:
             return True
         start = idx + 1
-
-
-def token_forms(text: str) -> set[str]:
-    """All whitespace tokens of ``text``, both raw and edge-stripped."""
-    forms: set[str] = set()
-    for tok in text.split():
-        forms.add(tok)
-        stripped = tok.strip(_EDGE_PUNCT)
-        if stripped:
-            forms.add(stripped)
-    return forms

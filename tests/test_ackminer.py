@@ -1,14 +1,17 @@
 import re
 import time
+from dataclasses import dataclass, field, replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fundmob.ackminer import (
     _ABBREVIATIONS,
+    FundedAuthorship,
     FunderLexicon,
     FundingSentence,
     MatchKind,
+    NameVariantSet,
     detect_funder_mention,
     extract_funding_sentences,
     generate_name_variants,
@@ -18,6 +21,8 @@ from fundmob.ackminer import (
     split_sentences,
 )
 from fundmob.textnorm import contains_bounded, normalize_text, strip_token_punct
+
+from fundmob.corpus import Authorship, PublicationRecord
 
 from .conftest import make_author, make_record
 
@@ -595,3 +600,281 @@ def test_case_and_diacritics_of_a_name_match_the_same_authors(authors, data, for
     plain = make_record("m2", authors, ack=template.format(name))
     edited = make_record("m2", authors, ack=template.format(_NAME_EDITS[edit](name)))
     assert _matched(edited) == _matched(plain)
+
+
+
+# names none of whose variants occur in _FUNDING_SENTENCES
+_STRANGERS = st.tuples(
+    st.sampled_from(["Okonkwo", "Quispe", "Virtanen"]),
+    st.sampled_from(["Adaeze", "Tupac", None]),
+)
+
+
+@given(
+    random_authors(),
+    st.lists(st.sampled_from(_FUNDING_SENTENCES), min_size=1, max_size=3),
+    _STRANGERS,
+    st.data(),
+)
+def test_renaming_an_unfunded_author_leaves_the_others_unchanged(authors, funding, stranger, data):
+    ack = " ".join(funding)
+    base = make_record("m3", authors, ack=ack)
+    funded = {position for position, _, _ in _matched(base)}
+    unfunded = [a.position for a in authors if a.position not in funded]
+    assume(unfunded)
+    position = data.draw(st.sampled_from(unfunded))
+    last, first = stranger
+    renamed = tuple(
+        make_author(position, last, first=first) if a.position == position else a
+        for a in authors
+    )
+    others = lambda rows: [row for row in rows if row[0] != position]
+    assert others(_matched(make_record("m3", renamed, ack=ack))) == others(_matched(base))
+
+
+# -- the matcher against the simple reference it replaced -------------------
+#
+# The functions below are the matcher as it was when every variant was
+# compared with each sentence twice, verbatim and with token-edge punctuation
+# stripped. Apart from the renames and the ``variants_of`` parameter they are
+# copied unchanged. Comparing the stripped forms alone finds the same matches
+# except for variants made only of edge punctuation ("((" from the given name
+# "(a) (b)"), which the verbatim pass let match a punctuation-only token.
+
+_REF_EDGE_PUNCT = ".,;:!?()[]{}\"'"
+
+
+def _reference_given_parts(author: Authorship) -> list[str]:
+    """Normalized pieces of the given name: "Zhi-Chao" -> ["zhi", "chao"]."""
+    source = author.first_name or ""
+    parts = [p for p in re.split(r"[\s\-]+", normalize_text(source)) if p]
+    return parts
+
+
+def _reference_initial_letters(author: Authorship) -> list[str]:
+    parts = _reference_given_parts(author)
+    if parts:
+        return [p[0] for p in parts]
+    if author.initials:
+        return [ch for ch in normalize_text(author.initials) if ch.isalpha()]
+    return []
+
+
+def reference_generate_name_variants(author: Authorship, position: int) -> NameVariantSet:
+    """Expand one authorship into the surface forms matched in sentences.
+
+    Covers full-name orders ("long chen", "chen long"), surname-plus-
+    initial ("chen. l"), dotted and undotted initials ("c.l.", "cl"),
+    initials-plus-surname ("l. chen", "x.h. li", "z.-c. wang"), and the
+    de-hyphenated and spaced spellings of hyphenated given names. The
+    grammar is a documented superset of the common acknowledgment styles.
+    """
+    last = normalize_text(author.last_name)
+    variants: set[str] = set()
+
+    given_forms: set[str] = set()
+    if author.first_name:
+        hyphenated = normalize_text(author.first_name)
+        given_forms.add(hyphenated)
+        if "-" in hyphenated:
+            given_forms.add(hyphenated.replace("-", ""))
+            given_forms.add(hyphenated.replace("-", " "))
+    elif author.initials:
+        raw = normalize_text(author.initials)
+        given_forms.add(raw)
+        flattened = "".join(ch for ch in raw if ch.isalpha())
+        if flattened:
+            given_forms.add(flattened)
+
+    for given in given_forms:
+        variants.add(f"{given} {last}")
+        variants.add(f"{last} {given}")
+        variants.add(f"{last}, {given}")
+
+    initials = _reference_initial_letters(author)
+    if initials:
+        dotted = "".join(f"{ch}." for ch in initials)
+        variants.add(f"{dotted} {last}")
+        if len(initials) > 1:
+            hyphen_dotted = ".-".join(initials) + "."
+            variants.add(f"{hyphen_dotted} {last}")
+            # bare given-initial tokens of multi-part given names: "Zhi-Chao"
+            # is also credited as "ZC", "Z.C." or "Z.-C."
+            variants.add("".join(initials))
+            variants.add(dotted)
+            variants.add(hyphen_dotted)
+        variants.add(f"{last}. {initials[0]}")
+        surname_first = [last[0]] + initials
+        variants.add("".join(surname_first))
+        variants.add("".join(f"{ch}." for ch in surname_first))
+
+    return NameVariantSet(
+        author_position=position,
+        variants=frozenset(variants),
+        ordinal_phrases=frozenset(ordinal_phrases(position)),
+    )
+
+
+#: Variants at or below this stripped length only match whole tokens.
+_REF_SHORT_VARIANT_LIMIT = 3
+
+
+@dataclass
+class _ReferenceSentenceView:
+    span: tuple[int, int]
+    normalized: str
+    stripped: str
+    tokens: set[str] = field(default_factory=set)
+
+    @classmethod
+    def of(cls, sentence: FundingSentence) -> "_ReferenceSentenceView":
+        normalized = normalize_text(sentence.text)
+        return cls(
+            span=sentence.span,
+            normalized=normalized,
+            stripped=strip_token_punct(normalized),
+            tokens=reference_token_forms(normalized),
+        )
+
+
+def _reference_with_stripped(variants: frozenset[str]) -> list[tuple[str, str]]:
+    return [(v, strip_token_punct(v)) for v in variants]
+
+
+def _reference_variant_occurs(variant: str, stripped: str, view: _ReferenceSentenceView) -> bool:
+    if len(stripped) <= _REF_SHORT_VARIANT_LIMIT:
+        return variant in view.tokens or stripped in view.tokens
+    return contains_bounded(variant, view.normalized) or (
+        bool(stripped) and contains_bounded(stripped, view.stripped)
+    )
+
+
+def reference_match_funded_authors(
+    record: PublicationRecord, sentences: list[FundingSentence],
+    variants_of=reference_generate_name_variants,
+) -> list[FundedAuthorship]:
+    """Authors whose name variants or positional phrases occur in a
+    funding sentence.
+
+    At most one entry per author, sorted by position. The evidence string
+    is the longest matching name variant; a name match outranks a
+    positional match for the same author.
+    """
+    if not sentences:
+        return []
+    views = [_ReferenceSentenceView.of(s) for s in sentences]
+    funded = []
+    for author in record.authors:
+        variant_set = variants_of(author, author.position)
+        variants = _reference_with_stripped(variant_set.variants)
+        phrases = _reference_with_stripped(variant_set.ordinal_phrases)
+        name_hits: list[tuple[str, tuple[int, int]]] = []
+        ordinal_hits: list[tuple[str, tuple[int, int]]] = []
+        for view in views:
+            for variant, stripped in variants:
+                if _reference_variant_occurs(variant, stripped, view):
+                    name_hits.append((variant, view.span))
+            for phrase, stripped in phrases:
+                if _reference_variant_occurs(phrase, stripped, view):
+                    ordinal_hits.append((phrase, view.span))
+        if name_hits:
+            evidence = max((h[0] for h in name_hits), key=lambda v: (len(v), v))
+            span = min(h[1] for h in name_hits if h[0] == evidence)
+            kind = MatchKind.NAME
+        elif ordinal_hits:
+            evidence = max((h[0] for h in ordinal_hits), key=lambda v: (len(v), v))
+            span = min(h[1] for h in ordinal_hits if h[0] == evidence)
+            kind = MatchKind.ORDINAL
+        else:
+            continue
+        funded.append(
+            FundedAuthorship(
+                pub_id=record.pub_id,
+                author_position=author.position,
+                evidence=evidence,
+                sentence_span=span,
+                match_kind=kind,
+            )
+        )
+    return sorted(funded, key=lambda f: f.author_position)
+
+
+def reference_token_forms(text: str) -> set[str]:
+    """All whitespace tokens of ``text``, both raw and edge-stripped."""
+    forms: set[str] = set()
+    for tok in text.split():
+        forms.add(tok)
+        stripped = tok.strip(_REF_EDGE_PUNCT)
+        if stripped:
+            forms.add(stripped)
+    return forms
+
+
+def _without_punctuation_only(author, position):
+    """The reference variants minus those that strip to nothing."""
+    full = reference_generate_name_variants(author, position)
+    return replace(full, variants=frozenset(v for v in full.variants if strip_token_punct(v)))
+
+
+# letters with and without accents (one that case-folds to two letters, one
+# that decomposes to two), edge punctuation, hyphens and spaces
+_NAME_ALPHABET = "abcLMXZéÉüßİﬁ.,;:()'\"- "
+_name_texts = st.text(alphabet=_NAME_ALPHABET, max_size=10)
+_optional_names = st.one_of(st.none(), st.sampled_from(["", " ", "-", "(a) (b)"]), _name_texts)
+
+
+@st.composite
+def oracle_authors(draw):
+    return tuple(
+        Authorship(
+            position=position,
+            full_name="",
+            # the parser rejects a last name that normalizes to nothing
+            last_name=draw(_name_texts.filter(normalize_text)),
+            first_name=draw(_optional_names),
+            initials=draw(_optional_names),
+        )
+        for position in range(1, draw(st.integers(1, 4)) + 1)
+    )
+
+
+@st.composite
+def oracle_sentences(draw, authors):
+    """Sentences built from the authors' own name fields and variants,
+    positional phrases and punctuation, so that most of them hit."""
+    pool = ["we", "thank", "the second author", "The 1st author", "((", "-", ".", "(", ")", ","]
+    for author in authors:
+        pool += [author.last_name, author.first_name or "", author.initials or ""]
+        pool += sorted(reference_generate_name_variants(author, author.position).variants)
+    pieces = st.tuples(st.sampled_from(pool), st.sampled_from(["", " ", ", ", ". ", " (", ") ", "-"]))
+    case = draw(st.sampled_from([str, str.upper, str.title]))
+    sentences = []
+    for k in range(draw(st.integers(1, 3))):
+        text = case("".join(p + sep for p, sep in draw(st.lists(pieces, max_size=8))))
+        sentences.append(FundingSentence(pub_id="o", text=text, span=(100 * k, 100 * k + len(text))))
+    return sentences
+
+
+class TestMatcherOracle:
+    @given(oracle_authors())
+    def test_name_variants_equal_reference(self, authors):
+        for author in authors:
+            assert generate_name_variants(author, author.position) == (
+                reference_generate_name_variants(author, author.position)
+            )
+
+    @given(oracle_authors(), st.data())
+    def test_matches_equal_reference_without_punctuation_only_variants(self, authors, data):
+        sentences = data.draw(oracle_sentences(authors))
+        record = make_record("o", authors)
+        assert match_funded_authors(record, sentences) == reference_match_funded_authors(
+            record, sentences, variants_of=_without_punctuation_only
+        )
+
+    def test_punctuation_only_variant_credits_nobody(self, lexicon):
+        author = make_author(1, "Chen", first="(a) (b)")
+        assert "((" in generate_name_variants(author, 1).variants
+        record = make_record(
+            "o", (author,), ack="We thank (( for support from the China Scholarship Council."
+        )
+        assert mine_record(record, lexicon)[1] == []

@@ -1,8 +1,9 @@
+import copy
 import json
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fundmob.corpus import (
     CorpusParseError,
@@ -12,9 +13,7 @@ from fundmob.corpus import (
     filter_documents,
     parse_corpus,
     record_from_dict,
-    record_to_dict,
     resolve_pub_date,
-    serialize_corpus,
     UNKNOWN_COUNTRY,
 )
 
@@ -106,8 +105,12 @@ class TestParseCorpus:
         {"authors": [{"position": 1, "last_name": "Chen",
                       "affiliations": {"org_name": "Tsinghua", "country": "CN"}}]},
         {"authors": [{"position": 1, "last_name": "Chen", "affiliations": ["Tsinghua"]}]},
+        {"field_weights": 5},
+        {"field_weights": True},
+        {"field_weights": ""},
     ], ids=["orgs-string", "orgs-object", "orgs-null-entry", "affs-string",
-            "affs-object", "affs-string-entry"])
+            "affs-object", "affs-string-entry", "weights-number", "weights-bool",
+            "weights-empty-string"])
     def test_malformed_list_field_is_a_parse_issue(self, overrides):
         result = parse_corpus([line(), line(pub_id="W2", **overrides)])
         assert [r.pub_id for r in result.records] == ["W1"]
@@ -181,6 +184,25 @@ class TestParseCorpus:
     ], ids=["null-last-name", "null-field-id"])
     def test_null_required_string_is_a_parse_issue(self, overrides):
         result = parse_corpus([line(), line(pub_id="W2", **overrides)])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [2]
+
+    @pytest.mark.parametrize("pub_id", [["W", 1], {"id": "W2"}, True, 1.5],
+                             ids=["list", "object", "bool", "float"])
+    def test_non_string_pub_id_is_a_parse_issue(self, pub_id):
+        result = parse_corpus([line(), line(pub_id=pub_id)])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [2]
+        assert "pub_id" in result.errors[0].message
+
+    def test_integer_pub_id_reads_as_its_decimal_text(self):
+        result = parse_corpus([line(pub_id=7)])
+        assert [r.pub_id for r in result.records] == ["7"]
+
+    def test_overlong_integer_literal_is_a_parse_issue(self):
+        # longer than the interpreter's int conversion limit (4,300 digits)
+        bad = line(pub_id="W2").replace('"pub_year": 2015', '"pub_year": ' + "9" * 5000)
+        result = parse_corpus([line(), bad])
         assert [r.pub_id for r in result.records] == ["W1"]
         assert [e.line_no for e in result.errors] == [2]
 
@@ -295,7 +317,7 @@ class TestResolvePubDate:
         assert resolve_pub_date(without).source is DateSource.YEAR_FALLBACK
 
 
-# -- round-trip property ----------------------------------------------------
+# -- valid records and arbitrary lines -----------------------------------
 
 _names = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll")), min_size=1, max_size=8
@@ -347,14 +369,65 @@ def records(draw):
 
 
 @given(records())
-def test_parse_serialize_roundtrip(obj):
-    first = record_from_dict(obj)
-    reparsed = parse_corpus(serialize_corpus([first]))
-    assert reparsed.errors == []
-    assert reparsed.records == [first]
+def test_valid_record_parses_from_its_json_line(obj):
+    result = parse_corpus([json.dumps(obj)])
+    assert result.errors == []
+    assert result.records == [record_from_dict(obj)]
 
 
-@given(records())
-def test_to_dict_from_dict_roundtrip(obj):
-    record = record_from_dict(obj)
-    assert record_from_dict(record_to_dict(record)) == record
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+# scalars half the time: left to itself, st.recursive draws mostly containers
+_json_values = _json_scalars | st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+_FULL_RECORD = json.loads(line(
+    doi="10.1/x", doi_created_date="2015-03-02", acknowledgment_text="Thanks.",
+    funding_orgs=["China Scholarship Council"],
+    authors=[{"position": 1, "full_name": "Chen, Long", "last_name": "Chen",
+              "first_name": "Long", "initials": "L", "email": "l@x.org",
+              "affiliations": [{"org_name": "Tsinghua", "country": "CN"}]}],
+    field_weights=[{"field_id": "phys", "weight": 1.0}],
+))
+
+
+@st.composite
+def mutated_records(draw):
+    """A record with every field set, and up to three fields of it, its
+    author, affiliation or field weight set to arbitrary JSON values.
+    Setting the unread key "extra" leaves the record valid."""
+    obj = copy.deepcopy(_FULL_RECORD)
+    author = obj["authors"][0]
+    targets = [obj, author, author["affiliations"][0], obj["field_weights"][0]]
+    for _ in range(draw(st.integers(1, 3))):
+        target = draw(st.sampled_from(targets))
+        target[draw(st.sampled_from(sorted(target) + ["extra"]))] = draw(_json_values)
+    return json.dumps(obj)
+
+
+_other_lines = _json_values.map(json.dumps) | st.text(max_size=30)
+
+
+# a crash may need one field set to one kind of value, so this runs more
+# examples than the default
+@settings(max_examples=300)
+@given(
+    st.lists(mutated_records(), max_size=3), st.lists(_other_lines, max_size=3), st.data()
+)
+def test_every_line_is_a_record_or_a_parse_issue(record_lines, other_lines, data):
+    lines = data.draw(st.permutations(record_lines + other_lines))
+    content = [no for no, text in enumerate(lines, start=1) if text.strip()]
+    try:
+        result = parse_corpus(lines)
+    except CorpusParseError as exc:
+        issues, n_records = exc.errors, 0
+    else:
+        issues, n_records = result.errors, len(result.records)
+    issue_lines = [issue.line_no for issue in issues]
+    assert len(set(issue_lines)) == len(issue_lines)
+    assert set(issue_lines) <= set(content)
+    assert n_records + len(issues) == len(content)

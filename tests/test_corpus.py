@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from datetime import date
 
@@ -369,10 +370,25 @@ def records(draw):
 
 
 @given(records())
-def test_valid_record_parses_from_its_json_line(obj):
+def test_parse_serialize_roundtrip(obj):
     result = parse_corpus([json.dumps(obj)])
     assert result.errors == []
     assert result.records == [record_from_dict(obj)]
+
+
+def _record_as_dict(record):
+    """The input-format dict of a record: its dataclass fields, with the
+    enum and the date in their JSON forms."""
+    def encode(value):
+        return value.value if isinstance(value, DocType) else value.isoformat()
+    return json.loads(json.dumps(dataclasses.asdict(record), default=encode))
+
+
+# every field of the record dataclasses is read back under its own name
+@given(records())
+def test_to_dict_from_dict_roundtrip(obj):
+    record = record_from_dict(obj)
+    assert record_from_dict(_record_as_dict(record)) == record
 
 
 _json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)

@@ -31,9 +31,7 @@ from .disambig import (
     ResearcherCluster,
     ScoringWeights,
     block_authorships,
-    cluster_block,
     cluster_corpus,
-    score_pair,
 )
 from .mobility import (
     MobilityAssignment,

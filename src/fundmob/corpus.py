@@ -206,17 +206,6 @@ def _parse_str(obj: dict, key: str, default: str | None = None, owner: str = "")
     return value
 
 
-def _normalize_country(raw: str | None, aliases: CountryAliases | None) -> str:
-    if raw is None:
-        return UNKNOWN_COUNTRY
-    text = raw.strip()
-    if not text:
-        return UNKNOWN_COUNTRY
-    if aliases is None:
-        return text
-    return aliases.normalize(text)
-
-
 def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -> Authorship:
     label = f"author {index + 1}"
     owner = f"{label} "
@@ -232,11 +221,11 @@ def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -
     for aff in _parse_list(obj, "affiliations", f"{label} affiliations"):
         if not isinstance(aff, dict):
             raise RecordError(f"{label} has an affiliation that is not an object")
+        country = _parse_str(aff, "country", owner=owner)
         affiliations.append(Affiliation(
             org_name=_parse_str(aff, "org_name", "", owner),
-            country=_normalize_country(
-                _parse_str(aff, "country", owner=owner), aliases
-            ),
+            country=(aliases.normalize(country) if aliases is not None
+                     else (country or "").strip() or UNKNOWN_COUNTRY),
         ))
     email = (_parse_str(obj, "email", owner=owner) or "").strip()
     return Authorship(

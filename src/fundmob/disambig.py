@@ -15,7 +15,8 @@ authorships gets one feature row per member, built once and dropped when
 the block is done, and only pairs that share an *indexed* feature value
 are scored. Which features are indexed follows from the weights alone
 (see :func:`indexed_features`), so a pair that is never scored could
-not have reached the threshold.
+not have reached the threshold. The scorer and the index add weights
+through one helper, in one order, so they round alike by construction.
 """
 from __future__ import annotations
 
@@ -156,14 +157,12 @@ def block_authorships(
     return [sorted(blocks[key]) for key in sorted(blocks)]
 
 
-def _full_first_name(author: Authorship) -> str | None:
-    """A flattened given name of two or more letters, else None."""
-    if not author.first_name:
-        return None
+def _full_first_name(author: Authorship) -> set[str]:
+    """The flattened given name if it has two or more letters."""
     flattened = "".join(
-        ch for ch in normalize_text(author.first_name) if ch.isalpha()
+        ch for ch in normalize_text(author.first_name or "") if ch.isalpha()
     )
-    return flattened if len(flattened) >= 2 else None
+    return {flattened} if len(flattened) >= 2 else set()
 
 
 def _org_keys(author: Authorship) -> set[str]:
@@ -171,36 +170,37 @@ def _org_keys(author: Authorship) -> set[str]:
 
 
 class _FeatureRow(NamedTuple):
-    """What scoring reads of one authorship, normalized once."""
+    """What scoring reads of one authorship: one set per feature, in
+    ``FEATURES`` order. ``email`` and ``first_name`` hold at most one
+    value."""
 
-    first_name: str | None
-    email: str | None
+    email: set[str]
     affiliation: set[str]
     coauthor: set[tuple[str, str]]
     funder: set[str]
+    first_name: set[str]
 
 
-#: per record, the position and block key of each author
-_RecordKeys = dict[str, tuple[tuple[int, tuple[str, str]], ...]]
-
-
-def _feature_row(
-    index: CorpusIndex, key: AuthorshipKey, record_keys: _RecordKeys
-) -> _FeatureRow:
-    """The row of one authorship. ``record_keys`` caches the block keys of
-    each record's authors, which every co-author's row reads again."""
+def _feature_row(index: CorpusIndex, key: AuthorshipKey) -> _FeatureRow:
     author, record = index.author(key), index.record(key[0])
-    authors = record_keys.get(record.pub_id)
-    if authors is None:
-        authors = tuple((a.position, block_key(a)) for a in record.authors)
-        record_keys[record.pub_id] = authors
+    email = (author.email or "").strip().lower()
     return _FeatureRow(
-        first_name=_full_first_name(author),
-        email=(author.email or "").strip().lower() or None,
+        email={email} if email else set(),
         affiliation=_org_keys(author),
-        coauthor={bk for position, bk in authors if position != key[1]},
+        coauthor={block_key(a) for a in record.authors if a.position != key[1]},
         funder={normalize_text(f) for f in record.funding_orgs},
+        first_name=_full_first_name(author),
     )
+
+
+def _weight_sum(weights: ScoringWeights, triggered: Iterable[bool]) -> float:
+    """The weights of the triggered features, one flag per feature in
+    ``FEATURES`` order, added in that order from 0.0."""
+    total = 0.0
+    for name, hit in zip(FEATURES, triggered):
+        if hit:
+            total += getattr(weights, name)
+    return total
 
 
 def _score_rows(a: _FeatureRow, b: _FeatureRow, weights: ScoringWeights) -> float:
@@ -208,18 +208,7 @@ def _score_rows(a: _FeatureRow, b: _FeatureRow, weights: ScoringWeights) -> floa
     force 0 regardless of any other evidence."""
     if a.first_name and b.first_name and a.first_name != b.first_name:
         return 0.0
-    score = 0.0
-    if a.email and a.email == b.email:
-        score += weights.email
-    if not a.affiliation.isdisjoint(b.affiliation):
-        score += weights.affiliation
-    if not a.coauthor.isdisjoint(b.coauthor):
-        score += weights.coauthor
-    if not a.funder.isdisjoint(b.funder):
-        score += weights.funder
-    if a.first_name and a.first_name == b.first_name:
-        score += weights.first_name
-    return score
+    return _weight_sum(weights, [not x.isdisjoint(y) for x, y in zip(a, b)])
 
 
 def score_pair(
@@ -233,7 +222,7 @@ def score_pair(
     Symmetric in its arguments. Conflicting full first names force 0
     regardless of any other evidence.
     """
-    return _score_rows(_feature_row(index, a, {}), _feature_row(index, b, {}), weights)
+    return _score_rows(_feature_row(index, a), _feature_row(index, b), weights)
 
 
 def indexed_features(weights: ScoringWeights) -> tuple[str, ...]:
@@ -241,22 +230,15 @@ def indexed_features(weights: ScoringWeights) -> tuple[str, ...]:
 
     Features are taken cheapest first; the longest such run whose weights
     sum below the threshold is left unindexed, since a pair sharing none
-    of the other features scores at most that sum. The sum is taken in
-    the scorer's order, so it rounds exactly as a score would.
+    of the other features scores at most that sum. The sum goes through
+    the scorer's own helper, so it is exactly the score of such a pair.
     """
     ordered = sorted(_UNINDEXED_FIRST, key=lambda name: getattr(weights, name))
     for count in range(len(ordered)):
         unindexed = ordered[: count + 1]
-        if sum(getattr(weights, n) for n in FEATURES if n in unindexed) >= weights.threshold:
+        if _weight_sum(weights, [n in unindexed for n in FEATURES]) >= weights.threshold:
             return tuple(ordered[count:])
     return ()
-
-
-def _index_values(row: _FeatureRow, feature: str) -> Iterable:
-    value = getattr(row, feature)
-    if feature in ("first_name", "email"):
-        return (value,) if value else ()
-    return value
 
 
 def _candidate_pairs(
@@ -265,7 +247,7 @@ def _candidate_pairs(
     """Each pair ``(i, j)``, ``i < j``, of rows sharing a value of one of
     ``features``, once."""
     row_keys = [
-        [(feature, value) for feature in features for value in _index_values(row, feature)]
+        [(feature, value) for feature in features for value in getattr(row, feature)]
         for row in rows
     ]
     postings: dict[tuple[str, object], list[int]] = {}
@@ -334,11 +316,10 @@ def _cluster_keys(
     blocks = [sorted(block) for block in blocks]
     uf = _UnionFind(key for block in blocks for key in block)
     features = indexed_features(weights)
-    record_keys: _RecordKeys = {}
     for block in blocks:
         if len(block) < 2:
             continue
-        rows = [_feature_row(index, key, record_keys) for key in block]
+        rows = [_feature_row(index, key) for key in block]
         for i, j in _candidate_pairs(rows, features):
             a, b = block[i], block[j]
             if frozenset((a, b)) in splits:

@@ -6,9 +6,16 @@ whitespace. Punctuation is preserved at this stage, so dotted-initial
 forms like "c.l." stay distinct variants. Name matching strips token-edge
 punctuation (commas, periods, brackets) from both sides before comparing,
 so "(c.l.)," in a sentence and the variant "c.l." meet as "c.l".
+
+``normalize_text`` is memoized: every stage normalizes the same names,
+org names and funders, and each distinct string is normalized once per
+process. The memo is unbounded on purpose. It holds one normalized copy
+of each distinct input string, and a run already holds every record
+those strings come from in memory.
 """
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 
@@ -22,6 +29,7 @@ def strip_accents(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
+@functools.cache
 def normalize_text(text: str) -> str:
     """Accent-strip, case-fold and collapse whitespace."""
     return _WS_RE.sub(" ", strip_accents(text).casefold()).strip()

@@ -263,6 +263,24 @@ class TestCountryAliases:
         result = parse_corpus([raw], aliases)
         assert result.records[0].authors[0].affiliations[0].country == "CN"
 
+    @pytest.mark.parametrize("raw, plain, aliased", [
+        (None, UNKNOWN_COUNTRY, UNKNOWN_COUNTRY),
+        ("", UNKNOWN_COUNTRY, UNKNOWN_COUNTRY),
+        ("  ", UNKNOWN_COUNTRY, UNKNOWN_COUNTRY),
+        (" DE ", "DE", "DE"),
+        ("Germany", "Germany", "DE"),
+    ])
+    def test_parsed_country_with_and_without_aliases(self, data_dir, raw, plain, aliased):
+        # without aliases a country is only trimmed; with them it is mapped
+        raw_line = line(authors=[{
+            "position": 1, "full_name": "Chen, Long", "last_name": "Chen",
+            "affiliations": [{"org_name": "X", "country": raw}],
+        }])
+        aliases = CountryAliases.load(data_dir / "country_aliases.tsv")
+        for table, expected in ((None, plain), (aliases, aliased)):
+            result = parse_corpus([raw_line], table)
+            assert result.records[0].authors[0].affiliations[0].country == expected
+
 
 class TestFilterDocuments:
     def test_keeps_articles_and_reviews(self):

@@ -1,11 +1,15 @@
+import dataclasses
+import importlib.util
 import itertools
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fundmob import disambig
-from fundmob.corpus import PublicationRecord, record_from_dict
+from fundmob import disambig, textnorm
+from fundmob.corpus import PublicationRecord, filter_documents, parse_corpus, record_from_dict
 from fundmob.disambig import (
     FEATURES,
     CorpusIndex,
@@ -21,7 +25,7 @@ from fundmob.disambig import (
 )
 from fundmob.textnorm import normalize_text
 
-from .conftest import make_author, make_record
+from .conftest import DATA_DIR, make_author, make_record
 
 WEIGHTS = ScoringWeights(
     email=10, affiliation=2, coauthor=4, funder=1, first_name=2, threshold=5
@@ -507,6 +511,31 @@ def _count_scored(monkeypatch):
     return scored
 
 
+@pytest.mark.parametrize("patch_sum", [False, True], ids=["plain", "fsum"])
+def test_pair_scoring_exactly_the_threshold_is_scored(monkeypatch, patch_sum):
+    """affiliation + funder + first_name adds up to 0.6000000000000001 in
+    the scorer's order, and to 0.6 when rounded once, as ``math.fsum`` and
+    Python 3.12's ``sum`` do. The index must leave affiliation indexed
+    whichever way the interpreter's ``sum`` rounds."""
+    if patch_sum:
+        monkeypatch.setattr(disambig, "sum", math.fsum, raising=False)
+    weights = ScoringWeights(email=10, affiliation=0.3, coauthor=4, funder=0.1,
+                             first_name=0.2, threshold=0.6000000000000001)
+    records = [
+        make_record(pub_id, (make_author(1, "Lin", first="Wei", email=email,
+                                         countries=("CN",), orgs=("Inst One",)),),
+                    funding=("Funder A",))
+        for pub_id, email in (("a", "a@example.org"), ("b", "b@example.org"))
+    ]
+    index = CorpusIndex(records)
+    assert reference_score_pair(index, ("a", 1), ("b", 1), weights) == weights.threshold
+    clusters = cluster_corpus(records, weights)
+    assert [c.members for c in clusters] == [frozenset({("a", 1), ("b", 1)})]
+    assert {c.members for c in clusters} == components_oracle(
+        list(index.authorships), index, weights
+    )
+
+
 class TestScoredPairs:
     def test_no_shared_indexed_key_scores_no_pair(self, monkeypatch):
         records = _funder_first_name_block()
@@ -609,3 +638,43 @@ def test_cluster_corpus_equals_all_pairs_reference(scenario, weights):
     edges += [(o.a, o.b) for o in overrides if o.action == "MERGE"]
     clusters = cluster_corpus(records, weights, overrides)
     assert {c.members for c in clusters} == _components(list(index.authorships), edges)
+
+
+# -- work counters at 1x and 4x a benchmark corpus ------------------------------
+
+
+def load_bench_gen(monkeypatch):
+    """``bench/gen.py``, the benchmark's corpus generator, loaded by path.
+    It is registered in ``sys.modules`` first, as its dataclasses need."""
+    path = DATA_DIR.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("fundmob_bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_normalizations_per_authorship_do_not_grow_with_the_corpus(monkeypatch):
+    """Clustering normalizes each distinct string once, so the work per
+    authorship stays flat, and below one, as the corpus grows. Only a miss
+    of the ``normalize_text`` memo reaches ``strip_accents``."""
+    gen = load_bench_gen(monkeypatch)
+    calls = []
+    strip_accents = textnorm.strip_accents
+
+    def counting(text):
+        calls.append(text)
+        return strip_accents(text)
+
+    monkeypatch.setattr(textnorm, "strip_accents", counting)
+    per_authorship = []
+    for scale in (1, 4):
+        spec = dataclasses.replace(gen.SPECS["cn-skewed"], records=1800 * scale)
+        lines = gen.generate("cn-skewed", 5, DATA_DIR, spec=spec).lines
+        records = filter_documents(parse_corpus(lines).records)
+        normalize_text.cache_clear()
+        calls.clear()
+        cluster_corpus(records, WEIGHTS)
+        per_authorship.append(len(calls) / sum(len(r.authors) for r in records))
+    at_1x, at_4x = per_authorship
+    assert at_4x <= at_1x < 1

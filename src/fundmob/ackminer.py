@@ -7,22 +7,35 @@ into a set of name variants plus positional phrases ("the second author"),
 and mark an author as funded when any variant or positional phrase occurs
 in a funding sentence.
 
+Extraction starts from the mentions, not from the sentences. One funder
+pattern, which ``re`` can scan for by prefix, finds the next mention in
+the whole text; only the sentence boundaries around it are classified,
+back to the last sentence end before it and on to the first one after
+it, and that one sentence is searched within its own bounds. Sentences
+before the next mention cannot hold one, so a text without a mention
+classifies no boundary. ``split_sentences`` uses the same per-sentence
+step, so both read sentence ends by one rule.
+
 Variant strings are stored normalized (case-folded, diacritics stripped)
 with dotted-initial forms kept as explicit entries. Variants and sentences
 are compared with token-edge punctuation stripped from both, so "Chen. L",
 "C.L." and "Chen L" all resolve; a variant made only of edge punctuation
 never matches. Variants of three characters or fewer ("cl", "bw") only
 match whole tokens, which suppresses substring false positives inside
-ordinary words.
+ordinary words. Each author's variants are stripped once; the short ones
+are matched by one set intersection with a sentence's tokens, the long
+ones by a substring test before the word-edge check.
 """
 from __future__ import annotations
 
+import itertools
 import re
 import string
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import contains_bounded, normalize_text, strip_token_punct
@@ -42,6 +55,9 @@ class FunderLexicon:
         for variant in self.variants:
             if not variant.strip():
                 raise ValueError("empty lexicon variant")
+            # a variant like "--" would match between any two words
+            if not any(ch.isalnum() for ch in variant):
+                raise ValueError(f"lexicon variant without a letter or digit: {variant!r}")
             key = normalize_text(variant)
             if key in seen:
                 raise ValueError(f"duplicate lexicon variant: {variant!r}")
@@ -67,17 +83,41 @@ class FunderLexicon:
         return tuple(sorted(self.variants, key=lambda v: (-len(v), v)))
 
     @cached_property
-    def mention_pattern(self) -> re.Pattern[str]:
-        parts = []
-        for i, variant in enumerate(self._ordered_variants):
-            words = r"\s+".join(re.escape(w) for w in variant.split())
-            parts.append(f"(?P<v{i}>{words})")
-        body = "|".join(parts)
-        # [^\W_] is str.isalnum, the word-character rule of contains_bounded
-        return re.compile(rf"(?<![^\W_])(?:{body})(?![^\W_])", re.IGNORECASE)
+    def _variant_regexes(self) -> tuple[str, ...]:
+        return tuple(r"\s+".join(map(re.escape, v.split())) for v in self._ordered_variants)
 
-    def variant_for_group(self, group_name: str) -> str:
-        return self._ordered_variants[int(group_name[1:])]
+    @cached_property
+    def _pattern(self) -> re.Pattern[str]:
+        # no capture group and no lookbehind, so re can scan for the
+        # variants' prefixes; find_mention checks the left edge instead.
+        # [^\W_] is str.isalnum, the word-character rule of contains_bounded
+        body = "|".join(self._variant_regexes)
+        return re.compile(rf"(?:{body})(?![^\W_])", re.IGNORECASE)
+
+    def find_mention(self, text: str, pos: int = 0, endpos: int | None = None) -> re.Match[str] | None:
+        """The leftmost case-insensitive, word-bounded variant occurrence
+        in ``text[pos:endpos]``, the longest variant at that position, or
+        None. The character before ``pos`` is read as part of the text;
+        ``endpos`` acts as the end of the text.
+        """
+        search = self._pattern.search
+        end = len(text) if endpos is None else endpos
+        while (m := search(text, pos, end)) is not None:
+            start = m.start()
+            if start == 0 or not text[start - 1].isalnum():
+                return m
+            pos = start + 1
+        return None
+
+    def variant_matching(self, matched: str) -> str:
+        """The variant whose alternative ``find_mention`` took for the
+        text ``matched``: the first one, longest first, matching all of
+        it. An earlier one that did would have won at that position."""
+        return next(
+            variant
+            for variant, regex in zip(self._ordered_variants, self._variant_regexes)
+            if re.fullmatch(regex, matched, re.IGNORECASE)
+        )
 
 
 @dataclass(frozen=True)
@@ -116,12 +156,11 @@ def detect_funder_mention(
     Matches are reported left to right; at overlapping positions the
     longest variant wins. Spans index into the raw input text.
     """
-    if not text:
-        return []
     matches = []
-    for m in lexicon.mention_pattern.finditer(text):
-        group_name = next(name for name, val in m.groupdict().items() if val is not None)
-        matches.append((lexicon.variant_for_group(group_name), m.span()))
+    pos = 0
+    while (m := lexicon.find_mention(text, pos)) is not None:
+        matches.append((lexicon.variant_matching(m.group()), m.span()))
+        pos = m.end()
     return matches
 
 
@@ -173,6 +212,23 @@ def _is_sentence_break(text: str, punct_start: int, punct_end: int, rest_start: 
     return True
 
 
+def _sentence_at(text: str, start: int, boundaries: Iterator[re.Match[str]]) -> tuple[int, int, int]:
+    """The sentence starting at ``start``, which is 0 or the end of a
+    break: its span with the edge whitespace trimmed, and where the next
+    sentence starts. ``boundaries`` yields the boundaries from ``start``
+    on, in order, less any already known not to be breaks."""
+    end = next_start = len(text)
+    for m in boundaries:
+        if _is_sentence_break(text, m.start(1), m.end(1), m.end()):
+            end, next_start = m.end(1), m.end()
+            break
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    return start, end, next_start
+
+
 def split_sentences(text: str) -> list[tuple[int, int]]:
     """Sentence spans over ``text``.
 
@@ -180,39 +236,54 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     letter or digit, with guards for abbreviations and name initials.
     """
     spans: list[tuple[int, int]] = []
+    boundaries = _BOUNDARY_RE.finditer(text)
     start = 0
-    for m in _BOUNDARY_RE.finditer(text):
-        if not _is_sentence_break(text, m.start(1), m.end(1), m.end()):
-            continue
-        spans.append((start, m.end(1)))
-        start = m.end()
-    if start < len(text):
-        spans.append((start, len(text)))
-    trimmed = []
-    for s, e in spans:
-        while s < e and text[s].isspace():
-            s += 1
-        while e > s and text[e - 1].isspace():
-            e -= 1
+    while start < len(text):
+        s, e, start = _sentence_at(text, start, boundaries)
         if s < e:
-            trimmed.append((s, e))
-    return trimmed
+            spans.append((s, e))
+    return spans
 
 
 def extract_funding_sentences(
     ack_text: str | None, lexicon: FunderLexicon, pub_id: str = ""
 ) -> list[FundingSentence]:
-    """The sentences of ``ack_text`` that mention the funder, in order."""
+    """The sentences of ``ack_text`` that mention the funder, in order.
+
+    Boundaries are classified only around mentions. From a sentence start,
+    the next mention anywhere in the text is found first. The sentences
+    before it hold no mention, since that search is leftmost, so only the
+    boundaries between the start and the mention are walked, backwards to
+    the last break, and then forwards to the first break at or after the
+    mention. That one sentence is searched for a mention within its own
+    bounds, and the walk goes on after it. A text without a mention
+    classifies no boundary.
+    """
     if not ack_text:
         return []
-    # every span starts at 0 or after whitespace and the search stops at
-    # its end, so searching in place sees what searching the slice sees
-    mentions = lexicon.mention_pattern.search
-    return [
-        FundingSentence(pub_id=pub_id, text=ack_text[start:end], span=(start, end))
-        for start, end in split_sentences(ack_text)
-        if mentions(ack_text, start, end)
-    ]
+    find = lexicon.find_mention
+    sentences = []
+    start = 0
+    while (mention := find(ack_text, start)) is not None:
+        boundaries = _BOUNDARY_RE.finditer(ack_text, start)
+        before: list[re.Match[str]] = []
+        for m in boundaries:
+            if m.end() > mention.start():
+                # the first boundary not before the mention may end its sentence
+                boundaries = itertools.chain((m,), boundaries)
+                break
+            before.append(m)
+        for m in reversed(before):
+            if _is_sentence_break(ack_text, m.start(1), m.end(1), m.end()):
+                start = m.end()
+                break
+        s, e, start = _sentence_at(ack_text, start, boundaries)
+        # every sentence starts at 0 or after whitespace and ends before
+        # whitespace or at the text end, so searching in place sees what
+        # searching the slice sees
+        if find(ack_text, s, e) is not None:
+            sentences.append(FundingSentence(pub_id=pub_id, text=ack_text[s:e], span=(s, e)))
+    return sentences
 
 
 _ORDINAL_WORDS = (
@@ -308,12 +379,34 @@ class _SentenceView:
         return cls(span=sentence.span, stripped=stripped, tokens=frozenset(stripped.split()))
 
 
-def _variant_occurs(stripped: str, view: _SentenceView) -> bool:
-    """Whether an edge-stripped variant occurs in the sentence: a whole
-    token when short, else word-bounded. The empty variant never does."""
-    if len(stripped) <= SHORT_VARIANT_LIMIT:
-        return stripped in view.tokens
-    return contains_bounded(stripped, view.stripped)
+def _best_hit(
+    forms: frozenset[str], views: list[_SentenceView]
+) -> tuple[str, tuple[int, int]] | None:
+    """The longest of ``forms`` that occurs in a sentence, the greatest on
+    ties, with the first span it occurs in; None when none occurs.
+
+    A form occurs where its edge-stripped form does: as a whole token
+    when short, else word-bounded. Forms that strip alike occur in the
+    same sentences, so each stripped form is tested once, for its longest
+    raw form. A form made only of edge punctuation never occurs.
+    """
+    # in (len, form) order, so the longest raw form, the greatest on ties, is kept
+    by_stripped = {strip_token_punct(f): f for f in sorted(sorted(forms), key=len)}
+    by_stripped.pop("", None)
+    short = {f for f in by_stripped if len(f) <= SHORT_VARIANT_LIMIT}
+    long = [f for f in by_stripped if len(f) > SHORT_VARIANT_LIMIT]
+    first_span: dict[str, tuple[int, int]] = {}
+    for view in views:
+        found = short & view.tokens
+        # the C-level substring test rules out most forms before the
+        # word-edge check
+        found.update(f for f in long if f in view.stripped and contains_bounded(f, view.stripped))
+        for f in found:
+            first_span[f] = min(first_span.get(f, view.span), view.span)
+    if not first_span:
+        return None
+    best = max(first_span, key=lambda f: (len(by_stripped[f]), by_stripped[f]))
+    return by_stripped[best], first_span[best]
 
 
 def match_funded_authors(
@@ -336,21 +429,15 @@ def match_funded_authors(
             (MatchKind.NAME, variant_set.variants),
             (MatchKind.ORDINAL, variant_set.ordinal_phrases),
         ):
-            stripped_forms = [(form, strip_token_punct(form)) for form in forms]
-            hits = [
-                (form, view.span)
-                for view in views
-                for form, stripped in stripped_forms
-                if _variant_occurs(stripped, view)
-            ]
-            if hits:
-                evidence = max((form for form, _ in hits), key=lambda v: (len(v), v))
+            hit = _best_hit(forms, views)
+            if hit is not None:
+                evidence, span = hit
                 funded.append(
                     FundedAuthorship(
                         pub_id=record.pub_id,
                         author_position=author.position,
                         evidence=evidence,
-                        sentence_span=min(span for form, span in hits if form == evidence),
+                        sentence_span=span,
                         match_kind=kind,
                     )
                 )

@@ -61,7 +61,7 @@ def record_acknowledges_funder(record: PublicationRecord, lexicon: FunderLexicon
             return True
     return bool(
         record.acknowledgment_text
-        and lexicon.mention_pattern.search(record.acknowledgment_text)
+        and lexicon.find_mention(record.acknowledgment_text) is not None
     )
 
 

@@ -11,7 +11,9 @@ so "(c.l.)," in a sentence and the variant "c.l." meet as "c.l".
 org names and funders, and each distinct string is normalized once per
 process. The memo is unbounded on purpose. It holds one normalized copy
 of each distinct input string, and a run already holds every record
-those strings come from in memory.
+those strings come from in memory. ``strip_accents`` returns ASCII text
+as it is, since NFKD changes no ASCII character and none is a combining
+mark; most names and acknowledgments take that path.
 """
 from __future__ import annotations
 
@@ -25,6 +27,8 @@ _EDGE_PUNCT = ".,;:!?()[]{}\"'"
 
 def strip_accents(text: str) -> str:
     """Decompose and drop combining marks: "Zürich" -> "Zurich"."""
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

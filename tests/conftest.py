@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -83,6 +85,17 @@ def make_record(
         authors=authors,
         field_weights=tuple(FieldWeight(f, w) for f, w in weights),
     )
+
+
+def load_bench_gen(monkeypatch):
+    """``bench/gen.py``, the benchmark's corpus generator, loaded by path.
+    It is registered in ``sys.modules`` first, as its dataclasses need."""
+    path = DATA_DIR.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("fundmob_bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field, replace
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from fundmob import ackminer
 from fundmob.ackminer import (
     _ABBREVIATIONS,
     FundedAuthorship,
@@ -22,9 +23,10 @@ from fundmob.ackminer import (
 )
 from fundmob.textnorm import contains_bounded, normalize_text, strip_token_punct
 
-from fundmob.corpus import Authorship, PublicationRecord
+from fundmob.corpus import Authorship, PublicationRecord, parse_corpus
+from fundmob.periods import record_acknowledges_funder
 
-from .conftest import make_author, make_record
+from .conftest import DATA_DIR, load_bench_gen, make_author, make_record
 
 
 WORKED_EXAMPLE = (
@@ -61,6 +63,17 @@ class TestLexicon:
         path.write_text("# nothing here\n")
         with pytest.raises(ValueError):
             FunderLexicon.load(path)
+
+    def test_variant_without_letter_or_digit_rejected(self, tmp_path):
+        # "--" would match in "2019 -- 2020" and mark the record funded
+        with pytest.raises(ValueError, match="'--'"):
+            FunderLexicon("China Scholarship Council", ("China Scholarship Council", "--"))
+        path = tmp_path / "lex.txt"
+        path.write_text("China Scholarship Council\n--\n")
+        with pytest.raises(ValueError, match="'--'"):
+            FunderLexicon.load(path)
+        # one letter or one digit is enough
+        assert FunderLexicon("CSC", ("CSC", "(C.S.C.)", "985")).variants[2] == "985"
 
 
 class TestDetectFunderMention:
@@ -442,11 +455,39 @@ def reference_split_sentences(text):
     return trimmed
 
 
+# reference_detect_funder_mention is the detector as it was with one named
+# group per variant and a lookbehind for the left word edge. Neither lets re
+# scan for the variants' prefixes, so it is slower, but it is the definition
+# the prefix-scannable pattern and its left-edge check must reproduce.
+
+
+def _reference_mention_pattern(lexicon):
+    ordered = sorted(lexicon.variants, key=lambda v: (-len(v), v))
+    parts = []
+    for i, variant in enumerate(ordered):
+        words = r"\s+".join(re.escape(w) for w in variant.split())
+        parts.append(f"(?P<v{i}>{words})")
+    body = "|".join(parts)
+    # [^\W_] is str.isalnum, the word-character rule of contains_bounded
+    return ordered, re.compile(rf"(?<![^\W_])(?:{body})(?![^\W_])", re.IGNORECASE)
+
+
+def reference_detect_funder_mention(text, lexicon):
+    if not text:
+        return []
+    ordered, pattern = _reference_mention_pattern(lexicon)
+    matches = []
+    for m in pattern.finditer(text):
+        group_name = next(name for name, val in m.groupdict().items() if val is not None)
+        matches.append((ordered[int(group_name[1:])], m.span()))
+    return matches
+
+
 def reference_funding_sentences(text, lexicon, pub_id=""):
     return [
         FundingSentence(pub_id=pub_id, text=text[s:e], span=(s, e))
         for s, e in reference_split_sentences(text)
-        if detect_funder_mention(text[s:e], lexicon)
+        if reference_detect_funder_mention(text[s:e], lexicon)
     ]
 
 
@@ -479,6 +520,14 @@ _LEXICON = FunderLexicon(
 )
 
 
+# about 80k characters and 1,000 sentences, every one naming the funder
+_LONG_ACKNOWLEDGMENT = " ".join(
+    f"Long Chen thanks Dr. Wang, X.H. Li, e.g. the CSC scholarship "
+    f"(No. {i:05d}) and others."
+    for i in range(1000)
+)
+
+
 class TestSplitterOracle:
     @given(_texts)
     def test_split_sentences_equals_reference(self, text):
@@ -501,19 +550,130 @@ class TestSplitterOracle:
         assert split_sentences(text) == reference_split_sentences(text)
 
     def test_long_acknowledgment_splits_in_linear_time(self):
-        # about 80k characters and 1,000 sentences; the slicing reference
-        # re-scans the text at every boundary and takes seconds here
-        text = " ".join(
-            f"Long Chen thanks Dr. Wang, X.H. Li, e.g. the CSC scholarship "
-            f"(No. {i:05d}) and others."
-            for i in range(1000)
-        )
+        # the slicing reference re-scans the text at every boundary and
+        # takes seconds here
+        text = _LONG_ACKNOWLEDGMENT
         assert 75_000 <= len(text) <= 85_000
         start = time.perf_counter()
         spans = split_sentences(text)
         elapsed = time.perf_counter() - start
         assert len(spans) == 1000
         assert elapsed < 1.0
+
+
+# -- the funder scan and extraction across lexicons -------------------------
+#
+# Three lexicons: the stock one; one whose short variant is a prefix of a
+# longer one; and one with a variant that crosses a sentence end, so that a
+# mention found in the whole text can straddle two sentences.
+
+_ORACLE_LEXICONS = (
+    FunderLexicon.load(DATA_DIR / "lexicon_csc.txt"),
+    FunderLexicon("CSC", ("CSC", "CSC scholarship")),
+    FunderLexicon("China Scholarship Council", (
+        "China Scholarship Council", "Scholarship Council. The", "CSC",
+    )),
+)
+# word characters to glue onto the variants (letters, digits, "_", accented
+# letters), whitespace runs, and the splitter's pieces around sentence ends
+_GLUE = st.one_of(_SPLIT_PIECES, st.sampled_from(["_", "9", "Z", " ", "\t", "\n\n", ". ", ". The ", ".  the "]))
+_GAPS = st.sampled_from([" ", "  ", "\t", "\n", "\n\n\n", " \t\n"])
+_CASES = st.sampled_from([str, str.upper, str.lower, str.swapcase, str.title])
+
+
+@st.composite
+def lexicon_texts(draw):
+    """A lexicon of _ORACLE_LEXICONS and a text gluing its variants, in
+    mixed case and with whitespace runs between their words, to other
+    pieces."""
+    lexicon = draw(st.sampled_from(_ORACLE_LEXICONS))
+    pieces = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            first, *rest = draw(st.sampled_from(lexicon.variants)).split()
+            pieces.append(draw(_CASES)(first + "".join(draw(_GAPS) + word for word in rest)))
+        else:
+            pieces.append(draw(_GLUE))
+    return lexicon, "".join(pieces)
+
+
+class TestFunderScanOracle:
+    @given(lexicon_texts())
+    def test_detect_funder_mention_equals_reference(self, drawn):
+        lexicon, text = drawn
+        assert detect_funder_mention(text, lexicon) == reference_detect_funder_mention(text, lexicon)
+
+    @given(lexicon_texts())
+    def test_record_acknowledges_funder_equals_reference(self, drawn):
+        lexicon, text = drawn
+        record = make_record("f", (make_author(1, "Chen", first="Long"),), ack=text)
+        assert record_acknowledges_funder(record, lexicon) == bool(
+            reference_detect_funder_mention(text, lexicon)
+        )
+
+    @given(lexicon_texts())
+    def test_funding_sentences_equal_reference_across_lexicons(self, drawn):
+        lexicon, text = drawn
+        assert extract_funding_sentences(text, lexicon, pub_id="p") == (
+            reference_funding_sentences(text, lexicon, pub_id="p")
+        )
+
+    def test_variant_across_a_sentence_end_is_not_a_funding_sentence(self):
+        lexicon = _ORACLE_LEXICONS[2]
+        text = "We thank the China Scholarship Council. The reviewers helped."
+        assert [m[0] for m in detect_funder_mention(text, lexicon)] == ["China Scholarship Council"]
+        text = "We thank the Scholarship Council. The reviewers helped."
+        assert [m[0] for m in detect_funder_mention(text, lexicon)] == ["Scholarship Council. The"]
+        assert extract_funding_sentences(text, lexicon) == []
+
+
+def test_bench_corpora_mine_as_the_references(monkeypatch):
+    """On every acknowledgment of the three benchmark workloads (seed 5),
+    extraction equals the slicing reference with the reference detector,
+    and matching equals the reference matcher."""
+    gen = load_bench_gen(monkeypatch)
+    lexicon = _ORACLE_LEXICONS[0]
+    for workload in gen.WORKLOADS:
+        records = parse_corpus(gen.generate(workload, 5, DATA_DIR).lines).records
+        for record in records:
+            sentences = extract_funding_sentences(record.acknowledgment_text, lexicon, record.pub_id)
+            assert sentences == reference_funding_sentences(
+                record.acknowledgment_text or "", lexicon, record.pub_id
+            )
+            assert match_funded_authors(record, sentences) == reference_match_funded_authors(
+                record, sentences, variants_of=generate_name_variants
+            )
+
+
+_FILLER = "We thank Dr. Smith, X.H. Li and e.g. the reviewers (No. 7). Data were collected in 2015! "
+
+
+@pytest.mark.parametrize("text, classified", [
+    # no mention: no boundary is looked at
+    (_FILLER * 40, 0),
+    # one mention after 80 sentences: only the break right before it
+    (_FILLER * 40 + "Long Chen thanks the CSC scholarship.", 1),
+], ids=["no-mention", "mention-after-80-sentences"])
+def test_extraction_classifies_boundaries_only_around_mentions(monkeypatch, lexicon, text, classified):
+    calls = []
+    is_break = ackminer._is_sentence_break
+
+    def counting(*args):
+        calls.append(args)
+        return is_break(*args)
+
+    monkeypatch.setattr(ackminer, "_is_sentence_break", counting)
+    sentences = extract_funding_sentences(text, lexicon)
+    assert len(calls) == classified
+    assert sentences == reference_funding_sentences(text, lexicon)
+
+
+def test_long_acknowledgment_extracts_in_linear_time(lexicon):
+    start = time.perf_counter()
+    sentences = extract_funding_sentences(_LONG_ACKNOWLEDGMENT, lexicon)
+    elapsed = time.perf_counter() - start
+    assert len(sentences) == 1000
+    assert elapsed < 1.0
 
 
 # -- metamorphic properties of mining ---------------------------------------

@@ -1,9 +1,7 @@
 import dataclasses
-import importlib.util
 import itertools
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +23,7 @@ from fundmob.disambig import (
 )
 from fundmob.textnorm import normalize_text
 
-from .conftest import DATA_DIR, make_author, make_record
+from .conftest import DATA_DIR, load_bench_gen, make_author, make_record
 
 WEIGHTS = ScoringWeights(
     email=10, affiliation=2, coauthor=4, funder=1, first_name=2, threshold=5
@@ -641,17 +639,6 @@ def test_cluster_corpus_equals_all_pairs_reference(scenario, weights):
 
 
 # -- work counters at 1x and 4x a benchmark corpus ------------------------------
-
-
-def load_bench_gen(monkeypatch):
-    """``bench/gen.py``, the benchmark's corpus generator, loaded by path.
-    It is registered in ``sys.modules`` first, as its dataclasses need."""
-    path = DATA_DIR.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("fundmob_bench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_normalizations_per_authorship_do_not_grow_with_the_corpus(monkeypatch):

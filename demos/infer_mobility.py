@@ -69,7 +69,7 @@ cluster = ResearcherCluster(
     members=frozenset((r.pub_id, 1) for r in records),
     display_name="Chen, Long",
 )
-lexicon = FunderLexicon("China Scholarship Council", ("China Scholarship Council",))
+lexicon = FunderLexicon(("China Scholarship Council",))
 funded_ids = funded_pub_ids(records, lexicon)
 result = label_corpus([cluster], funded_ids, CorpusIndex(records))
 window = result.windows["chen"]

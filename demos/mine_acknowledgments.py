@@ -17,6 +17,7 @@ from fundmob.ackminer import (
     extract_funding_sentences,
     generate_name_variants,
     match_funded_authors,
+    ordinal_phrases,
 )
 from fundmob.corpus import Affiliation, Authorship, DocType, PublicationRecord
 
@@ -38,7 +39,7 @@ for variant, span in detect_funder_mention(ack, lexicon):
     print(f"  {variant!r} at {span}")
 
 print("\nstep 2: funding sentences")
-sentences = extract_funding_sentences(ack, lexicon, pub_id="demo")
+sentences = extract_funding_sentences(ack, lexicon)
 for sentence in sentences:
     print(f"  span {sentence.span}: {sentence.text!r}")
 
@@ -59,10 +60,9 @@ record = PublicationRecord(
 
 print("\nstep 3: name variants per author")
 for author in record.authors:
-    variants = generate_name_variants(author, author.position)
     print(f"  {author.full_name} (position {author.position}):")
-    print("    names:   ", ", ".join(sorted(variants.variants)))
-    print("    ordinals:", ", ".join(sorted(variants.ordinal_phrases)))
+    print("    names:   ", ", ".join(sorted(generate_name_variants(author))))
+    print("    ordinals:", ", ".join(sorted(ordinal_phrases(author.position))))
 
 print("\nstep 4: matched funded authorships")
 for match in match_funded_authors(record, sentences):

@@ -7,7 +7,6 @@ from .ackminer import (
     FundedAuthorship,
     FunderLexicon,
     FundingSentence,
-    NameVariantSet,
     detect_funder_mention,
     extract_funding_sentences,
     generate_name_variants,

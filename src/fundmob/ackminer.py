@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import contains_bounded, normalize_text, strip_token_punct
@@ -43,14 +43,14 @@ from .textnorm import contains_bounded, normalize_text, strip_token_punct
 
 @dataclass(frozen=True)
 class FunderLexicon:
-    """Canonical funder name plus the surface variants to search for."""
+    """The surface variants of the target funder's name to search for."""
 
-    canonical_name: str
     variants: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.canonical_name.strip():
-            raise ValueError("canonical funder name is empty")
+        # no variants would compile to a pattern that matches everywhere
+        if not self.variants:
+            raise ValueError("lexicon has no variants")
         seen: set[str] = set()
         for variant in self.variants:
             if not variant.strip():
@@ -65,11 +65,8 @@ class FunderLexicon:
 
     @classmethod
     def load(cls, path: str | Path) -> "FunderLexicon":
-        """Plain-text lexicon: one variant per line, first line canonical."""
-        lines = [line for _, line in config_lines(path)]
-        if not lines:
-            raise ValueError(f"lexicon file {path} has no variants")
-        return cls(canonical_name=lines[0], variants=tuple(lines))
+        """Plain-text lexicon: one variant per line."""
+        return cls(tuple(line for _, line in config_lines(path)))
 
     @cached_property
     def variant_keys(self) -> frozenset[str]:
@@ -122,7 +119,6 @@ class FunderLexicon:
 
 @dataclass(frozen=True)
 class FundingSentence:
-    pub_id: str
     text: str
     span: tuple[int, int]
 
@@ -130,13 +126,6 @@ class FundingSentence:
 class MatchKind(Enum):
     NAME = "NameMatch"
     ORDINAL = "OrdinalMatch"
-
-
-@dataclass(frozen=True)
-class NameVariantSet:
-    author_position: int
-    variants: frozenset[str]
-    ordinal_phrases: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -246,7 +235,7 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
 
 def extract_funding_sentences(
-    ack_text: str | None, lexicon: FunderLexicon, pub_id: str = ""
+    ack_text: str | None, lexicon: FunderLexicon
 ) -> list[FundingSentence]:
     """The sentences of ``ack_text`` that mention the funder, in order.
 
@@ -282,7 +271,7 @@ def extract_funding_sentences(
         # whitespace or at the text end, so searching in place sees what
         # searching the slice sees
         if find(ack_text, s, e) is not None:
-            sentences.append(FundingSentence(pub_id=pub_id, text=ack_text[s:e], span=(s, e)))
+            sentences.append(FundingSentence(text=ack_text[s:e], span=(s, e)))
     return sentences
 
 
@@ -306,7 +295,7 @@ def ordinal_phrases(position: int) -> set[str]:
     return phrases
 
 
-def generate_name_variants(author: Authorship, position: int) -> NameVariantSet:
+def generate_name_variants(author: Authorship) -> frozenset[str]:
     """Expand one authorship into the surface forms matched in sentences.
 
     Covers full-name orders ("long chen", "chen long"), surname-plus-
@@ -356,11 +345,7 @@ def generate_name_variants(author: Authorship, position: int) -> NameVariantSet:
         variants.add("".join(surname_first))
         variants.add("".join(f"{ch}." for ch in surname_first))
 
-    return NameVariantSet(
-        author_position=position,
-        variants=frozenset(variants),
-        ordinal_phrases=frozenset(ordinal_phrases(position)),
-    )
+    return frozenset(variants)
 
 
 #: Variants at or below this stripped length only match whole tokens.
@@ -380,7 +365,7 @@ class _SentenceView:
 
 
 def _best_hit(
-    forms: frozenset[str], views: list[_SentenceView]
+    forms: Iterable[str], views: list[_SentenceView]
 ) -> tuple[str, tuple[int, int]] | None:
     """The longest of ``forms`` that occurs in a sentence, the greatest on
     ties, with the first span it occurs in; None when none occurs.
@@ -424,10 +409,9 @@ def match_funded_authors(
     views = [_SentenceView.of(s) for s in sentences]
     funded = []
     for author in record.authors:
-        variant_set = generate_name_variants(author, author.position)
         for kind, forms in (
-            (MatchKind.NAME, variant_set.variants),
-            (MatchKind.ORDINAL, variant_set.ordinal_phrases),
+            (MatchKind.NAME, generate_name_variants(author)),
+            (MatchKind.ORDINAL, ordinal_phrases(author.position)),
         ):
             hit = _best_hit(forms, views)
             if hit is not None:
@@ -449,7 +433,5 @@ def mine_record(
     record: PublicationRecord, lexicon: FunderLexicon
 ) -> tuple[list[FundingSentence], list[FundedAuthorship]]:
     """The funding sentences of one record and the authors they credit."""
-    sentences = extract_funding_sentences(
-        record.acknowledgment_text, lexicon, pub_id=record.pub_id
-    )
+    sentences = extract_funding_sentences(record.acknowledgment_text, lexicon)
     return sentences, match_funded_authors(record, sentences)

@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--input", required=True, help="line-delimited JSON corpus")
     parser.add_argument("--lexicon", required=True,
-                        help="funder lexicon, one variant per line, first line canonical")
+                        help="funder lexicon, one surface form per line, at least one")
     parser.add_argument("--surnames", required=True,
                         help="romanized mainland-Chinese surnames, one per line")
     parser.add_argument("--field-map", required=True,

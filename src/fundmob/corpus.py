@@ -10,6 +10,7 @@ marked Unknown.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -134,10 +135,10 @@ class CountryAliases:
     def load(cls, path: str | Path) -> "CountryAliases":
         """Read a two-column delimited file: raw_name<TAB>code per line."""
         aliases: dict[str, str] = {}
-        for _, line in config_lines(path):
+        for line_no, line in config_lines(path):
             raw, _, code = line.partition("\t")
             if not code:
-                raise ValueError(f"malformed alias line (need raw<TAB>code): {line!r}")
+                raise ValueError(f"malformed alias line {line_no} (need raw<TAB>code): {line!r}")
             aliases[raw.strip()] = code.strip()
         return cls(aliases)
 
@@ -306,14 +307,29 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
     )
 
 
+#: a JSON escape of a UTF-16 surrogate code unit, paired or not
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _is_utf8(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def parse_corpus(
     lines: Iterable[str], aliases: CountryAliases | None = None
 ) -> ParseResult:
     """Parse a line-delimited record stream.
 
     Malformed lines become :class:`ParseIssue` entries with their 1-based
-    line number. Raises :class:`CorpusParseError` only when the stream had
-    content but not a single record parsed.
+    line number. So does a line holding a lone surrogate, whether raw (an
+    undecodable byte, as :func:`load_corpus` passes it on) or as a JSON
+    escape: no artifact could encode it. Raises :class:`CorpusParseError`
+    only when the stream had content but not a single record parsed.
     """
     result = ParseResult()
     saw_content = False
@@ -323,7 +339,15 @@ def parse_corpus(
             continue
         saw_content = True
         try:
-            record = record_from_dict(json.loads(line), aliases)
+            # ASCII lines, most of a corpus, hold neither kind of surrogate
+            if not line.isascii() and not _is_utf8(line):
+                raise RecordError("line is not valid UTF-8")
+            obj = json.loads(line)
+            if _SURROGATE_ESCAPE_RE.search(line) and not _is_utf8(
+                json.dumps(obj, ensure_ascii=False)
+            ):
+                raise RecordError("a string holds a lone surrogate escape")
+            record = record_from_dict(obj, aliases)
         except json.JSONDecodeError as exc:
             result.errors.append(ParseIssue(line_no, f"invalid JSON: {exc.msg}"))
             continue
@@ -352,7 +376,9 @@ def parse_corpus(
 
 
 def load_corpus(path: str | Path, aliases: CountryAliases | None = None) -> ParseResult:
-    with open(path, encoding="utf-8") as handle:
+    """Parse a UTF-8 corpus file. An undecodable byte becomes a lone
+    surrogate, so its line alone is reported (see :func:`parse_corpus`)."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         return parse_corpus(handle, aliases)
 
 

@@ -90,13 +90,11 @@ def load_overrides(path: str | Path) -> list[ManualOverride]:
         parts = line.split("\t")
         if len(parts) != 5 or parts[4].upper() not in ("MERGE", "SPLIT"):
             raise ValueError(f"bad override on line {line_no}: {line!r}")
-        overrides.append(
-            ManualOverride(
-                a=(parts[0], int(parts[1])),
-                b=(parts[2], int(parts[3])),
-                action=parts[4].upper(),
-            )
-        )
+        try:
+            a, b = (parts[0], int(parts[1])), (parts[2], int(parts[3]))
+        except ValueError:
+            raise ValueError(f"override position on line {line_no} is not an integer: {line!r}") from None
+        overrides.append(ManualOverride(a=a, b=b, action=parts[4].upper()))
     return overrides
 
 
@@ -284,6 +282,13 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def most_frequent(values: Iterable[str]) -> str:
+    """The most frequent of ``values``, the smallest on ties."""
+    counts = Counter(values)
+    best = max(counts.values())
+    return min(value for value, count in counts.items() if count == best)
+
+
 def _make_clusters(
     groups: Iterable[Sequence[AuthorshipKey]], index: CorpusIndex
 ) -> list[ResearcherCluster]:
@@ -291,15 +296,11 @@ def _make_clusters(
     for members in groups:
         ordered = sorted(members)
         anchor = ordered[0]
-        names = Counter(index.author(key).full_name for key in ordered)
-        # most frequent full name; ties broken by lexicographically smallest
-        best_count = max(names.values())
-        display = min(name for name, count in names.items() if count == best_count)
         clusters.append(
             ResearcherCluster(
                 cluster_id=f"{anchor[0]}#{anchor[1]}",
                 members=frozenset(ordered),
-                display_name=display,
+                display_name=most_frequent(index.author(key).full_name for key in ordered),
             )
         )
     return sorted(clusters, key=lambda c: min(c.members))

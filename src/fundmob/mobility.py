@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import MAINLAND_CHINA, UNKNOWN_COUNTRY, config_lines
-from .disambig import CorpusIndex, ResearcherCluster
+from .disambig import CorpusIndex, ResearcherCluster, most_frequent
 from .textnorm import normalize_text
 
 
@@ -34,27 +34,37 @@ class Rule(Enum):
     NO_FOREIGN_SIGNAL = "NoForeignSignal"
 
 
-_DESTINATION_RULES = frozenset({
-    Rule.OWN_SINGLE_FOREIGN,
-    Rule.OWN_CHINA_PLUS_ONE,
-    Rule.COAUTHOR_SINGLE_FOREIGN,
-})
+#: the outcome each rule decides
+_RULE_OUTCOMES = {
+    Rule.OWN_SINGLE_FOREIGN: Outcome.DESTINATION,
+    Rule.OWN_CHINA_PLUS_ONE: Outcome.DESTINATION,
+    Rule.COAUTHOR_SINGLE_FOREIGN: Outcome.DESTINATION,
+    Rule.MULTI_FOREIGN_OWN: Outcome.UNIDENTIFIED_MULTI_FOREIGN,
+    Rule.NO_FOREIGN_SIGNAL: Outcome.UNIDENTIFIED_CHINA_ONLY,
+}
 
 
 @dataclass(frozen=True)
 class MobilityAssignment:
+    """The rule that fired for one scholar, and the destination it found.
+
+    The outcome follows from the rule alone; ``destination`` is set
+    exactly when that outcome is Destination, and is never mainland China.
+    """
+
     cluster_id: str
-    outcome: Outcome
     rule_fired: Rule
     destination: str | None = None
 
     def __post_init__(self) -> None:
         if self.destination == MAINLAND_CHINA:
             raise ValueError("mainland China cannot be a mobility destination")
-        if (self.outcome is Outcome.DESTINATION) != (self.rule_fired in _DESTINATION_RULES):
-            raise ValueError("outcome inconsistent with fired rule")
         if (self.destination is not None) != (self.outcome is Outcome.DESTINATION):
             raise ValueError("destination set iff outcome is Destination")
+
+    @property
+    def outcome(self) -> Outcome:
+        return _RULE_OUTCOMES[self.rule_fired]
 
 
 @dataclass(frozen=True)
@@ -75,11 +85,7 @@ class SurnameList:
 
 def modal_surname(cluster: ResearcherCluster, index: CorpusIndex) -> str:
     """Most frequent normalized surname; ties break lexicographically."""
-    counts = Counter(
-        normalize_text(index.author(key).last_name) for key in cluster.members
-    )
-    best = max(counts.values())
-    return min(name for name, count in counts.items() if count == best)
+    return most_frequent(normalize_text(index.author(key).last_name) for key in cluster.members)
 
 
 def is_mainland_chinese_scholar(
@@ -128,27 +134,16 @@ def infer_destination(
     foreign_coauthor = set(coauthor) - {MAINLAND_CHINA}
 
     if len(own_set) == 1 and own_set != {MAINLAND_CHINA}:
-        return MobilityAssignment(
-            cluster_id, Outcome.DESTINATION, Rule.OWN_SINGLE_FOREIGN,
-            destination=next(iter(own_set)),
-        )
+        return MobilityAssignment(cluster_id, Rule.OWN_SINGLE_FOREIGN, next(iter(own_set)))
     if len(own_set) == 2 and MAINLAND_CHINA in own_set:
-        return MobilityAssignment(
-            cluster_id, Outcome.DESTINATION, Rule.OWN_CHINA_PLUS_ONE,
-            destination=next(iter(foreign_own)),
-        )
+        return MobilityAssignment(cluster_id, Rule.OWN_CHINA_PLUS_ONE, next(iter(foreign_own)))
     if own_set <= {MAINLAND_CHINA} and len(foreign_coauthor) == 1:
         return MobilityAssignment(
-            cluster_id, Outcome.DESTINATION, Rule.COAUTHOR_SINGLE_FOREIGN,
-            destination=next(iter(foreign_coauthor)),
+            cluster_id, Rule.COAUTHOR_SINGLE_FOREIGN, next(iter(foreign_coauthor))
         )
     if len(foreign_own) >= 2:
-        return MobilityAssignment(
-            cluster_id, Outcome.UNIDENTIFIED_MULTI_FOREIGN, Rule.MULTI_FOREIGN_OWN
-        )
-    return MobilityAssignment(
-        cluster_id, Outcome.UNIDENTIFIED_CHINA_ONLY, Rule.NO_FOREIGN_SIGNAL
-    )
+        return MobilityAssignment(cluster_id, Rule.MULTI_FOREIGN_OWN)
+    return MobilityAssignment(cluster_id, Rule.NO_FOREIGN_SIGNAL)
 
 
 def assign_mobility(
@@ -190,10 +185,10 @@ def aggregate_flows(assignments: Sequence[MobilityAssignment]) -> FlowTable:
 def load_field_map(path: str | Path) -> dict[str, str]:
     """Tab-delimited field map: field_id<TAB>top-level field name."""
     mapping: dict[str, str] = {}
-    for _, line in config_lines(path):
+    for line_no, line in config_lines(path):
         field_id, _, name = line.partition("\t")
         if not name:
-            raise ValueError(f"malformed field map line: {line!r}")
+            raise ValueError(f"malformed field map line {line_no}: {line!r}")
         mapping[field_id.strip()] = name.strip()
     return mapping
 
@@ -207,21 +202,19 @@ class FieldDestinations:
 
 
 def scholar_field_profile(
-    cluster: ResearcherCluster,
+    during_pub_ids: set[str],
     index: CorpusIndex,
     field_map: Mapping[str, str],
-    during_pub_ids: set[str],
 ) -> dict[str, float]:
-    """Unit-mass field profile from during-sponsorship publications.
+    """Unit-mass field profile from a scholar's during-sponsorship
+    publications.
 
     Field weights are mapped to top-level fields, summed over the
     scholar's during papers, then normalized so each scholar contributes
     exactly one scholar-unit split across fields.
     """
     raw: dict[str, float] = {}
-    for pub_id in sorted({key[0] for key in cluster.members}):
-        if pub_id not in during_pub_ids:
-            continue
+    for pub_id in sorted(during_pub_ids):
         for fw in index.record(pub_id).field_weights:
             top = field_map.get(fw.field_id)
             if top is None:
@@ -235,7 +228,6 @@ def scholar_field_profile(
 
 def top_destinations_by_field(
     assignments: Sequence[MobilityAssignment],
-    clusters: Mapping[str, ResearcherCluster],
     index: CorpusIndex,
     field_map: Mapping[str, str],
     during_by_cluster: Mapping[str, set[str]],
@@ -251,9 +243,8 @@ def top_destinations_by_field(
     for assignment in assignments:
         if assignment.outcome is not Outcome.DESTINATION:
             continue
-        cluster = clusters[assignment.cluster_id]
         profile = scholar_field_profile(
-            cluster, index, field_map, during_by_cluster.get(assignment.cluster_id, set())
+            during_by_cluster.get(assignment.cluster_id, set()), index, field_map
         )
         if not profile:
             excluded += 1

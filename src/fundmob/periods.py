@@ -39,7 +39,6 @@ class PeriodLabel:
 
 @dataclass(frozen=True)
 class SponsorshipWindow:
-    cluster_id: str
     first_funded_date: PubDate
     last_funded_date: PubDate
 
@@ -85,7 +84,6 @@ def compute_window(
     if not funded_dates:
         raise NoFundedPapers(cluster.cluster_id)
     return SponsorshipWindow(
-        cluster_id=cluster.cluster_id,
         first_funded_date=min(funded_dates, key=lambda d: d.date),
         last_funded_date=max(funded_dates, key=lambda d: d.date),
     )
@@ -110,22 +108,19 @@ def classify_publication(
     return Label.EXCLUDED_WINDOW_GAP
 
 
-def reconcile_multi_scholar(
-    funded: bool, per_scholar: Mapping[str, Label]
-) -> dict[str, Label]:
-    """Final labels for one record shared by several funded scholars.
+def reconcile_multi_scholar(labels: Iterable[Label]) -> Label:
+    """The single label of one record shared by several funded scholars,
+    from their per-scholar labels (:func:`classify_publication`).
 
-    Funder-acknowledging records are During for everyone. Otherwise the
-    label stands only when every scholar agrees on it; any disagreement
-    (including window-gap vs. before/after mixtures) excludes the record
-    as conflicting.
+    The label stands only when every scholar agrees on it; any
+    disagreement (including window-gap vs. before/after mixtures) excludes
+    the record as conflicting. A funder-acknowledging record is During for
+    every scholar already, so it stays During.
     """
-    if funded:
-        return {cid: Label.DURING for cid in per_scholar}
-    labels = set(per_scholar.values())
-    if len(labels) == 1:
-        return dict(per_scholar)
-    return {cid: Label.EXCLUDED_CONFLICT for cid in per_scholar}
+    distinct = set(labels)
+    if len(distinct) == 1:
+        return distinct.pop()
+    return Label.EXCLUDED_CONFLICT
 
 
 @dataclass
@@ -164,8 +159,7 @@ def label_corpus(
     pairs: list[PeriodLabel] = []
     record_labels: dict[str, Label] = {}
     for pub_id in sorted(per_record):
-        final = reconcile_multi_scholar(pub_id in funded_ids, per_record[pub_id])
-        for cid in sorted(final):
-            pairs.append(PeriodLabel(pub_id=pub_id, cluster_id=cid, label=final[cid]))
-        record_labels[pub_id] = next(iter(final.values()))
+        label = reconcile_multi_scholar(per_record[pub_id].values())
+        pairs.extend(PeriodLabel(pub_id, cid, label) for cid in sorted(per_record[pub_id]))
+        record_labels[pub_id] = label
     return LabelingResult(pairs, windows, record_labels, dates)

@@ -13,7 +13,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import ackminer, corpus, disambig, indicators, mobility, periods
 
@@ -115,16 +115,24 @@ def run_pipeline(config: PipelineConfig) -> dict:
     problems = validate_config(config)
     if problems:
         raise ConfigError(problems)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    aliases = corpus.CountryAliases.load(config.country_aliases)
-    lexicon = ackminer.FunderLexicon.load(config.lexicon)
-    surnames = mobility.SurnameList.load(config.surnames)
-    field_map = mobility.load_field_map(config.field_map)
-    weights = disambig.ScoringWeights.load(config.disambig_config)
+    def load(label: str, loader: Callable, path: Path):
+        try:
+            return loader(path)
+        except ValueError as exc:
+            problems.append(f"{label} file {path}: {exc}")
+
+    aliases = load("country aliases", corpus.CountryAliases.load, config.country_aliases)
+    lexicon = load("lexicon", ackminer.FunderLexicon.load, config.lexicon)
+    surnames = load("surnames", mobility.SurnameList.load, config.surnames)
+    field_map = load("field map", mobility.load_field_map, config.field_map)
+    weights = load("disambiguation config", disambig.ScoringWeights.load, config.disambig_config)
     overrides = (
-        disambig.load_overrides(config.overrides) if config.overrides else None
+        load("overrides", disambig.load_overrides, config.overrides) if config.overrides else None
     )
+    if problems:
+        raise ConfigError(problems)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
 
     parsed = corpus.load_corpus(config.input, aliases)
     for issue in parsed.errors:
@@ -176,9 +184,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         key=lambda a: a.cluster_id,
     )
     flows = mobility.aggregate_flows(assignments)
-    cluster_map = {c.cluster_id: c for c in clusters}
     top_dest = mobility.top_destinations_by_field(
-        assignments, cluster_map, index, field_map, during_by_cluster, k=config.top_k
+        assignments, index, field_map, during_by_cluster, k=config.top_k
     )
 
     identified_record_ids = {f.pub_id for f in funded_authorships}

@@ -26,14 +26,11 @@ def data_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def lexicon() -> FunderLexicon:
-    return FunderLexicon(
-        canonical_name="China Scholarship Council",
-        variants=(
-            "China Scholarship Council",
-            "CSC scholarship",
-            "Chinese Scholarship Council",
-        ),
-    )
+    return FunderLexicon((
+        "China Scholarship Council",
+        "CSC scholarship",
+        "Chinese Scholarship Council",
+    ))
 
 
 def make_author(

@@ -1,6 +1,6 @@
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -12,7 +12,6 @@ from fundmob.ackminer import (
     FunderLexicon,
     FundingSentence,
     MatchKind,
-    NameVariantSet,
     detect_funder_mention,
     extract_funding_sentences,
     generate_name_variants,
@@ -51,12 +50,18 @@ class TestNormalize:
 class TestLexicon:
     def test_load_bundled_lexicon(self, data_dir):
         lexicon = FunderLexicon.load(data_dir / "lexicon_csc.txt")
-        assert lexicon.canonical_name == "China Scholarship Council"
-        assert "CSC scholarship" in lexicon.variants
+        assert lexicon.variants == (
+            "China Scholarship Council", "CSC scholarship", "Chinese Scholarship Council",
+        )
 
     def test_duplicate_variants_rejected(self):
         with pytest.raises(ValueError):
-            FunderLexicon("CSC", ("CSC", "csc"))
+            FunderLexicon(("CSC", "csc"))
+
+    def test_no_variants_rejected(self):
+        # such a lexicon's pattern would match the empty string everywhere
+        with pytest.raises(ValueError, match="no variants"):
+            FunderLexicon(())
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -67,13 +72,13 @@ class TestLexicon:
     def test_variant_without_letter_or_digit_rejected(self, tmp_path):
         # "--" would match in "2019 -- 2020" and mark the record funded
         with pytest.raises(ValueError, match="'--'"):
-            FunderLexicon("China Scholarship Council", ("China Scholarship Council", "--"))
+            FunderLexicon(("China Scholarship Council", "--"))
         path = tmp_path / "lex.txt"
         path.write_text("China Scholarship Council\n--\n")
         with pytest.raises(ValueError, match="'--'"):
             FunderLexicon.load(path)
         # one letter or one digit is enough
-        assert FunderLexicon("CSC", ("CSC", "(C.S.C.)", "985")).variants[2] == "985"
+        assert FunderLexicon(("CSC", "(C.S.C.)", "985")).variants[2] == "985"
 
 
 class TestDetectFunderMention:
@@ -106,7 +111,7 @@ class TestDetectFunderMention:
         assert detect_funder_mention("(China Scholarship Council)", lexicon)
 
     def test_longest_variant_wins_at_overlap(self):
-        lexicon = FunderLexicon("CSC", ("CSC", "CSC scholarship"))
+        lexicon = FunderLexicon(("CSC", "CSC scholarship"))
         matches = detect_funder_mention("the CSC scholarship", lexicon)
         assert [m[0] for m in matches] == ["CSC scholarship"]
 
@@ -114,7 +119,7 @@ class TestDetectFunderMention:
 class TestSentenceSplitting:
     def test_worked_example_extracts_second_sentence(self, lexicon):
         text = "We thank X. " + WORKED_EXAMPLE
-        sentences = extract_funding_sentences(text, lexicon, pub_id="w")
+        sentences = extract_funding_sentences(text, lexicon)
         assert len(sentences) == 1
         assert sentences[0].text == WORKED_EXAMPLE
         start, end = sentences[0].span
@@ -174,46 +179,42 @@ class TestSentenceSplitting:
 class TestNameVariants:
     def test_chen_long(self):
         author = make_author(2, "Chen", first="Long")
-        variants = generate_name_variants(author, 2)
         expected = {"chen long", "long chen", "chen. l", "c.l.", "cl"}
-        assert expected <= set(variants.variants)
-        assert "the second author" in variants.ordinal_phrases
+        assert expected <= generate_name_variants(author)
 
     def test_bernreuther_werner(self):
         author = make_author(1, "Bernreuther", first="Werner")
-        variants = generate_name_variants(author, 1)
         expected = {"bernreuther werner", "werner bernreuther", "b.w.", "bw"}
-        assert expected <= set(variants.variants)
-        assert "the first author" in variants.ordinal_phrases
+        assert expected <= generate_name_variants(author)
 
     def test_initials_only_li(self):
         author = make_author(3, "Li", initials="X-H")
-        variants = generate_name_variants(author, 3)
+        variants = generate_name_variants(author)
         expected = {"li x-h", "li xh", "x.h. li"}
-        assert expected <= set(variants.variants)
-        assert "the third author" in variants.ordinal_phrases
+        assert expected <= variants
         # no invented full given name: every variant derives from the
         # surname and the initials
-        for variant in variants.variants:
+        for variant in variants:
             for token in variant.replace(",", "").split():
                 assert set(token) <= set("lixh.-")
 
     def test_hyphenated_given_name(self):
         author = make_author(1, "Wang", first="Zhi-Chao")
-        variants = generate_name_variants(author, 1)
         expected = {"z.-c. wang", "zc", "z.c.", "zhichao wang", "wang zhi-chao"}
-        assert expected <= set(variants.variants)
+        assert expected <= generate_name_variants(author)
 
     def test_initial_plus_surname_form(self):
         author = make_author(1, "Chen", first="Long")
-        assert "l. chen" in generate_name_variants(author, 1).variants
+        assert "l. chen" in generate_name_variants(author)
 
     def test_variants_are_normalized(self):
         author = make_author(1, "MÜLLER", first="Sören")
-        for variant in generate_name_variants(author, 1).variants:
+        for variant in generate_name_variants(author):
             assert variant == normalize_text(variant)
 
     def test_ordinal_word_and_numeric_forms(self):
+        assert ordinal_phrases(1) == {"the first author", "the 1st author"}
+        assert ordinal_phrases(3) == {"the third author", "the 3rd author"}
         assert ordinal_phrases(2) == {"the second author", "the 2nd author"}
         assert ordinal_phrases(11) == {"the 11th author"}
         assert ordinal_phrases(23) == {"the 23rd author"}
@@ -325,14 +326,12 @@ class TestMatchFundedAuthors:
         record = worked_example_record()
         for match in mine_record(record, lexicon)[1]:
             author = record.authors[match.author_position - 1]
-            variants = generate_name_variants(author, author.position)
-            assert match.evidence in variants.variants
+            assert match.evidence in generate_name_variants(author)
 
     def test_returns_the_funding_sentences_behind_the_matches(self, lexicon):
         record = worked_example_record()
         sentences, matches = mine_record(record, lexicon)
         assert [s.span for s in sentences] == [matches[0].sentence_span]
-        assert all(s.pub_id == record.pub_id for s in sentences)
 
     def test_no_acknowledgment_gives_nothing(self, lexicon):
         record = make_record("r9", (make_author(1, "Chen", first="Long"),))
@@ -367,7 +366,6 @@ def random_authors(draw):
 ]))
 def test_matches_are_sorted_unique_positions(authors, ack):
     lexicon = FunderLexicon(
-        "China Scholarship Council",
         ("China Scholarship Council", "CSC scholarship", "Chinese Scholarship Council"),
     )
     record = make_record("h1", authors, ack=ack)
@@ -379,9 +377,7 @@ def test_matches_are_sorted_unique_positions(authors, ack):
 
 @given(random_authors(), st.sampled_from(_SURNAMES), st.sampled_from(_FIRSTS))
 def test_adding_author_never_removes_matches(authors, extra_last, extra_first):
-    lexicon = FunderLexicon(
-        "China Scholarship Council", ("China Scholarship Council",)
-    )
+    lexicon = FunderLexicon(("China Scholarship Council",))
     ack = "Long Chen and Wei Li thank the China Scholarship Council."
     base = make_record("h2", authors, ack=ack)
     extended = make_record(
@@ -483,9 +479,9 @@ def reference_detect_funder_mention(text, lexicon):
     return matches
 
 
-def reference_funding_sentences(text, lexicon, pub_id=""):
+def reference_funding_sentences(text, lexicon):
     return [
-        FundingSentence(pub_id=pub_id, text=text[s:e], span=(s, e))
+        FundingSentence(text=text[s:e], span=(s, e))
         for s, e in reference_split_sentences(text)
         if reference_detect_funder_mention(text[s:e], lexicon)
     ]
@@ -515,7 +511,6 @@ _sentence_texts = st.lists(
 ).map(lambda parts: "".join(words + end for words, end in parts))
 _texts = st.one_of(st.lists(_SPLIT_PIECES, max_size=40).map("".join), _sentence_texts)
 _LEXICON = FunderLexicon(
-    "China Scholarship Council",
     ("China Scholarship Council", "CSC scholarship", "Chinese Scholarship Council"),
 )
 
@@ -535,9 +530,7 @@ class TestSplitterOracle:
 
     @given(_texts)
     def test_funding_sentences_equal_reference(self, text):
-        assert extract_funding_sentences(text, _LEXICON, pub_id="p") == (
-            reference_funding_sentences(text, _LEXICON, pub_id="p")
-        )
+        assert extract_funding_sentences(text, _LEXICON) == reference_funding_sentences(text, _LEXICON)
 
     @pytest.mark.parametrize("text", [
         "Thanks to Dr\n. Smith for help.",
@@ -569,10 +562,8 @@ class TestSplitterOracle:
 
 _ORACLE_LEXICONS = (
     FunderLexicon.load(DATA_DIR / "lexicon_csc.txt"),
-    FunderLexicon("CSC", ("CSC", "CSC scholarship")),
-    FunderLexicon("China Scholarship Council", (
-        "China Scholarship Council", "Scholarship Council. The", "CSC",
-    )),
+    FunderLexicon(("CSC", "CSC scholarship")),
+    FunderLexicon(("China Scholarship Council", "Scholarship Council. The", "CSC")),
 )
 # word characters to glue onto the variants (letters, digits, "_", accented
 # letters), whitespace runs, and the splitter's pieces around sentence ends
@@ -614,9 +605,7 @@ class TestFunderScanOracle:
     @given(lexicon_texts())
     def test_funding_sentences_equal_reference_across_lexicons(self, drawn):
         lexicon, text = drawn
-        assert extract_funding_sentences(text, lexicon, pub_id="p") == (
-            reference_funding_sentences(text, lexicon, pub_id="p")
-        )
+        assert extract_funding_sentences(text, lexicon) == reference_funding_sentences(text, lexicon)
 
     def test_variant_across_a_sentence_end_is_not_a_funding_sentence(self):
         lexicon = _ORACLE_LEXICONS[2]
@@ -636,10 +625,8 @@ def test_bench_corpora_mine_as_the_references(monkeypatch):
     for workload in gen.WORKLOADS:
         records = parse_corpus(gen.generate(workload, 5, DATA_DIR).lines).records
         for record in records:
-            sentences = extract_funding_sentences(record.acknowledgment_text, lexicon, record.pub_id)
-            assert sentences == reference_funding_sentences(
-                record.acknowledgment_text or "", lexicon, record.pub_id
-            )
+            sentences = extract_funding_sentences(record.acknowledgment_text, lexicon)
+            assert sentences == reference_funding_sentences(record.acknowledgment_text or "", lexicon)
             assert match_funded_authors(record, sentences) == reference_match_funded_authors(
                 record, sentences, variants_of=generate_name_variants
             )
@@ -796,8 +783,9 @@ def test_renaming_an_unfunded_author_leaves_the_others_unchanged(authors, fundin
 #
 # The functions below are the matcher as it was when every variant was
 # compared with each sentence twice, verbatim and with token-edge punctuation
-# stripped. Apart from the renames and the ``variants_of`` parameter they are
-# copied unchanged. Comparing the stripped forms alone finds the same matches
+# stripped. Apart from the renames, the ``variants_of`` parameter and the
+# plumbing of the variant set (a plain frozenset, with the positional phrases
+# taken from ``ordinal_phrases``) they are copied unchanged. Comparing the stripped forms alone finds the same matches
 # except for variants made only of edge punctuation ("((" from the given name
 # "(a) (b)"), which the verbatim pass let match a punctuation-only token.
 
@@ -820,7 +808,7 @@ def _reference_initial_letters(author: Authorship) -> list[str]:
     return []
 
 
-def reference_generate_name_variants(author: Authorship, position: int) -> NameVariantSet:
+def reference_generate_name_variants(author: Authorship) -> frozenset[str]:
     """Expand one authorship into the surface forms matched in sentences.
 
     Covers full-name orders ("long chen", "chen long"), surname-plus-
@@ -868,11 +856,7 @@ def reference_generate_name_variants(author: Authorship, position: int) -> NameV
         variants.add("".join(surname_first))
         variants.add("".join(f"{ch}." for ch in surname_first))
 
-    return NameVariantSet(
-        author_position=position,
-        variants=frozenset(variants),
-        ordinal_phrases=frozenset(ordinal_phrases(position)),
-    )
+    return frozenset(variants)
 
 
 #: Variants at or below this stripped length only match whole tokens.
@@ -925,9 +909,8 @@ def reference_match_funded_authors(
     views = [_ReferenceSentenceView.of(s) for s in sentences]
     funded = []
     for author in record.authors:
-        variant_set = variants_of(author, author.position)
-        variants = _reference_with_stripped(variant_set.variants)
-        phrases = _reference_with_stripped(variant_set.ordinal_phrases)
+        variants = _reference_with_stripped(variants_of(author))
+        phrases = _reference_with_stripped(ordinal_phrases(author.position))
         name_hits: list[tuple[str, tuple[int, int]]] = []
         ordinal_hits: list[tuple[str, tuple[int, int]]] = []
         for view in views:
@@ -970,10 +953,9 @@ def reference_token_forms(text: str) -> set[str]:
     return forms
 
 
-def _without_punctuation_only(author, position):
+def _without_punctuation_only(author):
     """The reference variants minus those that strip to nothing."""
-    full = reference_generate_name_variants(author, position)
-    return replace(full, variants=frozenset(v for v in full.variants if strip_token_punct(v)))
+    return frozenset(v for v in reference_generate_name_variants(author) if strip_token_punct(v))
 
 
 # letters with and without accents (one that case-folds to two letters, one
@@ -1005,13 +987,13 @@ def oracle_sentences(draw, authors):
     pool = ["we", "thank", "the second author", "The 1st author", "((", "-", ".", "(", ")", ","]
     for author in authors:
         pool += [author.last_name, author.first_name or "", author.initials or ""]
-        pool += sorted(reference_generate_name_variants(author, author.position).variants)
+        pool += sorted(reference_generate_name_variants(author))
     pieces = st.tuples(st.sampled_from(pool), st.sampled_from(["", " ", ", ", ". ", " (", ") ", "-"]))
     case = draw(st.sampled_from([str, str.upper, str.title]))
     sentences = []
     for k in range(draw(st.integers(1, 3))):
         text = case("".join(p + sep for p, sep in draw(st.lists(pieces, max_size=8))))
-        sentences.append(FundingSentence(pub_id="o", text=text, span=(100 * k, 100 * k + len(text))))
+        sentences.append(FundingSentence(text=text, span=(100 * k, 100 * k + len(text))))
     return sentences
 
 
@@ -1019,9 +1001,7 @@ class TestMatcherOracle:
     @given(oracle_authors())
     def test_name_variants_equal_reference(self, authors):
         for author in authors:
-            assert generate_name_variants(author, author.position) == (
-                reference_generate_name_variants(author, author.position)
-            )
+            assert generate_name_variants(author) == reference_generate_name_variants(author)
 
     @given(oracle_authors(), st.data())
     def test_matches_equal_reference_without_punctuation_only_variants(self, authors, data):
@@ -1033,7 +1013,7 @@ class TestMatcherOracle:
 
     def test_punctuation_only_variant_credits_nobody(self, lexicon):
         author = make_author(1, "Chen", first="(a) (b)")
-        assert "((" in generate_name_variants(author, 1).variants
+        assert "((" in generate_name_variants(author)
         record = make_record(
             "o", (author,), ack="We thank (( for support from the China Scholarship Council."
         )

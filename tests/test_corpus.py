@@ -11,7 +11,9 @@ from fundmob.corpus import (
     CountryAliases,
     DateSource,
     DocType,
+    ParseIssue,
     filter_documents,
+    load_corpus,
     parse_corpus,
     record_from_dict,
     resolve_pub_date,
@@ -213,6 +215,31 @@ class TestParseCorpus:
         assert [r.pub_id for r in result.records] == ["W1"]
         assert [e.line_no for e in result.errors] == [1]
 
+    def test_invalid_utf8_line_is_a_parse_issue(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join([
+            line().encode(),
+            line(pub_id="W2").encode().replace(b'"T"', b'"T\xff"'),
+            line(pub_id="W3").replace('"T"', '"Té"').encode(),
+        ]))
+        result = load_corpus(path)
+        assert [r.pub_id for r in result.records] == ["W1", "W3"]
+        assert result.errors == [ParseIssue(2, "line is not valid UTF-8")]
+
+    @pytest.mark.parametrize("field", ["pub_id", "title", "acknowledgment_text"])
+    @pytest.mark.parametrize("escape", ["\ud800", "\udfff", "x\udc00y"], ids=["high", "low", "inside"])
+    def test_lone_surrogate_escape_is_a_parse_issue(self, field, escape):
+        bad = line(**{"pub_id": "W2", field: escape})
+        assert "\\ud" in bad   # json.dumps writes the surrogate as an escape
+        result = parse_corpus([line(), bad])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [2]
+
+    def test_paired_surrogate_escape_reads_as_one_character(self):
+        result = parse_corpus([line(title="\U0001F600")])
+        assert result.errors == []
+        assert result.records[0].title == "\U0001F600"
+
     @pytest.mark.parametrize("email, stored", [
         (" ", None), ("\t\n", None), ("", None), (None, None),
         ("  Long.Chen@x.org ", "Long.Chen@x.org"),
@@ -409,12 +436,17 @@ def test_to_dict_from_dict_roundtrip(obj):
     assert record_from_dict(_record_as_dict(record)) == record
 
 
-_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+# st.text() never draws a surrogate, so one is spliced in half the time;
+# json.dumps writes it as a "\ud800"-style escape
+_json_texts = st.text(max_size=8) | st.tuples(
+    st.text(max_size=3), st.integers(0xD800, 0xDFFF).map(chr), st.text(max_size=3)
+).map("".join)
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _json_texts
 # scalars half the time: left to itself, st.recursive draws mostly containers
 _json_values = _json_scalars | st.recursive(
     _json_scalars,
     lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    | st.dictionaries(_json_texts, children, max_size=3),
     max_leaves=8,
 )
 
@@ -443,7 +475,35 @@ def mutated_records(draw):
     return json.dumps(obj)
 
 
-_other_lines = _json_values.map(json.dumps) | st.text(max_size=30)
+@st.composite
+def undecodable_lines(draw):
+    """A record line or some text with bytes that are not valid UTF-8
+    spliced in, decoded as :func:`load_corpus` decodes a file: each such
+    byte becomes a lone surrogate."""
+    raw = draw(mutated_records() | st.text(max_size=30)).encode()
+    at = draw(st.integers(0, len(raw)))
+    bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]))
+    return (raw[:at] + bad + raw[at:]).decode("utf-8", "surrogateescape")
+
+
+_other_lines = _json_values.map(json.dumps) | st.text(max_size=30) | undecodable_lines()
+
+
+def _parsed(parse, source):
+    """The records and issues of a parse, also when it raises."""
+    try:
+        result = parse(source)
+    except CorpusParseError as exc:
+        return [], exc.errors
+    return result.records, result.errors
+
+
+def _is_utf8(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 # a crash may need one field set to one kind of value, so this runs more
@@ -452,16 +512,23 @@ _other_lines = _json_values.map(json.dumps) | st.text(max_size=30)
 @given(
     st.lists(mutated_records(), max_size=3), st.lists(_other_lines, max_size=3), st.data()
 )
-def test_every_line_is_a_record_or_a_parse_issue(record_lines, other_lines, data):
+def test_every_line_is_a_record_or_a_parse_issue(tmp_path_factory, record_lines, other_lines, data):
     lines = data.draw(st.permutations(record_lines + other_lines))
     content = [no for no, text in enumerate(lines, start=1) if text.strip()]
-    try:
-        result = parse_corpus(lines)
-    except CorpusParseError as exc:
-        issues, n_records = exc.errors, 0
-    else:
-        issues, n_records = result.errors, len(result.records)
+    records, issues = _parsed(parse_corpus, lines)
     issue_lines = [issue.line_no for issue in issues]
     assert len(set(issue_lines)) == len(issue_lines)
     assert set(issue_lines) <= set(content)
-    assert n_records + len(issues) == len(content)
+    assert len(records) + len(issues) == len(content)
+    # no surrogate, raw or escaped, gets into a record, where it would
+    # fail the UTF-8 artifact writer
+    assert {no for no in content if not _is_utf8(lines[no - 1])} <= set(issue_lines)
+    for record in records:
+        assert _is_utf8(json.dumps(dataclasses.asdict(record), default=str, ensure_ascii=False))
+    # the same lines as the bytes of a file, where no line holds a line break
+    if not any("\n" in text or "\r" in text for text in lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        from_file = _parsed(load_corpus, path)
+        assert from_file[0] == records
+        assert [issue.line_no for issue in from_file[1]] == issue_lines

@@ -19,6 +19,7 @@ from fundmob.disambig import (
     cluster_corpus,
     indexed_features,
     load_overrides,
+    most_frequent,
     score_pair,
 )
 from fundmob.textnorm import normalize_text
@@ -358,6 +359,15 @@ class TestClusterBlock:
         ]
         clusters = cluster_block([("a", 1), ("b", 1)], CorpusIndex(records), WEIGHTS)
         assert clusters[0].display_name == "Chen, Long"
+
+
+class TestMostFrequent:
+    def test_most_frequent_value_wins(self):
+        assert most_frequent(["b", "a", "b"]) == "b"
+
+    def test_tie_breaks_to_smallest(self):
+        assert most_frequent(["li", "lee", "li", "lee", "chen"]) == "lee"
+        assert most_frequent(["Chen, Long", "Chen, L."]) == "Chen, L."
 
 
 @given(st.integers(2, 10), st.integers(0, 2**32 - 1))

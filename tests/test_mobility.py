@@ -2,6 +2,8 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
 from fundmob.disambig import CorpusIndex, ResearcherCluster
 from fundmob.mobility import (
     FlowTable,
@@ -148,6 +150,35 @@ class TestInferDestination:
         assert a.destination == "HK"
 
 
+_OUTCOME_OF = {
+    Rule.OWN_SINGLE_FOREIGN: Outcome.DESTINATION,
+    Rule.OWN_CHINA_PLUS_ONE: Outcome.DESTINATION,
+    Rule.COAUTHOR_SINGLE_FOREIGN: Outcome.DESTINATION,
+    Rule.MULTI_FOREIGN_OWN: Outcome.UNIDENTIFIED_MULTI_FOREIGN,
+    Rule.NO_FOREIGN_SIGNAL: Outcome.UNIDENTIFIED_CHINA_ONLY,
+}
+_DESTINATION_RULES = {rule for rule, outcome in _OUTCOME_OF.items() if outcome is Outcome.DESTINATION}
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("rule", list(Rule))
+    def test_every_rule_has_an_outcome(self, rule):
+        destination = "US" if rule in _DESTINATION_RULES else None
+        assert MobilityAssignment("c", rule, destination).outcome is _OUTCOME_OF[rule]
+
+    @pytest.mark.parametrize("rule", list(Rule))
+    def test_destination_set_exactly_for_destination(self, rule):
+        with pytest.raises(ValueError, match="destination set iff"):
+            if rule in _DESTINATION_RULES:
+                MobilityAssignment("c", rule)
+            else:
+                MobilityAssignment("c", rule, "US")
+
+    def test_mainland_china_is_never_a_destination(self):
+        with pytest.raises(ValueError, match="mainland China"):
+            MobilityAssignment("c", Rule.OWN_SINGLE_FOREIGN, "CN")
+
+
 def oracle_decision(own: frozenset, coauthor: frozenset):
     """Independent decision table: five mutually-exclusive predicates."""
     foreign_own = own - {"CN"}
@@ -215,11 +246,11 @@ class TestAggregateFlows:
 
     def test_counts_and_order(self):
         assignments = [
-            MobilityAssignment("c1", Outcome.DESTINATION, Rule.OWN_SINGLE_FOREIGN, "US"),
-            MobilityAssignment("c2", Outcome.DESTINATION, Rule.OWN_SINGLE_FOREIGN, "US"),
-            MobilityAssignment("c3", Outcome.DESTINATION, Rule.OWN_CHINA_PLUS_ONE, "US"),
-            MobilityAssignment("c4", Outcome.DESTINATION, Rule.OWN_SINGLE_FOREIGN, "DE"),
-            MobilityAssignment("c5", Outcome.UNIDENTIFIED_CHINA_ONLY, Rule.NO_FOREIGN_SIGNAL),
+            MobilityAssignment("c1", Rule.OWN_SINGLE_FOREIGN, "US"),
+            MobilityAssignment("c2", Rule.OWN_SINGLE_FOREIGN, "US"),
+            MobilityAssignment("c3", Rule.OWN_CHINA_PLUS_ONE, "US"),
+            MobilityAssignment("c4", Rule.OWN_SINGLE_FOREIGN, "DE"),
+            MobilityAssignment("c5", Rule.NO_FOREIGN_SIGNAL),
         ]
         flows = aggregate_flows(assignments)
         assert flows.destinations == (("US", 3), ("DE", 1))
@@ -227,9 +258,9 @@ class TestAggregateFlows:
 
     def test_conservation(self):
         assignments = [
-            MobilityAssignment("c1", Outcome.DESTINATION, Rule.OWN_SINGLE_FOREIGN, "US"),
-            MobilityAssignment("c2", Outcome.UNIDENTIFIED_MULTI_FOREIGN, Rule.MULTI_FOREIGN_OWN),
-            MobilityAssignment("c3", Outcome.UNIDENTIFIED_CHINA_ONLY, Rule.NO_FOREIGN_SIGNAL),
+            MobilityAssignment("c1", Rule.OWN_SINGLE_FOREIGN, "US"),
+            MobilityAssignment("c2", Rule.MULTI_FOREIGN_OWN),
+            MobilityAssignment("c3", Rule.NO_FOREIGN_SIGNAL),
         ]
         assert aggregate_flows(assignments).total == len(assignments)
 
@@ -238,7 +269,7 @@ FIELD_MAP = {"fa": "Field A", "fb": "Field B"}
 
 
 def destination(cid, code):
-    return MobilityAssignment(cid, Outcome.DESTINATION, Rule.OWN_SINGLE_FOREIGN, code)
+    return MobilityAssignment(cid, Rule.OWN_SINGLE_FOREIGN, code)
 
 
 def top_destinations_fixture():
@@ -250,12 +281,6 @@ def top_destinations_fixture():
         make_record("r4", (make_author(1, "Li"),), weights=(("fb", 1.0),)),
         make_record("r5", (make_author(1, "Sun"),)),
     ]
-    clusters = {
-        "s1": cluster_for("s1", [("r1", 1)]),
-        "s2": cluster_for("s2", [("r2", 1)]),
-        "s3": cluster_for("s3", [("r3", 1), ("r4", 1)]),
-        "s4": cluster_for("s4", [("r5", 1)]),
-    }
     during = {"s1": {"r1"}, "s2": {"r2"}, "s3": {"r3", "r4"}, "s4": {"r5"}}
     assignments = [
         destination("s1", "US"),
@@ -263,15 +288,14 @@ def top_destinations_fixture():
         destination("s3", "DE"),
         destination("s4", "NL"),
     ]
-    return records, clusters, during, assignments
+    return records, during, assignments
 
 
 class TestTopDestinations:
     def test_single_scholar_single_field(self):
         records = [make_record("r", (make_author(1, "Chen"),), weights=(("fa", 1.0),))]
-        clusters = {"s": cluster_for("s", [("r", 1)])}
         result = top_destinations_by_field(
-            [destination("s", "US")], clusters, CorpusIndex(records),
+            [destination("s", "US")], CorpusIndex(records),
             FIELD_MAP, {"s": {"r"}}, k=10,
         )
         assert result.per_field == {"Field A": [("US", 1.0)]}
@@ -280,9 +304,8 @@ class TestTopDestinations:
     def test_even_split_contributes_half_to_each(self):
         records = [make_record("r", (make_author(1, "Chen"),),
                                weights=(("fa", 0.5), ("fb", 0.5)))]
-        clusters = {"s": cluster_for("s", [("r", 1)])}
         result = top_destinations_by_field(
-            [destination("s", "US")], clusters, CorpusIndex(records),
+            [destination("s", "US")], CorpusIndex(records),
             FIELD_MAP, {"s": {"r"}}, k=10,
         )
         assert result.per_field == {
@@ -291,10 +314,10 @@ class TestTopDestinations:
         }
 
     def test_four_scholar_fixture_matches_hand_table(self):
-        records, clusters, during, assignments = top_destinations_fixture()
+        records, during, assignments = top_destinations_fixture()
         index = CorpusIndex(records)
         result = top_destinations_by_field(
-            assignments, clusters, index, FIELD_MAP, during, k=10
+            assignments, index, FIELD_MAP, during, k=10
         )
         # hand-computed: s1 splits 0.6/0.4; s2 adds 1.0 to A; s3 has two
         # during papers, one per field, so 0.5 each; s4 has no weights
@@ -303,29 +326,27 @@ class TestTopDestinations:
         assert result.excluded_scholars == 1
 
     def test_matrix_mass_conserved(self):
-        records, clusters, during, assignments = top_destinations_fixture()
+        records, during, assignments = top_destinations_fixture()
         index = CorpusIndex(records)
         # k covers every destination, so no ranking is cut
         k = len({a.destination for a in assignments})
         result = top_destinations_by_field(
-            assignments, clusters, index, FIELD_MAP, during, k=k
+            assignments, index, FIELD_MAP, during, k=k
         )
         total = sum(n for ranking in result.per_field.values() for _, n in ranking)
         scholars_with_weights = len(assignments) - result.excluded_scholars
         assert abs(total - scholars_with_weights) < 1e-9
 
     def test_profile_normalizes_to_unit_mass(self):
-        records, clusters, during, _ = top_destinations_fixture()
-        index = CorpusIndex(records)
-        profile = scholar_field_profile(clusters["s3"], index, FIELD_MAP, during["s3"])
+        records, during, _ = top_destinations_fixture()
+        profile = scholar_field_profile(during["s3"], CorpusIndex(records), FIELD_MAP)
         assert abs(sum(profile.values()) - 1.0) < 1e-12
 
     def test_unmapped_field_ids_ignored(self):
         records = [make_record("r", (make_author(1, "Chen"),),
                                weights=(("mystery", 1.0),))]
-        clusters = {"s": cluster_for("s", [("r", 1)])}
         result = top_destinations_by_field(
-            [destination("s", "US")], clusters, CorpusIndex(records),
+            [destination("s", "US")], CorpusIndex(records),
             FIELD_MAP, {"s": {"r"}}, k=10,
         )
         assert result.per_field == {}

@@ -147,30 +147,40 @@ class TestClassifyPublication:
 
 class TestReconcile:
     def test_unanimous_before(self):
-        labels = reconcile_multi_scholar(False, {"a": Label.BEFORE, "b": Label.BEFORE})
-        assert labels == {"a": Label.BEFORE, "b": Label.BEFORE}
+        assert reconcile_multi_scholar([Label.BEFORE, Label.BEFORE]) is Label.BEFORE
+
+    @pytest.mark.parametrize("label", list(Label))
+    def test_unanimous_label_stands(self, label):
+        assert reconcile_multi_scholar([label] * 3) is label
 
     def test_before_after_conflict(self):
-        labels = reconcile_multi_scholar(False, {"a": Label.BEFORE, "b": Label.AFTER})
-        assert set(labels.values()) == {Label.EXCLUDED_CONFLICT}
-
-    def test_funded_overrides_everything(self):
-        labels = reconcile_multi_scholar(True, {"a": Label.BEFORE, "b": Label.AFTER})
-        assert set(labels.values()) == {Label.DURING}
+        assert reconcile_multi_scholar([Label.BEFORE, Label.AFTER]) is Label.EXCLUDED_CONFLICT
 
     def test_gap_and_before_is_conflict(self):
-        labels = reconcile_multi_scholar(
-            False, {"a": Label.EXCLUDED_WINDOW_GAP, "b": Label.BEFORE}
-        )
-        assert set(labels.values()) == {Label.EXCLUDED_CONFLICT}
+        labels = [Label.EXCLUDED_WINDOW_GAP, Label.BEFORE]
+        assert reconcile_multi_scholar(labels) is Label.EXCLUDED_CONFLICT
 
     def test_single_scholar_label_stands(self):
-        labels = reconcile_multi_scholar(False, {"a": Label.EXCLUDED_WINDOW_GAP})
-        assert labels == {"a": Label.EXCLUDED_WINDOW_GAP}
+        assert reconcile_multi_scholar([Label.EXCLUDED_WINDOW_GAP]) is Label.EXCLUDED_WINDOW_GAP
 
     @pytest.mark.parametrize("funded", [False, True])
-    def test_no_scholars_gives_no_labels(self, funded):
-        assert reconcile_multi_scholar(funded, {}) == {}
+    def test_funded_shared_paper_is_during_for_both_scholars(self, lexicon, funded):
+        # "a" is funded in 2014 and "b" in 2018; the shared paper of 2016
+        # is After for "a" and Before for "b" unless it acknowledges the
+        # funder, which puts it inside both windows
+        records = [
+            make_record("a1", (make_author(1, "A"),), funding=CSC, doi_created=date(2014, 1, 1)),
+            make_record("b1", (make_author(1, "B"),), funding=CSC, doi_created=date(2018, 1, 1)),
+            make_record("s", (make_author(1, "A"), make_author(2, "B")),
+                        funding=CSC if funded else (), doi_created=date(2016, 1, 1)),
+        ]
+        clusters = [cluster_for("a", [("a1", 1), ("s", 1)]), cluster_for("b", [("b1", 1), ("s", 2)])]
+        result = label_corpus(clusters, funded_pub_ids(records, lexicon), CorpusIndex(records))
+        expected = Label.DURING if funded else Label.EXCLUDED_CONFLICT
+        assert [(p.cluster_id, p.label) for p in result.pairs if p.pub_id == "s"] == [
+            ("a", expected), ("b", expected),
+        ]
+        assert result.record_labels["s"] is expected
 
 
 # -- randomized equivalence with a direct transcription of the rules ---------

@@ -118,6 +118,18 @@ class TestRunPipeline:
         assert manifest["stages"]["records_in"] == 1
         assert manifest["stages"]["parse_errors"] == 1
 
+    def test_undecodable_byte_and_lone_surrogate_are_parse_errors(self, data_dir, tmp_path):
+        good = (data_dir / "demo" / "corpus.jsonl").read_bytes().splitlines()
+        record = json.loads(good[1])
+        record["pub_id"] = "\ud800"
+        corpus = tmp_path / "bytes.jsonl"
+        corpus.write_bytes(b"\n".join([
+            good[0], good[1].replace(b"Article", b"Art\xffcle"), json.dumps(record).encode(), b"",
+        ]))
+        manifest = run_pipeline(demo_config(data_dir, tmp_path / "out", input=corpus))
+        assert manifest["stages"]["records_in"] == 1
+        assert manifest["stages"]["parse_errors"] == 2
+
     def test_manifest_conservation(self, data_dir, tmp_path):
         manifest = run_pipeline(demo_config(data_dir, tmp_path / "out"))
         stages = manifest["stages"]
@@ -164,6 +176,32 @@ class TestCli:
         code = main(args)
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_cli_config_content_errors_exit_2_naming_every_file(self, data_dir, tmp_path, capsys):
+        # in the order the pipeline loads them
+        bad = {
+            "--country-aliases": "# raw<TAB>code\nGermany DE\n",
+            "--lexicon": "# no surface forms\n",
+            "--surnames": "\n",
+            "--field-map": "phys\tPhysics\nchem Chemistry\n",
+            "--disambig-config": "email = ten\n",
+            "--overrides": "W1\tx\tW2\t1\tMERGE\n",
+        }
+        args = self.common_args(data_dir, tmp_path / "out") + ["--overrides", ""]
+        for flag, text in bad.items():
+            path = tmp_path / flag.strip("-")
+            path.write_text(text)
+            args[args.index(flag) + 1] = str(path)
+        code = main(args)
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == len(bad)
+        for flag, error in zip(bad, errors):
+            assert error.startswith("config error: ")
+            assert str(tmp_path / flag.strip("-")) in error
+        assert "line 2" in errors[0] and "line 2" in errors[3]
+        assert "line 1" in errors[4] and "line 1" in errors[5]
+        assert not (tmp_path / "out").exists()
 
     def test_cli_all_bad_lines_exit_nonzero(self, data_dir, tmp_path, capsys):
         corpus = tmp_path / "broken.jsonl"

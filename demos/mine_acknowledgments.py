@@ -1,9 +1,9 @@
 """Walk through the acknowledgment-mining method step by step.
 
 Shows, on a two-author physics paper, how the funded author is found:
-detect funder mentions, keep the sentences containing them, expand each
-author into name variants and positional phrases, then match those
-against the funding sentences.
+find each funder mention (the text it matched and where), keep the
+sentences containing them, expand each author into name variants and
+positional phrases, then match those against the funding sentences.
 
 Run from the repository root:
 
@@ -13,7 +13,6 @@ from pathlib import Path
 
 from fundmob.ackminer import (
     FunderLexicon,
-    detect_funder_mention,
     extract_funding_sentences,
     generate_name_variants,
     match_funded_authors,
@@ -34,9 +33,11 @@ ack = (
 print("\nacknowledgment text:")
 print(" ", ack)
 
-print("\nstep 1: funder mentions (variant, character span)")
-for variant, span in detect_funder_mention(ack, lexicon):
-    print(f"  {variant!r} at {span}")
+print("\nstep 1: funder mentions (matched text, character span)")
+pos = 0
+while (mention := lexicon.find_mention(ack, pos)) is not None:
+    print(f"  {mention.group()!r} at {mention.span()}")
+    pos = mention.end()
 
 print("\nstep 2: funding sentences")
 sentences = extract_funding_sentences(ack, lexicon)

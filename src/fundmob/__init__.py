@@ -7,7 +7,6 @@ from .ackminer import (
     FundedAuthorship,
     FunderLexicon,
     FundingSentence,
-    detect_funder_mention,
     extract_funding_sentences,
     generate_name_variants,
     match_funded_authors,
@@ -56,4 +55,4 @@ from .indicators import (
     pp_ic,
     temporal_distribution,
 )
-from .pipeline import PipelineConfig, run_pipeline, validate_config
+from .pipeline import PipelineConfig, run_pipeline

@@ -75,20 +75,13 @@ class FunderLexicon:
         return frozenset(normalize_text(v) for v in self.variants)
 
     @cached_property
-    def _ordered_variants(self) -> tuple[str, ...]:
-        # longest first, so overlapping alternatives prefer the long match
-        return tuple(sorted(self.variants, key=lambda v: (-len(v), v)))
-
-    @cached_property
-    def _variant_regexes(self) -> tuple[str, ...]:
-        return tuple(r"\s+".join(map(re.escape, v.split())) for v in self._ordered_variants)
-
-    @cached_property
     def _pattern(self) -> re.Pattern[str]:
+        # longest first, so overlapping alternatives prefer the long match;
         # no capture group and no lookbehind, so re can scan for the
         # variants' prefixes; find_mention checks the left edge instead.
         # [^\W_] is str.isalnum, the word-character rule of contains_bounded
-        body = "|".join(self._variant_regexes)
+        ordered = sorted(self.variants, key=lambda v: (-len(v), v))
+        body = "|".join(r"\s+".join(map(re.escape, v.split())) for v in ordered)
         return re.compile(rf"(?:{body})(?![^\W_])", re.IGNORECASE)
 
     def find_mention(self, text: str, pos: int = 0, endpos: int | None = None) -> re.Match[str] | None:
@@ -105,16 +98,6 @@ class FunderLexicon:
                 return m
             pos = start + 1
         return None
-
-    def variant_matching(self, matched: str) -> str:
-        """The variant whose alternative ``find_mention`` took for the
-        text ``matched``: the first one, longest first, matching all of
-        it. An earlier one that did would have won at that position."""
-        return next(
-            variant
-            for variant, regex in zip(self._ordered_variants, self._variant_regexes)
-            if re.fullmatch(regex, matched, re.IGNORECASE)
-        )
 
 
 @dataclass(frozen=True)
@@ -135,22 +118,6 @@ class FundedAuthorship:
     evidence: str
     sentence_span: tuple[int, int]
     match_kind: MatchKind
-
-
-def detect_funder_mention(
-    text: str, lexicon: FunderLexicon
-) -> list[tuple[str, tuple[int, int]]]:
-    """All case-insensitive, word-bounded lexicon occurrences in ``text``.
-
-    Matches are reported left to right; at overlapping positions the
-    longest variant wins. Spans index into the raw input text.
-    """
-    matches = []
-    pos = 0
-    while (m := lexicon.find_mention(text, pos)) is not None:
-        matches.append((lexicon.variant_matching(m.group()), m.span()))
-        pos = m.end()
-    return matches
 
 
 # Tokens that may precede a period without ending a sentence. Dotted
@@ -303,6 +270,10 @@ def generate_name_variants(author: Authorship) -> frozenset[str]:
     initials-plus-surname ("l. chen", "x.h. li", "z.-c. wang"), and the
     de-hyphenated and spaced spellings of hyphenated given names. The
     grammar is a documented superset of the common acknowledgment styles.
+    An initial is the first letter of a given-name part, and a given name
+    or initials without a letter or digit count as absent. So every
+    variant holds a letter or digit of the given name or the initials,
+    and none strips to the bare surname.
     """
     last = normalize_text(author.last_name)
     given = normalize_text(author.first_name) if author.first_name else ""
@@ -311,12 +282,13 @@ def generate_name_variants(author: Authorship) -> frozenset[str]:
     variants: set[str] = set()
 
     given_forms: set[str] = set()
-    if author.first_name:
+    # a given name or initials without a letter or digit ("-", ".") count as none
+    if any(ch.isalnum() for ch in given):
         given_forms.add(given)
         if "-" in given:
             given_forms.add(given.replace("-", ""))
             given_forms.add(given.replace("-", " "))
-    elif author.initials:
+    elif any(ch.isalnum() for ch in initials):
         given_forms.add(initials)
         if initial_letters:
             given_forms.add("".join(initial_letters))
@@ -326,9 +298,16 @@ def generate_name_variants(author: Authorship) -> frozenset[str]:
         variants.add(f"{last} {form}")
         variants.add(f"{last}, {form}")
 
-    # one letter per given-name part ("Zhi-Chao" -> z, c); a given name
-    # without parts ("-") falls back to the letters of the initials
-    letters = [part[0] for part in re.split(r"[\s\-]+", given) if part] or initial_letters
+    # the first letter of each given-name part ("Zhi-Chao" -> z, c;
+    # "(J.)" -> j); a part without a letter gives none, and a given name
+    # without any falls back to the letters of the initials
+    letters = []
+    for part in re.split(r"[\s\-]+", given):
+        for ch in part:
+            if ch.isalpha():
+                letters.append(ch)
+                break
+    letters = letters or initial_letters
     if letters:
         dotted = "".join(f"{ch}." for ch in letters)
         variants.add(f"{dotted} {last}")
@@ -373,11 +352,11 @@ def _best_hit(
     A form occurs where its edge-stripped form does: as a whole token
     when short, else word-bounded. Forms that strip alike occur in the
     same sentences, so each stripped form is tested once, for its longest
-    raw form. A form made only of edge punctuation never occurs.
+    raw form. A form made only of edge punctuation strips to "", which
+    is short and never a token, so it never occurs.
     """
     # in (len, form) order, so the longest raw form, the greatest on ties, is kept
     by_stripped = {strip_token_punct(f): f for f in sorted(sorted(forms), key=len)}
-    by_stripped.pop("", None)
     short = {f for f in by_stripped if len(f) <= SHORT_VARIANT_LIMIT}
     long = [f for f in by_stripped if len(f) > SHORT_VARIANT_LIMIT]
     first_span: dict[str, tuple[int, int]] = {}

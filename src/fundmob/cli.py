@@ -43,18 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    config = PipelineConfig(
-        input=args.input,
-        lexicon=args.lexicon,
-        surnames=args.surnames,
-        field_map=args.field_map,
-        country_aliases=args.country_aliases,
-        disambig_config=args.disambig_config,
-        overrides=args.overrides,
-        out_dir=args.out_dir,
-        whole_count=args.whole_count,
-        top_k=args.top_k,
-    )
+    config = PipelineConfig(**vars(args))
     try:
         manifest = run_pipeline(config)
     except ConfigError as exc:

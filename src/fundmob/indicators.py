@@ -66,10 +66,7 @@ def _field_shares(
     shares: dict[str, float] = {}
     for fw in record.field_weights:
         name = field_map.get(fw.field_id, fw.field_id)
-        weight = 1.0 if whole_count else fw.weight
-        shares[name] = shares.get(name, 0.0) + weight
-    if whole_count:
-        return {name: 1.0 for name in shares}
+        shares[name] = 1.0 if whole_count else shares.get(name, 0.0) + fw.weight
     return shares
 
 

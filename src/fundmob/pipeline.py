@@ -26,6 +26,18 @@ class ConfigError(Exception):
         super().__init__("; ".join(problems))
 
 
+#: One row per config file, in loading order: the ``PipelineConfig``
+#: field, the name used in messages, and the loader.
+_CONFIG_FILES: tuple[tuple[str, str, Callable[[Path], object]], ...] = (
+    ("country_aliases", "country aliases", corpus.CountryAliases.load),
+    ("lexicon", "lexicon", ackminer.FunderLexicon.load),
+    ("surnames", "surnames", mobility.SurnameList.load),
+    ("field_map", "field map", mobility.load_field_map),
+    ("disambig_config", "disambiguation config", disambig.ScoringWeights.load),
+    ("overrides", "overrides", disambig.load_overrides),
+)
+
+
 @dataclass
 class PipelineConfig:
     input: Path
@@ -40,29 +52,32 @@ class PipelineConfig:
     top_k: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("input", "lexicon", "surnames", "field_map",
-                     "country_aliases", "disambig_config", "out_dir"):
-            setattr(self, name, Path(getattr(self, name)))
-        if self.overrides is not None:
-            self.overrides = Path(self.overrides)
+        for name in ("input", "out_dir", *(field for field, _, _ in _CONFIG_FILES)):
+            if name != "overrides" or self.overrides is not None:
+                setattr(self, name, Path(getattr(self, name)))
 
 
-def validate_config(config: PipelineConfig) -> list[str]:
-    """All problems with the configuration, not just the first."""
+def _load_config_files(config: PipelineConfig) -> list[object]:
+    """The loaded config files in table order, None for absent overrides.
+
+    Raises one ``ConfigError`` listing every problem with the
+    configuration, not just the first.
+    """
     problems = []
-    required = [
-        ("input", config.input),
-        ("lexicon", config.lexicon),
-        ("surnames", config.surnames),
-        ("field map", config.field_map),
-        ("country aliases", config.country_aliases),
-        ("disambiguation config", config.disambig_config),
-    ]
-    if config.overrides is not None:
-        required.append(("overrides", config.overrides))
-    for label, path in required:
-        if not path.is_file():
+    if not config.input.is_file():
+        problems.append(f"input file does not exist: {config.input}")
+    loaded = []
+    for field, label, loader in _CONFIG_FILES:
+        path = getattr(config, field)
+        if path is None:
+            loaded.append(None)
+        elif not path.is_file():
             problems.append(f"{label} file does not exist: {path}")
+        else:
+            try:
+                loaded.append(loader(path))
+            except ValueError as exc:
+                problems.append(f"{label} file {path}: {exc}")
     probe = config.out_dir
     while not probe.exists():
         parent = probe.parent
@@ -76,11 +91,13 @@ def validate_config(config: PipelineConfig) -> list[str]:
             problems.append(f"output directory is not writable: {config.out_dir}")
     if config.top_k < 1:
         problems.append(f"top-k must be positive, got {config.top_k}")
-    return problems
+    if problems:
+        raise ConfigError(problems)
+    return loaded
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(path: Path | None) -> str | None:
+    return None if path is None else hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _fmt(value: object) -> str:
@@ -112,26 +129,7 @@ def _write_json(path: Path, payload: object) -> None:
 
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write all artifacts; returns the manifest."""
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError(problems)
-
-    def load(label: str, loader: Callable, path: Path):
-        try:
-            return loader(path)
-        except ValueError as exc:
-            problems.append(f"{label} file {path}: {exc}")
-
-    aliases = load("country aliases", corpus.CountryAliases.load, config.country_aliases)
-    lexicon = load("lexicon", ackminer.FunderLexicon.load, config.lexicon)
-    surnames = load("surnames", mobility.SurnameList.load, config.surnames)
-    field_map = load("field map", mobility.load_field_map, config.field_map)
-    weights = load("disambiguation config", disambig.ScoringWeights.load, config.disambig_config)
-    overrides = (
-        load("overrides", disambig.load_overrides, config.overrides) if config.overrides else None
-    )
-    if problems:
-        raise ConfigError(problems)
+    aliases, lexicon, surnames, field_map, weights, overrides = _load_config_files(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     parsed = corpus.load_corpus(config.input, aliases)
@@ -210,12 +208,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     manifest = {
         "input_sha256": _sha256(config.input),
         "config": {
-            "lexicon_sha256": _sha256(config.lexicon),
-            "surnames_sha256": _sha256(config.surnames),
-            "field_map_sha256": _sha256(config.field_map),
-            "country_aliases_sha256": _sha256(config.country_aliases),
-            "disambig_config_sha256": _sha256(config.disambig_config),
-            "overrides_sha256": _sha256(config.overrides) if config.overrides else None,
+            **{f"{field}_sha256": _sha256(getattr(config, field)) for field, _, _ in _CONFIG_FILES},
             "whole_count": config.whole_count,
             "top_k": config.top_k,
         },
@@ -365,19 +358,16 @@ def _write_artifacts(
         ],
     )
 
+    # _write_json sorts the keys at every level
+    pp_ic: dict[str, dict[str, dict]] = {}
+    for (period, field), cell in ppic.cells.items():
+        pp_ic.setdefault(period, {})[field] = {
+            "numerator": cell.numerator,
+            "denominator": cell.denominator,
+            "proportion": cell.value,
+        }
     report = {
-        "pp_ic": {
-            period: {
-                field: {
-                    "numerator": cell.numerator,
-                    "denominator": cell.denominator,
-                    "proportion": cell.value,
-                }
-                for (p, field), cell in sorted(ppic.cells.items())
-                if p == period
-            }
-            for period in sorted({p for p, _ in ppic.cells})
-        },
+        "pp_ic": pp_ic,
         "pp_ic_coverage": {"records_with_no_known_country": ppic.zero_country_records},
         "field_distribution": {
             field: {
@@ -385,10 +375,8 @@ def _write_artifacts(
                 "unidentified": share.unidentified,
                 "total": share.total,
             }
-            for field, share in sorted(field_dist.items())
+            for field, share in field_dist.items()
         },
-        "temporal": {
-            str(year): dict(sorted(row.items())) for year, row in temporal.items()
-        },
+        "temporal": {str(year): row for year, row in temporal.items()},
     }
     _write_json(out / "indicators.json", report)

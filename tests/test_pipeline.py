@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -10,19 +11,25 @@ import pytest
 import fundmob
 from fundmob import ackminer, corpus, mobility, periods
 from fundmob.cli import main
-from fundmob.pipeline import (
-    ConfigError,
-    PipelineConfig,
-    run_pipeline,
-    validate_config,
-)
+from fundmob.pipeline import ConfigError, PipelineConfig, run_pipeline
 
-ARTIFACTS = [
-    "funded_scholars.tsv", "clusters.tsv", "mobility_assignments.tsv",
-    "mobility_flows.tsv", "top_destinations.tsv", "period_labels.tsv",
-    "pp_ic.tsv", "field_distribution.tsv", "temporal.tsv",
-    "indicators.json", "manifest.json",
-]
+from .conftest import DATA_DIR
+
+# SHA-256 of each artifact of the demo corpus run with the stock configuration
+DEMO_DIGESTS = {
+    "funded_scholars.tsv": "56f16195a1b8185bb6753fb3d7a8343811430ad09d53ce2deb34c6ea1b57e1a6",
+    "clusters.tsv": "2f1025c92aed8c0f75e6a453a539322d168bdc063a3af5dd5464358c5f48ddff",
+    "mobility_assignments.tsv": "fcdb33adba676cebf15067b82cf5cbbab9d133a1b41dd05ddcea614b704646aa",
+    "mobility_flows.tsv": "c06b3fe9c3716430847f0bdd2cbe1988d312dcaf849acf6d421c45467e2f8ca3",
+    "top_destinations.tsv": "e803155d85179a2d46ff56304f785d9326d9afab1da320950c27c455ae032863",
+    "period_labels.tsv": "59ca77764982698c827b6c649f43c7a551b7752f511a2ec9aeb21dda0c9cec6d",
+    "pp_ic.tsv": "4a7e9eeb373fb23ae1b8c0e80d4acadf27ef3fceb166428c40efb9e34e7c9fcb",
+    "field_distribution.tsv": "ea3c260e69d1ff688e72dfed25d55797f09b309991988ad46260bc4bbec7af27",
+    "temporal.tsv": "b738eca9b22f8c01f10418e037c25dda28fa2a6189ff5b234759f0e2bdb68f97",
+    "indicators.json": "c958ae799f336d0539e393a67ed6b2cc6abf884e3329d521611f36f83c70861f",
+    "manifest.json": "e7fa149096a566b7a6be5699aaa9257db3078ab7f481234f4f8f3eab773a3a60",
+}
+ARTIFACTS = list(DEMO_DIGESTS)
 
 
 def demo_config(data_dir, out_dir, **overrides):
@@ -39,9 +46,18 @@ def demo_config(data_dir, out_dir, **overrides):
     return PipelineConfig(**kwargs)
 
 
+def config_problems(config):
+    """The problems ``run_pipeline`` reports for ``config``; none when it runs."""
+    try:
+        run_pipeline(config)
+    except ConfigError as exc:
+        return exc.problems
+    return []
+
+
 class TestValidateConfig:
     def test_valid_config_has_no_problems(self, data_dir, tmp_path):
-        assert validate_config(demo_config(data_dir, tmp_path / "out")) == []
+        assert config_problems(demo_config(data_dir, tmp_path / "out")) == []
 
     def test_two_missing_paths_two_problems(self, data_dir, tmp_path):
         config = demo_config(
@@ -49,7 +65,7 @@ class TestValidateConfig:
             lexicon=tmp_path / "missing_lexicon.txt",
             surnames=tmp_path / "missing_surnames.txt",
         )
-        problems = validate_config(config)
+        problems = config_problems(config)
         assert len(problems) == 2
 
     def test_unwritable_out_dir_named(self, data_dir, tmp_path):
@@ -59,7 +75,7 @@ class TestValidateConfig:
         locked.mkdir()
         locked.chmod(stat.S_IRUSR | stat.S_IXUSR)
         try:
-            problems = validate_config(demo_config(data_dir, locked / "out"))
+            problems = config_problems(demo_config(data_dir, locked / "out"))
             assert len(problems) == 1
             assert str(locked) in problems[0]
         finally:
@@ -67,7 +83,7 @@ class TestValidateConfig:
 
     def test_out_dir_may_not_exist_yet(self, data_dir, tmp_path):
         config = demo_config(data_dir, tmp_path / "a" / "b" / "c")
-        assert validate_config(config) == []
+        assert config_problems(config) == []
 
     def test_missing_lexicon_raises_config_error(self, data_dir, tmp_path):
         config = demo_config(data_dir, tmp_path / "out",
@@ -203,6 +219,22 @@ class TestCli:
         assert "line 1" in errors[4] and "line 1" in errors[5]
         assert not (tmp_path / "out").exists()
 
+    def test_cli_missing_file_hides_no_other_config_error(self, data_dir, tmp_path, capsys):
+        weights = tmp_path / "weights.cfg"
+        weights.write_text("email = ten\n")
+        args = self.common_args(data_dir, tmp_path / "out") + ["--top-k", "0"]
+        args[args.index("--surnames") + 1] = str(tmp_path / "gone.txt")
+        args[args.index("--disambig-config") + 1] = str(weights)
+        code = main(args)
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [
+            f"config error: surnames file does not exist: {tmp_path / 'gone.txt'}",
+            f"config error: disambiguation config file {weights}: weight 'email' on line 1 is not a number: 'ten'",
+            "config error: top-k must be positive, got 0",
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_cli_all_bad_lines_exit_nonzero(self, data_dir, tmp_path, capsys):
         corpus = tmp_path / "broken.jsonl"
         corpus.write_text("{nope\n{still nope\n")
@@ -226,6 +258,19 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["whole_count"] is True
         assert manifest["config"]["top_k"] == 3
+
+
+@pytest.fixture(scope="module")
+def demo_output(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo") / "out"
+    run_pipeline(demo_config(DATA_DIR, out))
+    return out
+
+
+@pytest.mark.parametrize("name", ARTIFACTS)
+def test_demo_artifact_is_byte_identical(demo_output, name):
+    digest = hashlib.sha256((demo_output / name).read_bytes()).hexdigest()
+    assert digest == DEMO_DIGESTS[name]
 
 
 def test_funded_ids_are_computed_once_per_run(data_dir, tmp_path, monkeypatch):

@@ -44,7 +44,6 @@ for reason, count in flows.unidentified:
 def paper(pub_id, year, doi_created, funded):
     return PublicationRecord(
         pub_id=pub_id,
-        title=pub_id,
         pub_year=year,
         doc_type=DocType.ARTICLE,
         doi_created_date=doi_created,

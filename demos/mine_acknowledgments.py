@@ -46,7 +46,6 @@ for sentence in sentences:
 
 record = PublicationRecord(
     pub_id="demo",
-    title="Top-quark pair production asymmetries",
     pub_year=2016,
     doc_type=DocType.ARTICLE,
     acknowledgment_text=ack,

@@ -22,9 +22,9 @@ are compared with token-edge punctuation stripped from both, so "Chen. L",
 "C.L." and "Chen L" all resolve; a variant made only of edge punctuation
 never matches. Variants of three characters or fewer ("cl", "bw") only
 match whole tokens, which suppresses substring false positives inside
-ordinary words. Each author's variants are stripped once; the short ones
-are matched by one set intersection with a sentence's tokens, the long
-ones by a substring test before the word-edge check.
+ordinary words. Each author's variants are walked once, longest first,
+and the first that occurs in a funding sentence is the evidence; the
+long ones pass a substring test before the word-edge check.
 """
 from __future__ import annotations
 
@@ -331,46 +331,31 @@ def generate_name_variants(author: Authorship) -> frozenset[str]:
 SHORT_VARIANT_LIMIT = 3
 
 
-@dataclass(frozen=True)
-class _SentenceView:
-    span: tuple[int, int]
-    stripped: str
-    tokens: frozenset[str]
-
-    @classmethod
-    def of(cls, sentence: FundingSentence) -> "_SentenceView":
-        stripped = strip_token_punct(normalize_text(sentence.text))
-        return cls(span=sentence.span, stripped=stripped, tokens=frozenset(stripped.split()))
-
-
 def _best_hit(
-    forms: Iterable[str], views: list[_SentenceView]
+    forms: Iterable[str], views: list[tuple[tuple[int, int], str, frozenset[str]]]
 ) -> tuple[str, tuple[int, int]] | None:
     """The longest of ``forms`` that occurs in a sentence, the greatest on
-    ties, with the first span it occurs in; None when none occurs.
+    ties, with the span of the first sentence it occurs in; None when none
+    occurs. ``views`` holds each sentence's span, its normalized and
+    edge-stripped text, and that text's tokens, in span order.
 
     A form occurs where its edge-stripped form does: as a whole token
-    when short, else word-bounded. Forms that strip alike occur in the
-    same sentences, so each stripped form is tested once, for its longest
-    raw form. A form made only of edge punctuation strips to "", which
-    is short and never a token, so it never occurs.
+    when short, else word-bounded. The forms are walked longest first, so
+    the first that occurs is the answer. A form made only of edge
+    punctuation strips to "", which is short and never a token, so it
+    never occurs.
     """
-    # in (len, form) order, so the longest raw form, the greatest on ties, is kept
-    by_stripped = {strip_token_punct(f): f for f in sorted(sorted(forms), key=len)}
-    short = {f for f in by_stripped if len(f) <= SHORT_VARIANT_LIMIT}
-    long = [f for f in by_stripped if len(f) > SHORT_VARIANT_LIMIT]
-    first_span: dict[str, tuple[int, int]] = {}
-    for view in views:
-        found = short & view.tokens
-        # the C-level substring test rules out most forms before the
-        # word-edge check
-        found.update(f for f in long if f in view.stripped and contains_bounded(f, view.stripped))
-        for f in found:
-            first_span[f] = min(first_span.get(f, view.span), view.span)
-    if not first_span:
-        return None
-    best = max(first_span, key=lambda f: (len(by_stripped[f]), by_stripped[f]))
-    return by_stripped[best], first_span[best]
+    for form in sorted(forms, key=lambda f: (len(f), f), reverse=True):
+        stripped = strip_token_punct(form)
+        short = len(stripped) <= SHORT_VARIANT_LIMIT
+        for span, text, tokens in views:
+            # the C-level substring test rules out most long forms before
+            # the word-edge check
+            if stripped in tokens if short else (
+                stripped in text and contains_bounded(stripped, text)
+            ):
+                return form, span
+    return None
 
 
 def match_funded_authors(
@@ -381,11 +366,15 @@ def match_funded_authors(
 
     At most one entry per author, sorted by position. The evidence string
     is the longest matching name variant; a name match outranks a
-    positional match for the same author.
+    positional match for the same author. The span is that of the first
+    sentence the evidence occurs in.
     """
     if not sentences:
         return []
-    views = [_SentenceView.of(s) for s in sentences]
+    views = []
+    for sentence in sorted(sentences, key=lambda s: s.span):
+        stripped = strip_token_punct(normalize_text(sentence.text))
+        views.append((sentence.span, stripped, frozenset(stripped.split())))
     funded = []
     for author in record.authors:
         for kind, forms in (

@@ -37,13 +37,13 @@ class DateSource(Enum):
     YEAR_FALLBACK = "YearFallback"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Affiliation:
     org_name: str
     country: str = UNKNOWN_COUNTRY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Authorship:
     position: int
     full_name: str
@@ -54,19 +54,17 @@ class Authorship:
     affiliations: tuple[Affiliation, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldWeight:
     field_id: str
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
     pub_id: str
-    title: str
     pub_year: int
     doc_type: DocType
-    doi: str | None = None
     doi_created_date: date | None = None
     acknowledgment_text: str | None = None
     funding_orgs: tuple[str, ...] = ()
@@ -74,7 +72,7 @@ class PublicationRecord:
     field_weights: tuple[FieldWeight, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PubDate:
     """A resolved publication date and where it came from."""
 
@@ -128,18 +126,28 @@ class CountryAliases:
     """
 
     def __init__(self, aliases: dict[str, str]):
-        self._aliases = {normalize_text(raw): code for raw, code in aliases.items()}
+        """``aliases`` maps normalized raw names to codes."""
+        self._aliases = aliases
         self._codes = set(aliases.values())
 
     @classmethod
     def load(cls, path: str | Path) -> "CountryAliases":
         """Read a two-column delimited file: raw_name<TAB>code per line."""
         aliases: dict[str, str] = {}
+        line_of: dict[str, int] = {}
         for line_no, line in config_lines(path):
             raw, _, code = line.partition("\t")
             if not code:
                 raise ValueError(f"malformed alias line {line_no} (need raw<TAB>code): {line!r}")
-            aliases[raw.strip()] = code.strip()
+            # raw names compare as lookup reads them, normalized
+            raw = raw.strip()
+            key = normalize_text(raw)
+            if key in line_of:
+                raise ValueError(
+                    f"country name {raw!r} given twice, on lines {line_of[key]} and {line_no}"
+                )
+            line_of[key] = line_no
+            aliases[key] = code.strip()
         return cls(aliases)
 
     def normalize(self, raw: str | None) -> str:
@@ -156,13 +164,20 @@ class CountryAliases:
         return UNKNOWN_COUNTRY
 
 
+#: the one date form accepted; ``date.fromisoformat`` alone accepts more
+#: forms on newer Pythons ("20160321", "2016-W12-1")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _parse_date(value: object, label: str) -> date:
     if not isinstance(value, str):
         raise RecordError(f"{label} must be an ISO-8601 string")
-    try:
-        return date.fromisoformat(value)
-    except ValueError as exc:
-        raise RecordError(f"{label} is not a valid ISO-8601 date: {value!r}") from exc
+    if _DATE_RE.fullmatch(value):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass  # a day or month out of range, such as "2016-02-30"
+    raise RecordError(f"{label} is not a valid YYYY-MM-DD date: {value!r}")
 
 
 def _parse_doc_type(value: object) -> DocType:
@@ -292,13 +307,14 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
     if not all(isinstance(org, str) for org in funding_orgs):
         raise RecordError("funding_orgs entries must be strings")
 
+    # no stage reads the title or the DOI, so they are checked, not kept
+    _parse_str(obj, "title")
+    _parse_str(obj, "doi")
     doi_created = obj.get("doi_created_date")
     return PublicationRecord(
         pub_id=pub_id,
-        title=_parse_str(obj, "title", ""),
         pub_year=pub_year,
         doc_type=doc_type,
-        doi=_parse_str(obj, "doi") or None,
         doi_created_date=_parse_date(doi_created, "doi_created_date") if doi_created else None,
         acknowledgment_text=_parse_str(obj, "acknowledgment_text") or None,
         funding_orgs=tuple(funding_orgs),

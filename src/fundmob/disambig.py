@@ -61,12 +61,16 @@ class ScoringWeights:
     def load(cls, path: str | Path) -> "ScoringWeights":
         """Key-value config: ``name = value`` per line, # comments."""
         values: dict[str, float] = {}
+        line_of: dict[str, int] = {}
         known = set(cls.__dataclass_fields__)
         for line_no, line in config_lines(path):
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
             if key not in known:
                 raise ValueError(f"unknown disambiguation weight: {key!r}")
+            if key in line_of:
+                raise ValueError(f"weight {key!r} given twice, on lines {line_of[key]} and {line_no}")
+            line_of[key] = line_no
             try:
                 values[key] = float(raw)
             except ValueError:

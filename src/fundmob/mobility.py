@@ -185,11 +185,18 @@ def aggregate_flows(assignments: Sequence[MobilityAssignment]) -> FlowTable:
 def load_field_map(path: str | Path) -> dict[str, str]:
     """Tab-delimited field map: field_id<TAB>top-level field name."""
     mapping: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for line_no, line in config_lines(path):
         field_id, _, name = line.partition("\t")
         if not name:
             raise ValueError(f"malformed field map line {line_no}: {line!r}")
-        mapping[field_id.strip()] = name.strip()
+        field_id = field_id.strip()
+        if field_id in line_of:
+            raise ValueError(
+                f"field_id {field_id!r} given twice, on lines {line_of[field_id]} and {line_no}"
+            )
+        line_of[field_id] = line_no
+        mapping[field_id] = name.strip()
     return mapping
 
 

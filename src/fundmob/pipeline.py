@@ -97,7 +97,16 @@ def _load_config_files(config: PipelineConfig) -> list[object]:
 
 
 def _sha256(path: Path | None) -> str | None:
-    return None if path is None else hashlib.sha256(path.read_bytes()).hexdigest()
+    """The file's SHA-256, read through one 1 MiB buffer, so the memory
+    it takes does not grow with the file."""
+    if path is None:
+        return None
+    digest = hashlib.sha256()
+    buffer = memoryview(bytearray(1 << 20))
+    with path.open("rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(buffer[:size])
+    return digest.hexdigest()
 
 
 def _fmt(value: object) -> str:

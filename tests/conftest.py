@@ -72,10 +72,8 @@ def make_record(
 ) -> PublicationRecord:
     return PublicationRecord(
         pub_id=pub_id,
-        title=f"Title {pub_id}",
         pub_year=year,
         doc_type=doc_type,
-        doi=None,
         doi_created_date=doi_created,
         acknowledgment_text=ack,
         funding_orgs=funding,

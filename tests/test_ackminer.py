@@ -1065,7 +1065,7 @@ class TestMatcherOracle:
         )
         assert mine_record(record, lexicon)[1] == []
         # the matcher skips such a form all the same
-        views = [ackminer._SentenceView.of(FundingSentence(text="We thank ((.", span=(0, 12)))]
+        views = [((0, 12), "we thank", frozenset({"we", "thank"}))]
         assert ackminer._best_hit({"(("}, views) is None
 
     @pytest.mark.parametrize("first, initials", [("(J.)", None), (".", None), ("-", None), (None, ".")])

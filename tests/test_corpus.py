@@ -174,7 +174,7 @@ class TestParseCorpus:
         record = record_from_dict(json.loads(line(
             title=None, doi=None, acknowledgment_text=None, authors=[author],
         )))
-        assert (record.title, record.doi, record.acknowledgment_text) == ("", None, None)
+        assert (record.pub_id, record.acknowledgment_text) == ("W1", None)
         parsed = record.authors[0]
         assert (parsed.full_name, parsed.first_name, parsed.initials, parsed.email) == (
             "Chen", None, None, None)
@@ -236,9 +236,19 @@ class TestParseCorpus:
         assert [e.line_no for e in result.errors] == [2]
 
     def test_paired_surrogate_escape_reads_as_one_character(self):
-        result = parse_corpus([line(title="\U0001F600")])
+        result = parse_corpus([line(acknowledgment_text="\U0001F600")])
         assert result.errors == []
-        assert result.records[0].title == "\U0001F600"
+        assert result.records[0].acknowledgment_text == "\U0001F600"
+
+    # date.fromisoformat accepts both from Python 3.11 on, and not before
+    @pytest.mark.parametrize("value", ["20160321", "2016-W12-1"])
+    def test_only_a_dashed_calendar_date_is_a_date(self, value):
+        result = parse_corpus([
+            line(doi_created_date="2016-03-21"), line(pub_id="W2", doi_created_date=value),
+        ])
+        assert [r.doi_created_date for r in result.records] == [date(2016, 3, 21)]
+        assert [e.line_no for e in result.errors] == [2]
+        assert "doi_created_date" in result.errors[0].message
 
     @pytest.mark.parametrize("email, stored", [
         (" ", None), ("\t\n", None), ("", None), (None, None),
@@ -307,6 +317,13 @@ class TestCountryAliases:
         for table, expected in ((None, plain), (aliases, aliased)):
             result = parse_corpus([raw_line], table)
             assert result.records[0].authors[0].affiliations[0].country == expected
+
+    def test_raw_name_given_twice_is_an_error(self, tmp_path):
+        # the second line repeats the first once normalized
+        path = tmp_path / "aliases.tsv"
+        path.write_text("# raw<TAB>code\nGermany\tDE\n  GERMANY \tAT\n")
+        with pytest.raises(ValueError, match="'GERMANY' given twice, on lines 2 and 3"):
+            CountryAliases.load(path)
 
 
 class TestFilterDocuments:

@@ -415,6 +415,13 @@ class TestOverridesAndConfig:
         with pytest.raises(ValueError, match="'coauthor' on line 3 is not a number"):
             ScoringWeights.load(path)
 
+    @pytest.mark.parametrize("key", ["email", "threshold"])
+    def test_weight_given_twice_is_an_error(self, tmp_path, key):
+        path = tmp_path / "w.cfg"
+        path.write_text(f"{key} = 10\n# again\ncoauthor = 4\n{key} = 7\n")
+        with pytest.raises(ValueError, match=f"'{key}' given twice, on lines 1 and 4"):
+            ScoringWeights.load(path)
+
     def test_split_suppresses_direct_edge(self):
         records = [
             make_record("a", (make_author(1, "Chen", first="Long", email="e@x.y"),)),

@@ -359,6 +359,13 @@ def test_load_field_map(data_dir):
     assert mapping["soc"] == "Social Sciences and Humanities"
 
 
+def test_field_id_given_twice_is_an_error(tmp_path):
+    path = tmp_path / "fields.tsv"
+    path.write_text("phys\tPhysics\nchem\tChemistry\n phys \tPhysical Sciences\n")
+    with pytest.raises(ValueError, match="'phys' given twice, on lines 1 and 3"):
+        load_field_map(path)
+
+
 def test_load_surnames(data_dir):
     surnames = SurnameList.load(data_dir / "surnames_cn.txt")
     assert "chen" in surnames

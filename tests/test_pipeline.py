@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import stat
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 import fundmob
 from fundmob import ackminer, corpus, mobility, periods
 from fundmob.cli import main
-from fundmob.pipeline import ConfigError, PipelineConfig, run_pipeline
+from fundmob.pipeline import ConfigError, PipelineConfig, _sha256, run_pipeline
 
 from .conftest import DATA_DIR
 
@@ -235,6 +236,18 @@ class TestCli:
         ]
         assert not (tmp_path / "out").exists()
 
+    def test_cli_key_given_twice_is_one_config_error(self, data_dir, tmp_path, capsys):
+        fields = tmp_path / "fields.tsv"
+        fields.write_text((data_dir / "field_map.tsv").read_text() + "phys\tPhysics\n")
+        args = self.common_args(data_dir, tmp_path / "out")
+        args[args.index("--field-map") + 1] = str(fields)
+        code = main(args)
+        assert code == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"config error: field map file {fields}: field_id 'phys' given twice")
+        assert not (tmp_path / "out").exists()
+
     def test_cli_all_bad_lines_exit_nonzero(self, data_dir, tmp_path, capsys):
         corpus = tmp_path / "broken.jsonl"
         corpus.write_text("{nope\n{still nope\n")
@@ -271,6 +284,20 @@ def demo_output(tmp_path_factory):
 def test_demo_artifact_is_byte_identical(demo_output, name):
     digest = hashlib.sha256((demo_output / name).read_bytes()).hexdigest()
     assert digest == DEMO_DIGESTS[name]
+
+
+def test_hashing_a_file_takes_memory_independent_of_its_size(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(bytes(range(256)) * (8 << 12))   # 8 MiB
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    tracemalloc.start()
+    try:
+        digest = _sha256(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == expected
+    assert peak < 2_000_000
 
 
 def test_funded_ids_are_computed_once_per_run(data_dir, tmp_path, monkeypatch):

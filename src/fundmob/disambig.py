@@ -10,16 +10,23 @@ results are independent of input order. A manual-override file can force
 pairs together or suppress their direct edge, standing in for the manual
 cleaning pass that production pipelines apply.
 
-Scoring is exact but not all-pairs. Each block of two or more
-authorships gets one feature row per member, built once and dropped when
-the block is done, and only pairs that share an *indexed* feature value
-are scored. Which features are indexed follows from the weights alone
-(see :func:`indexed_features`), so a pair that is never scored could
-not have reached the threshold. The scorer and the index add weights
-through one helper, in one order, so they round alike by construction.
+Clustering is exact but scores no pair it does not have to. Components
+need only a spanning forest of the threshold graph, not every edge. A
+*minimal linking set* is a set of features whose weights reach the
+threshold while no proper subset's do (see :func:`_linking_sets`); a
+pair at or above the threshold shares every value of at least one such
+set. So each block of two or more authorships gets one feature row per
+member, and for each linking set its rows are grouped by the values
+they share. Inside a group every pair reaches the threshold unless its
+full first names conflict, so the group's components are known without
+scoring and are joined along a chain. Only a member with a SPLIT
+partner in its own group is scored pair by pair. The scorer and the
+linking sets add weights through one helper, in one order, so they
+round alike by construction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -30,12 +37,11 @@ from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import normalize_text
 
 AuthorshipKey = tuple[str, int]
+#: each author of one record with its block key, as (position, key) pairs
+RecordBlockKeys = list[tuple[int, tuple[str, str]]]
 
 #: the scored features, in the order the scorer adds their weights
 FEATURES = ("email", "affiliation", "coauthor", "funder", "first_name")
-#: on equal weights, the order in which features are left unindexed: the
-#: ones most members of a surname + initial block share come first
-_UNINDEXED_FIRST = ("funder", "first_name", "affiliation", "coauthor", "email")
 
 
 @dataclass(frozen=True)
@@ -183,13 +189,21 @@ class _FeatureRow(NamedTuple):
     first_name: set[str]
 
 
-def _feature_row(index: CorpusIndex, key: AuthorshipKey) -> _FeatureRow:
+def _record_block_keys(record: PublicationRecord) -> RecordBlockKeys:
+    return [(a.position, block_key(a)) for a in record.authors]
+
+
+def _feature_row(
+    index: CorpusIndex, key: AuthorshipKey, record_keys: RecordBlockKeys
+) -> _FeatureRow:
+    """The row of ``key``, reading its co-authors' block keys from
+    ``record_keys``, the block keys of its record."""
     author, record = index.author(key), index.record(key[0])
     email = (author.email or "").strip().lower()
     return _FeatureRow(
         email={email} if email else set(),
         affiliation=_org_keys(author),
-        coauthor={block_key(a) for a in record.authors if a.position != key[1]},
+        coauthor={bk for position, bk in record_keys if position != key[1]},
         funder={normalize_text(f) for f in record.funding_orgs},
         first_name=_full_first_name(author),
     )
@@ -219,50 +233,63 @@ def score_pair(
     b: AuthorshipKey,
     weights: ScoringWeights,
 ) -> float:
-    """Sum of triggered feature weights for a candidate pair.
+    """Sum of triggered feature weights for a pair of authorships.
 
     Symmetric in its arguments. Conflicting full first names force 0
     regardless of any other evidence.
     """
-    return _score_rows(_feature_row(index, a), _feature_row(index, b), weights)
+    row_a, row_b = (
+        _feature_row(index, key, _record_block_keys(index.record(key[0]))) for key in (a, b)
+    )
+    return _score_rows(row_a, row_b, weights)
 
 
-def indexed_features(weights: ScoringWeights) -> tuple[str, ...]:
-    """The features whose shared values make a pair a scoring candidate.
+def _linking_sets(weights: ScoringWeights) -> list[tuple[str, ...]]:
+    """The minimal linking sets, smallest first: each set of features, in
+    ``FEATURES`` order, whose weights reach the threshold through the
+    scorer's own helper while no proper subset's do.
 
-    Features are taken cheapest first; the longest such run whose weights
-    sum below the threshold is left unindexed, since a pair sharing none
-    of the other features scores at most that sum. The sum goes through
-    the scorer's own helper, so it is exactly the score of such a pair.
+    Adding non-negative weights in a fixed order never lowers the sum, so
+    a pair sharing a value of every feature of such a set scores at least
+    the threshold unless its full first names conflict, and a pair at or
+    above the threshold shares every value of one such set.
     """
-    ordered = sorted(_UNINDEXED_FIRST, key=lambda name: getattr(weights, name))
-    for count in range(len(ordered)):
-        unindexed = ordered[: count + 1]
-        if _weight_sum(weights, [n in unindexed for n in FEATURES]) >= weights.threshold:
-            return tuple(ordered[count:])
-    return ()
+    found: list[tuple[str, ...]] = []
+    for size in range(1, len(FEATURES) + 1):
+        for names in itertools.combinations(FEATURES, size):
+            if any(set(linking) <= set(names) for linking in found):
+                continue
+            if _weight_sum(weights, [n in names for n in FEATURES]) >= weights.threshold:
+                found.append(names)
+    return found
 
 
-def _candidate_pairs(
-    rows: Sequence[_FeatureRow], features: Sequence[str]
-) -> Iterator[tuple[int, int]]:
-    """Each pair ``(i, j)``, ``i < j``, of rows sharing a value of one of
-    ``features``, once."""
-    row_keys = [
-        [(feature, value) for feature in features for value in getattr(row, feature)]
-        for row in rows
-    ]
-    postings: dict[tuple[str, object], list[int]] = {}
-    for i, keys in enumerate(row_keys):
-        for key in keys:
-            postings.setdefault(key, []).append(i)
-    for i, keys in enumerate(row_keys):
-        partners: set[int] = set()
-        for key in keys:
-            partners.update(postings[key])
-        for j in partners:
-            if j > i:
-                yield i, j
+def _linked_groups(
+    rows: Sequence[_FeatureRow], linking: Sequence[tuple[str, ...]]
+) -> Iterator[list[int]]:
+    """For each linking set, the indices of rows sharing one value of each
+    of its features: one list, in row order, per combination of values
+    that two or more rows share.
+
+    Rows are grouped one feature at a time and only groups of two or more
+    are split further, so sets that start with the same features share
+    those steps.
+    """
+    refined: dict[tuple[str, ...], list[list[int]]] = {(): [list(range(len(rows)))]}
+    for names in linking:
+        for size in range(1, len(names) + 1):
+            if names[:size] in refined:
+                continue
+            field = FEATURES.index(names[size - 1])
+            groups: list[list[int]] = []
+            for group in refined[names[: size - 1]]:
+                by_value: dict[object, list[int]] = {}
+                for i in group:
+                    for value in rows[i][field]:
+                        by_value.setdefault(value, []).append(i)
+                groups.extend(g for g in by_value.values() if len(g) > 1)
+            refined[names[:size]] = groups
+        yield from refined[names]
 
 
 class _UnionFind:
@@ -297,17 +324,55 @@ def _make_clusters(
     groups: Iterable[Sequence[AuthorshipKey]], index: CorpusIndex
 ) -> list[ResearcherCluster]:
     clusters = []
-    for members in groups:
-        ordered = sorted(members)
+    for ordered in sorted((sorted(members) for members in groups), key=lambda o: o[0]):
         anchor = ordered[0]
+        if len(ordered) == 1:
+            display_name = index.author(anchor).full_name
+        else:
+            display_name = most_frequent(index.author(key).full_name for key in ordered)
         clusters.append(
             ResearcherCluster(
                 cluster_id=f"{anchor[0]}#{anchor[1]}",
                 members=frozenset(ordered),
-                display_name=most_frequent(index.author(key).full_name for key in ordered),
+                display_name=display_name,
             )
         )
-    return sorted(clusters, key=lambda c: min(c.members))
+    return clusters
+
+
+def _union_linked(
+    keys: Sequence[AuthorshipKey],
+    rows: Sequence[_FeatureRow],
+    splits: dict[AuthorshipKey, set[AuthorshipKey]],
+    uf: _UnionFind,
+    weights: ScoringWeights,
+) -> None:
+    """Union one linking group: authorships sharing every value of a
+    minimal linking set, so each pair of them reaches the threshold unless
+    its full first names conflict or a SPLIT override suppresses its edge.
+
+    A member with a SPLIT partner in the group is scored against the
+    others. The rest form one component when one of them has no full
+    first name, and one component per full first name otherwise; each
+    component is joined along a chain.
+    """
+    split = [i for i, key in enumerate(keys) if key in splits and not splits[key].isdisjoint(keys)]
+    free = [i for i in range(len(keys)) if i not in split]
+    components: Iterable[list[int]] = [free]
+    if all(rows[i].first_name for i in free):
+        by_name: dict[str, list[int]] = {}
+        for i in free:
+            by_name.setdefault(min(rows[i].first_name), []).append(i)
+        components = by_name.values()
+    for component in components:
+        for i, j in zip(component, component[1:]):
+            uf.union(keys[i], keys[j])
+    for n, i in enumerate(split):
+        for j in free + split[n + 1:]:
+            if keys[j] not in splits[keys[i]] and (
+                _score_rows(rows[i], rows[j], weights) >= weights.threshold
+            ):
+                uf.union(keys[i], keys[j])
 
 
 def _cluster_keys(
@@ -317,20 +382,23 @@ def _cluster_keys(
     overrides: Iterable[ManualOverride] | None,
 ) -> list[ResearcherCluster]:
     overrides = list(overrides or [])
-    splits = {frozenset((o.a, o.b)) for o in overrides if o.action == "SPLIT"}
+    splits: dict[AuthorshipKey, set[AuthorshipKey]] = {}
+    for o in overrides:
+        if o.action == "SPLIT":
+            splits.setdefault(o.a, set()).add(o.b)
+            splits.setdefault(o.b, set()).add(o.a)
     blocks = [sorted(block) for block in blocks]
     uf = _UnionFind(key for block in blocks for key in block)
-    features = indexed_features(weights)
-    for block in blocks:
-        if len(block) < 2:
-            continue
-        rows = [_feature_row(index, key) for key in block]
-        for i, j in _candidate_pairs(rows, features):
-            a, b = block[i], block[j]
-            if frozenset((a, b)) in splits:
-                continue
-            if _score_rows(rows[i], rows[j], weights) >= weights.threshold:
-                uf.union(a, b)
+    linking = _linking_sets(weights)
+    shared = [block for block in blocks if len(block) > 1]
+    record_keys = {
+        pub_id: _record_block_keys(index.record(pub_id))
+        for pub_id in {key[0] for block in shared for key in block}
+    }
+    for block in shared:
+        rows = [_feature_row(index, key, record_keys[key[0]]) for key in block]
+        for group in _linked_groups(rows, linking):
+            _union_linked([block[i] for i in group], [rows[i] for i in group], splits, uf, weights)
     for o in overrides:
         if o.action == "MERGE" and o.a in uf.parent and o.b in uf.parent:
             uf.union(o.a, o.b)

@@ -17,7 +17,6 @@ from fundmob.disambig import (
     block_key,
     cluster_block,
     cluster_corpus,
-    indexed_features,
     load_overrides,
     most_frequent,
     score_pair,
@@ -161,8 +160,8 @@ class TestScorePair:
 
 
 # -- the all-pairs reference scorer ------------------------------------------
-# The scoring definition the candidate-pair path replaced, kept verbatim with
-# its helpers so the oracles below share no scoring code with the package.
+# The original all-pairs scoring definition, kept verbatim with its helpers so
+# the oracles below share no scoring code with the package.
 # One difference is intended: the package treats an email that is blank after
 # stripping as no email, so no fixture here draws such an email.
 
@@ -477,25 +476,39 @@ def test_cluster_corpus_permutation_invariance():
         assert cluster_corpus(shuffled, WEIGHTS) == reference
 
 
-# -- candidate pairs ------------------------------------------------------------
+# -- minimal linking sets -------------------------------------------------------
 
 
-class TestIndexedFeatures:
-    def test_stock_weights_leave_funder_and_first_name_unindexed(self, data_dir):
-        # funder 1 + first_name 2 = 3 < 5, and adding affiliation reaches 5
+class TestLinkingSets:
+    def test_stock_weights_give_five_sets(self, data_dir):
         weights = ScoringWeights.load(data_dir / "disambig_weights.cfg")
-        assert set(indexed_features(weights)) == {"affiliation", "coauthor", "email"}
+        assert disambig._linking_sets(weights) == [
+            ("email",),
+            ("affiliation", "coauthor"),
+            ("coauthor", "funder"),
+            ("coauthor", "first_name"),
+            ("affiliation", "funder", "first_name"),
+        ]
 
-    def test_low_threshold_indexes_everything(self):
+    def test_low_threshold_links_on_each_feature_alone(self):
         weights = ScoringWeights(threshold=0.5)
-        assert set(indexed_features(weights)) == set(FEATURES)
+        assert disambig._linking_sets(weights) == [(name,) for name in FEATURES]
 
-    def test_unreachable_threshold_indexes_nothing(self):
+    def test_unreachable_threshold_gives_no_set(self):
+        # every weight together adds up to 19
         weights = ScoringWeights(threshold=20)
-        assert indexed_features(weights) == ()
+        assert disambig._linking_sets(weights) == []
         records, _ = random_block(random.Random(3), 12)
         clusters = cluster_corpus(records, weights)
         assert len(clusters) == len(CorpusIndex(records).authorships)
+
+    @pytest.mark.parametrize("name", FEATURES)
+    @pytest.mark.parametrize("threshold", [0.5, 2, 5, 9])
+    def test_zero_weight_feature_is_in_no_set(self, name, threshold):
+        weights = dataclasses.replace(WEIGHTS, threshold=threshold, **{name: 0.0})
+        sets = disambig._linking_sets(weights)
+        assert sets
+        assert all(name not in linking for linking in sets)
 
 
 def _funder_first_name_block():
@@ -551,36 +564,87 @@ def test_pair_scoring_exactly_the_threshold_is_scored(monkeypatch, patch_sum):
     )
 
 
-class TestScoredPairs:
-    def test_no_shared_indexed_key_scores_no_pair(self, monkeypatch):
+def _count_unions(monkeypatch):
+    unions = []
+    union = disambig._UnionFind.union
+
+    def counting(self, a, b):
+        unions.append((a, b))
+        return union(self, a, b)
+
+    monkeypatch.setattr(disambig._UnionFind, "union", counting)
+    return unions
+
+
+class TestLinkedBlocks:
+    def test_block_sharing_no_linking_set_stays_apart(self, monkeypatch):
+        # funder 1 + first_name 2 = 3 < 5: shared funders and first names link nobody
         records = _funder_first_name_block()
         assert len(block_authorships(records)) == 1
-        scored = _count_scored(monkeypatch)
+        scored, unions = _count_scored(monkeypatch), _count_unions(monkeypatch)
         clusters = cluster_corpus(records, WEIGHTS)
-        assert scored == []
+        assert scored == unions == []
         assert len(clusters) == 50
 
-    def test_funder_and_first_name_indexed_when_they_reach_threshold(self, monkeypatch):
+    def test_funder_and_first_name_link_when_they_reach_threshold(self, monkeypatch):
         records = _funder_first_name_block()
         weights = ScoringWeights(funder=3, first_name=3, threshold=5)
-        assert {"funder", "first_name"} <= set(indexed_features(weights))
-        full_first = [r.authors[0].first_name if r.authors[0].first_name in ("Wei", "Wen")
-                      else None for r in records]
-        expected = sum(
-            1 for i, j in itertools.combinations(range(len(records)), 2)
-            if set(records[i].funding_orgs) & set(records[j].funding_orgs)
-            or (full_first[i] and full_first[i] == full_first[j])
-        )
+        assert ("funder", "first_name") in disambig._linking_sets(weights)
         scored = _count_scored(monkeypatch)
         clusters = cluster_corpus(records, weights)
-        assert len(scored) == expected > 0
+        assert scored == []
+        assert len(clusters) < 50
         index = CorpusIndex(records)
         assert {c.members for c in clusters} == components_oracle(
             list(index.authorships), index, weights
         )
 
 
-# -- candidate-pair clustering against the all-pairs reference ----------------
+def _linked_block(firsts, overrides=()):
+    """The clusters of a block of one Lin authorship per given name in
+    ``firsts``, each pair sharing an org and a co-author (2 + 4 = 6 >= 5)."""
+    records = [
+        make_record(f"g{i}", (
+            make_author(1, "Lin", first=first, initials="W.",
+                        countries=("CN",), orgs=("Inst One",)),
+            make_author(2, "Zhu", first="Kai"),
+        ))
+        for i, first in enumerate(firsts)
+    ]
+    keys = [(r.pub_id, 1) for r in records]
+    clusters = cluster_block(keys, CorpusIndex(records), WEIGHTS, overrides)
+    return [sorted(c.members) for c in clusters]
+
+
+class TestLinkingGroups:
+    def test_member_without_full_first_name_bridges_first_names(self):
+        assert _linked_block(["Wei", "Wen"]) == [[("g0", 1)], [("g1", 1)]]
+        assert _linked_block(["Wei", "W.", "Wen"]) == [[("g0", 1), ("g1", 1), ("g2", 1)]]
+
+    def test_full_first_names_split_the_group(self):
+        assert _linked_block(["Wei", "Wen", "Wei", "Wen"]) == [
+            [("g0", 1), ("g2", 1)],
+            [("g1", 1), ("g3", 1)],
+        ]
+
+    def test_group_of_two_with_its_split_pair_stays_split(self, monkeypatch):
+        split = ManualOverride(("g0", 1), ("g1", 1), "SPLIT")
+        scored = _count_scored(monkeypatch)
+        assert _linked_block(["Wei", "Wei"], [split]) == [[("g0", 1)], [("g1", 1)]]
+        # both are split members of both of their groups, so nothing is scored
+        assert scored == []
+
+    def test_group_of_four_with_one_split_pair_stays_one_cluster(self, monkeypatch):
+        split = ManualOverride(("g2", 1), ("g0", 1), "SPLIT")
+        scored = _count_scored(monkeypatch)
+        clusters = _linked_block(["Wei", None, "Wei", "W."], [split])
+        assert clusters == [[("g0", 1), ("g1", 1), ("g2", 1), ("g3", 1)]]
+        # only in the affiliation + co-author group: g0 against g1 and g3,
+        # g2 against g1 and g3, and the SPLIT pair is skipped
+        assert len(scored) == 4
+
+
+# -- linking-set clustering against the all-pairs reference -------------------
 
 _H_SURNAMES = ["Lin", "Li", "Chen"]
 _H_FIRSTS = ["Wei", "Wen", "Lei", "W.", None]
@@ -622,7 +686,7 @@ def corpora_with_overrides(draw):
 def scoring_weights(draw):
     values = {name: draw(st.sampled_from(_H_WEIGHTS)) for name in FEATURES}
     if draw(st.booleans()):
-        # funder + first_name alone reach the threshold, so both are indexed
+        # funder + first_name alone reach the threshold: a linking set of their own
         values["funder"] = draw(st.sampled_from([2.0, 4.0]))
         values["first_name"] = draw(st.sampled_from([2.0, 4.0]))
         threshold = draw(st.sampled_from([0.3, 2.0, 4.0]))
@@ -655,13 +719,59 @@ def test_cluster_corpus_equals_all_pairs_reference(scenario, weights):
     assert {c.members for c in clusters} == _components(list(index.authorships), edges)
 
 
+def _all_pairs_components(records, overrides, weights):
+    """The connected components of every within-block pair scoring at least
+    the threshold under reference_score_pair, minus SPLIT pairs, plus MERGE
+    pairs."""
+    index = CorpusIndex(records)
+    blocks: dict = {}
+    for key, author in index.authorships.items():
+        blocks.setdefault(block_key(author), []).append(key)
+    splits = {frozenset((o.a, o.b)) for o in overrides if o.action == "SPLIT"}
+    edges = [
+        (a, b)
+        for block in blocks.values()
+        for a, b in itertools.combinations(block, 2)
+        if frozenset((a, b)) not in splits
+        and reference_score_pair(index, a, b, weights) >= weights.threshold
+    ]
+    edges += [(o.a, o.b) for o in overrides if o.action == "MERGE"]
+    return _components(list(index.authorships), edges)
+
+
+@st.composite
+def corpora_with_block_splits(draw):
+    """Records as in corpora_with_overrides, with SPLIT overrides drawn only
+    between two authorships of one block, where they can suppress an edge."""
+    records, _ = draw(corpora_with_overrides())
+    blocks: dict = {}
+    for record in records:
+        for author in record.authors:
+            blocks.setdefault(block_key(author), []).append((record.pub_id, author.position))
+    pairs = [pair for block in blocks.values() for pair in itertools.combinations(block, 2)]
+    if not pairs:
+        return records, []
+    drawn = draw(st.lists(st.sampled_from(pairs), max_size=6))
+    return records, [ManualOverride(a, b, "SPLIT") for a, b in drawn]
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora_with_block_splits(), scoring_weights())
+def test_block_splits_equal_all_pairs_reference(scenario, weights):
+    records, overrides = scenario
+    clusters = cluster_corpus(records, weights, overrides)
+    assert {c.members for c in clusters} == _all_pairs_components(records, overrides, weights)
+
+
 # -- work counters at 1x and 4x a benchmark corpus ------------------------------
 
 
 def test_normalizations_per_authorship_do_not_grow_with_the_corpus(monkeypatch):
     """Clustering normalizes each distinct string once, so the work per
     authorship stays flat, and below one, as the corpus grows. Only a miss
-    of the ``normalize_text`` memo reaches ``strip_accents``."""
+    of the ``normalize_text`` memo reaches ``strip_accents``. Without
+    overrides no pair is scored, and unions stay below one per
+    authorship."""
     gen = load_bench_gen(monkeypatch)
     calls = []
     strip_accents = textnorm.strip_accents
@@ -671,6 +781,7 @@ def test_normalizations_per_authorship_do_not_grow_with_the_corpus(monkeypatch):
         return strip_accents(text)
 
     monkeypatch.setattr(textnorm, "strip_accents", counting)
+    scored, unions = _count_scored(monkeypatch), _count_unions(monkeypatch)
     per_authorship = []
     for scale in (1, 4):
         spec = dataclasses.replace(gen.SPECS["cn-skewed"], records=1800 * scale)
@@ -678,7 +789,11 @@ def test_normalizations_per_authorship_do_not_grow_with_the_corpus(monkeypatch):
         records = filter_documents(parse_corpus(lines).records)
         normalize_text.cache_clear()
         calls.clear()
+        unions.clear()
         cluster_corpus(records, WEIGHTS)
-        per_authorship.append(len(calls) / sum(len(r.authors) for r in records))
+        authorships = sum(len(r.authors) for r in records)
+        per_authorship.append(len(calls) / authorships)
+        assert scored == []
+        assert len(unions) / authorships < 1
     at_1x, at_4x = per_authorship
     assert at_4x <= at_1x < 1

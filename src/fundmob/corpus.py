@@ -140,14 +140,16 @@ class CountryAliases:
             if not code:
                 raise ValueError(f"malformed alias line {line_no} (need raw<TAB>code): {line!r}")
             # raw names compare as lookup reads them, normalized
-            raw = raw.strip()
+            raw, code = raw.strip(), code.strip()
+            if "\t" in code:
+                raise ValueError(f"country code on line {line_no} holds a tab: {code!r}")
             key = normalize_text(raw)
             if key in line_of:
                 raise ValueError(
                     f"country name {raw!r} given twice, on lines {line_of[key]} and {line_no}"
                 )
             line_of[key] = line_no
-            aliases[key] = code.strip()
+            aliases[key] = code
         return cls(aliases)
 
     def normalize(self, raw: str | None) -> str:
@@ -222,6 +224,14 @@ def _parse_str(obj: dict, key: str, default: str | None = None, owner: str = "")
     return value
 
 
+def _tsv_cell(value: str, label: str) -> str:
+    """``value``, which an artifact writes into one TSV cell, so that it
+    may hold neither a tab nor a character ``str.splitlines`` splits at."""
+    if "\t" in value or "".join(value.splitlines()) != value:
+        raise RecordError(f"{label} holds a tab or a line break: {value!r}")
+    return value
+
+
 def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -> Authorship:
     label = f"author {index + 1}"
     owner = f"{label} "
@@ -246,7 +256,7 @@ def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -
     email = (_parse_str(obj, "email", owner=owner) or "").strip()
     return Authorship(
         position=position,
-        full_name=_parse_str(obj, "full_name", last_name, owner),
+        full_name=_tsv_cell(_parse_str(obj, "full_name", last_name, owner), f"{label} full_name"),
         last_name=last_name,
         first_name=_parse_str(obj, "first_name", owner=owner) or None,
         initials=_parse_str(obj, "initials", owner=owner) or None,
@@ -268,6 +278,7 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
         pub_id = str(pub_id)
     elif not isinstance(pub_id, str):
         raise RecordError("pub_id is not a string or an integer")
+    _tsv_cell(pub_id, "pub_id")
 
     if "pub_year" not in obj:
         raise RecordError("missing pub_year")
@@ -297,7 +308,7 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
             raise RecordError(f"field weight {fw['weight']!r} is not a number") from exc
         if not 0.0 < weight <= 1.0:
             raise RecordError(f"field weight {weight} outside (0, 1]")
-        field_weights.append(FieldWeight(_parse_str(fw, "field_id"), weight))
+        field_weights.append(FieldWeight(_tsv_cell(_parse_str(fw, "field_id"), "field_id"), weight))
     if field_weights:
         total = sum(fw.weight for fw in field_weights)
         if abs(total - 1.0) > 1e-9:

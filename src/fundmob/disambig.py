@@ -1,28 +1,28 @@
-"""Authorship clustering: blocking by surname + first initial, pairwise
-evidence scoring, and single-linkage clustering over a score threshold.
+"""Authorship clustering: blocking by surname + first initial, and
+single-linkage clustering over a threshold on summed evidence weights.
 
 This is a transparent, configurable stand-in for a production-scale name
-disambiguator. Scoring sums the weights of triggered boolean features
-(shared email, shared affiliation, shared co-author, shared funder,
-matching full first names); conflicting full first names veto the pair
-outright. Clustering is connected components of the threshold graph, so
-results are independent of input order. A manual-override file can force
-pairs together or suppress their direct edge, standing in for the manual
-cleaning pass that production pipelines apply.
+disambiguator. A pair's score sums the weights of triggered boolean
+features (shared email, shared affiliation, shared co-author, shared
+funder, matching full first names); conflicting full first names veto
+the pair outright. Clustering is connected components of the threshold
+graph, so results are independent of input order. A manual-override
+file can force pairs together or suppress their direct edge, standing
+in for the manual cleaning pass that production pipelines apply.
 
-Clustering is exact but scores no pair it does not have to. Components
-need only a spanning forest of the threshold graph, not every edge. A
-*minimal linking set* is a set of features whose weights reach the
-threshold while no proper subset's do (see :func:`_linking_sets`); a
-pair at or above the threshold shares every value of at least one such
-set. So each block of two or more authorships gets one feature row per
-member, and for each linking set its rows are grouped by the values
-they share. Inside a group every pair reaches the threshold unless its
-full first names conflict, so the group's components are known without
-scoring and are joined along a chain. Only a member with a SPLIT
-partner in its own group is scored pair by pair. The scorer and the
-linking sets add weights through one helper, in one order, so they
-round alike by construction.
+Clustering scores no pair: components need only a spanning forest of
+the threshold graph. A *minimal linking set* is a set of features whose
+weights reach the threshold while no proper subset's do (see
+:func:`_linking_sets`); a pair at or above the threshold shares every
+value of at least one such set. So each block of two or more
+authorships gets one feature row per member, and for each linking set
+its rows are grouped by the values they share. Inside a group a pair
+reaches the threshold exactly when its full first names do not
+conflict, so first names and SPLIT overrides alone decide its edges.
+In :func:`cluster_corpus` a co-author is known by the index of its
+block in the one blocking pass, so each block key is computed once per
+run. :func:`score_pair` is the pairwise reference that clustering
+agrees with.
 """
 from __future__ import annotations
 
@@ -31,14 +31,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import normalize_text
 
 AuthorshipKey = tuple[str, int]
-#: each author of one record with its block key, as (position, key) pairs
-RecordBlockKeys = list[tuple[int, tuple[str, str]]]
 
 #: the scored features, in the order the scorer adds their weights
 FEATURES = ("email", "affiliation", "coauthor", "funder", "first_name")
@@ -184,29 +182,34 @@ class _FeatureRow(NamedTuple):
 
     email: set[str]
     affiliation: set[str]
-    coauthor: set[tuple[str, str]]
+    coauthor: set[Hashable]
     funder: set[str]
     first_name: set[str]
 
 
-def _record_block_keys(record: PublicationRecord) -> RecordBlockKeys:
-    return [(a.position, block_key(a)) for a in record.authors]
-
-
 def _feature_row(
-    index: CorpusIndex, key: AuthorshipKey, record_keys: RecordBlockKeys
+    index: CorpusIndex, key: AuthorshipKey, block_of: Mapping[AuthorshipKey, Hashable]
 ) -> _FeatureRow:
-    """The row of ``key``, reading its co-authors' block keys from
-    ``record_keys``, the block keys of its record."""
+    """The row of ``key``. ``block_of`` gives each co-author an id that two
+    authorships share exactly when they share a block key."""
     author, record = index.author(key), index.record(key[0])
     email = (author.email or "").strip().lower()
     return _FeatureRow(
         email={email} if email else set(),
         affiliation=_org_keys(author),
-        coauthor={bk for position, bk in record_keys if position != key[1]},
+        coauthor={block_of[(key[0], a.position)] for a in record.authors if a.position != key[1]},
         funder={normalize_text(f) for f in record.funding_orgs},
         first_name=_full_first_name(author),
     )
+
+
+def _block_keys_of(index: CorpusIndex, pub_ids: Iterable[str]) -> dict[AuthorshipKey, tuple[str, str]]:
+    """The block key of every author of the records ``pub_ids``."""
+    return {(p, a.position): block_key(a) for p in pub_ids for a in index.record(p).authors}
+
+
+def _first_names_conflict(a: _FeatureRow, b: _FeatureRow) -> bool:
+    return bool(a.first_name and b.first_name and a.first_name != b.first_name)
 
 
 def _weight_sum(weights: ScoringWeights, triggered: Iterable[bool]) -> float:
@@ -219,14 +222,6 @@ def _weight_sum(weights: ScoringWeights, triggered: Iterable[bool]) -> float:
     return total
 
 
-def _score_rows(a: _FeatureRow, b: _FeatureRow, weights: ScoringWeights) -> float:
-    """Sum of triggered feature weights; conflicting full first names
-    force 0 regardless of any other evidence."""
-    if a.first_name and b.first_name and a.first_name != b.first_name:
-        return 0.0
-    return _weight_sum(weights, [not x.isdisjoint(y) for x, y in zip(a, b)])
-
-
 def score_pair(
     index: CorpusIndex,
     a: AuthorshipKey,
@@ -236,12 +231,14 @@ def score_pair(
     """Sum of triggered feature weights for a pair of authorships.
 
     Symmetric in its arguments. Conflicting full first names force 0
-    regardless of any other evidence.
+    regardless of any other evidence. This is the pairwise reference;
+    clustering never calls it.
     """
-    row_a, row_b = (
-        _feature_row(index, key, _record_block_keys(index.record(key[0]))) for key in (a, b)
-    )
-    return _score_rows(row_a, row_b, weights)
+    block_of = _block_keys_of(index, {a[0], b[0]})
+    row_a, row_b = (_feature_row(index, key, block_of) for key in (a, b))
+    if _first_names_conflict(row_a, row_b):
+        return 0.0
+    return _weight_sum(weights, [not x.isdisjoint(y) for x, y in zip(row_a, row_b)])
 
 
 def _linking_sets(weights: ScoringWeights) -> list[tuple[str, ...]]:
@@ -251,8 +248,8 @@ def _linking_sets(weights: ScoringWeights) -> list[tuple[str, ...]]:
 
     Adding non-negative weights in a fixed order never lowers the sum, so
     a pair sharing a value of every feature of such a set scores at least
-    the threshold unless its full first names conflict, and a pair at or
-    above the threshold shares every value of one such set.
+    the threshold exactly when its full first names do not conflict, and
+    a pair at or above the threshold shares every value of one such set.
     """
     found: list[tuple[str, ...]] = []
     for size in range(1, len(FEATURES) + 1):
@@ -345,16 +342,16 @@ def _union_linked(
     rows: Sequence[_FeatureRow],
     splits: dict[AuthorshipKey, set[AuthorshipKey]],
     uf: _UnionFind,
-    weights: ScoringWeights,
 ) -> None:
     """Union one linking group: authorships sharing every value of a
     minimal linking set, so each pair of them reaches the threshold unless
     its full first names conflict or a SPLIT override suppresses its edge.
 
-    A member with a SPLIT partner in the group is scored against the
-    others. The rest form one component when one of them has no full
-    first name, and one component per full first name otherwise; each
-    component is joined along a chain.
+    A member with a SPLIT partner in the group joins each other member it
+    is not split from and whose first name does not conflict with its
+    own. The rest form one component when one of them has no full first
+    name, and one component per full first name otherwise; each component
+    is joined along a chain.
     """
     split = [i for i, key in enumerate(keys) if key in splits and not splits[key].isdisjoint(keys)]
     free = [i for i in range(len(keys)) if i not in split]
@@ -369,14 +366,13 @@ def _union_linked(
             uf.union(keys[i], keys[j])
     for n, i in enumerate(split):
         for j in free + split[n + 1:]:
-            if keys[j] not in splits[keys[i]] and (
-                _score_rows(rows[i], rows[j], weights) >= weights.threshold
-            ):
+            if keys[j] not in splits[keys[i]] and not _first_names_conflict(rows[i], rows[j]):
                 uf.union(keys[i], keys[j])
 
 
 def _cluster_keys(
     blocks: Iterable[Sequence[AuthorshipKey]],
+    block_of: Mapping[AuthorshipKey, Hashable],
     index: CorpusIndex,
     weights: ScoringWeights,
     overrides: Iterable[ManualOverride] | None,
@@ -390,15 +386,12 @@ def _cluster_keys(
     blocks = [sorted(block) for block in blocks]
     uf = _UnionFind(key for block in blocks for key in block)
     linking = _linking_sets(weights)
-    shared = [block for block in blocks if len(block) > 1]
-    record_keys = {
-        pub_id: _record_block_keys(index.record(pub_id))
-        for pub_id in {key[0] for block in shared for key in block}
-    }
-    for block in shared:
-        rows = [_feature_row(index, key, record_keys[key[0]]) for key in block]
+    for block in blocks:
+        if len(block) < 2:
+            continue
+        rows = [_feature_row(index, key, block_of) for key in block]
         for group in _linked_groups(rows, linking):
-            _union_linked([block[i] for i in group], [rows[i] for i in group], splits, uf, weights)
+            _union_linked([block[i] for i in group], [rows[i] for i in group], splits, uf)
     for o in overrides:
         if o.action == "MERGE" and o.a in uf.parent and o.b in uf.parent:
             uf.union(o.a, o.b)
@@ -420,8 +413,11 @@ def cluster_block(
 
     A SPLIT override suppresses the direct edge of that pair only; the two
     authorships can still end up together through transitive links.
+    Co-authors are compared by block key, computed for the block's
+    records alone.
     """
-    return _cluster_keys([block], index, weights, overrides)
+    block_of = _block_keys_of(index, {key[0] for key in block})
+    return _cluster_keys([block], block_of, index, weights, overrides)
 
 
 def cluster_corpus(
@@ -432,9 +428,12 @@ def cluster_corpus(
 ) -> list[ResearcherCluster]:
     """Cluster every authorship of the corpus.
 
-    Scoring only happens within blocks, but MERGE overrides join across
-    blocks, mirroring a manual-cleaning pass that may repair blocking
-    mistakes.
+    Evidence links authorships only within blocks, but MERGE overrides
+    join across blocks, mirroring a manual-cleaning pass that may repair
+    blocking mistakes.
     """
     index = index or CorpusIndex(corpus)
-    return _cluster_keys(block_authorships(corpus), index, weights, overrides)
+    blocks = block_authorships(corpus)
+    # blocks are sorted by key, so a block's index stands for its key
+    block_of = {key: i for i, block in enumerate(blocks) for key in block}
+    return _cluster_keys(blocks, block_of, index, weights, overrides)

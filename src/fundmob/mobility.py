@@ -190,13 +190,15 @@ def load_field_map(path: str | Path) -> dict[str, str]:
         field_id, _, name = line.partition("\t")
         if not name:
             raise ValueError(f"malformed field map line {line_no}: {line!r}")
-        field_id = field_id.strip()
+        field_id, name = field_id.strip(), name.strip()
+        if "\t" in name:
+            raise ValueError(f"field name on line {line_no} holds a tab: {name!r}")
         if field_id in line_of:
             raise ValueError(
                 f"field_id {field_id!r} given twice, on lines {line_of[field_id]} and {line_no}"
             )
         line_of[field_id] = line_no
-        mapping[field_id] = name.strip()
+        mapping[field_id] = name
     return mapping
 
 

@@ -198,6 +198,21 @@ class TestParseCorpus:
         assert [e.line_no for e in result.errors] == [2]
         assert "pub_id" in result.errors[0].message
 
+    @pytest.mark.parametrize("bad", ["\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+    @pytest.mark.parametrize("overrides", [
+        lambda bad: {"pub_id": f"W{bad}X"},
+        lambda bad: {"authors": [{"position": 1, "full_name": f"Chen,{bad}Long",
+                                  "last_name": "Chen"}]},
+        lambda bad: {"authors": [{"position": 1, "last_name": f"Chen{bad}Jr"}]},
+        lambda bad: {"field_weights": [{"field_id": f"odd{bad}field", "weight": 1.0}]},
+    ], ids=["pub_id", "full_name", "full_name-from-last_name", "field_id"])
+    def test_tab_or_line_break_in_a_tsv_value_is_a_parse_issue(self, overrides, bad):
+        # each of these values is a cell of a TSV artifact
+        result = parse_corpus([line(), line(**{"pub_id": "W2", **overrides(bad)})])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert [e.line_no for e in result.errors] == [2]
+        assert "holds a tab or a line break" in result.errors[0].message
+
     def test_integer_pub_id_reads_as_its_decimal_text(self):
         result = parse_corpus([line(pub_id=7)])
         assert [r.pub_id for r in result.records] == ["7"]
@@ -326,6 +341,13 @@ class TestCountryAliases:
             CountryAliases.load(path)
 
 
+    def test_code_holding_a_tab_is_an_error(self, tmp_path):
+        path = tmp_path / "aliases.tsv"
+        path.write_text("Germany\tDE\nChina\tC\tN\n")
+        with pytest.raises(ValueError, match="country code on line 2 holds a tab"):
+            CountryAliases.load(path)
+
+
 class TestFilterDocuments:
     def test_keeps_articles_and_reviews(self):
         records = [
@@ -385,6 +407,10 @@ class TestResolvePubDate:
 _names = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll")), min_size=1, max_size=8
 )
+#: a pub_id is a TSV cell, so it holds no tab and no line break
+_pub_ids = st.text(min_size=1, max_size=10).filter(
+    lambda text: "\t" not in text and "".join(text.splitlines()) == text
+)
 
 
 @st.composite
@@ -418,7 +444,7 @@ def records(draw):
         ]
     doi_date = draw(st.one_of(st.none(), st.dates(date(2000, 1, 1), date(2020, 1, 1))))
     return {
-        "pub_id": draw(st.text(min_size=1, max_size=10)),
+        "pub_id": draw(_pub_ids),
         "title": draw(st.text(max_size=20)),
         "pub_year": draw(st.integers(1900, 2100)),
         "doc_type": draw(st.sampled_from(["Article", "Review", "Other"])),

@@ -267,12 +267,15 @@ def random_block(rng: random.Random, size: int):
     return records, keys
 
 
-def components_oracle(keys, index, weights):
+def components_oracle(keys, index, weights, overrides=()):
     """Independent connected components of the threshold graph, scoring
-    every pair with :func:`reference_score_pair`."""
+    every pair with :func:`reference_score_pair`, without the pairs a
+    SPLIT override names."""
+    splits = {frozenset((o.a, o.b)) for o in overrides if o.action == "SPLIT"}
     edges = [
         (a, b) for a, b in itertools.combinations(sorted(keys), 2)
-        if reference_score_pair(index, a, b, weights) >= weights.threshold
+        if frozenset((a, b)) not in splits
+        and reference_score_pair(index, a, b, weights) >= weights.threshold
     ]
     return _components(keys, edges)
 
@@ -350,6 +353,37 @@ class TestClusterBlock:
             high = cluster_block(keys, index, high_weights)
             for cluster in high:
                 assert any(cluster.members <= parent.members for parent in low)
+
+    def test_coauthors_are_compared_by_block_across_spellings(self):
+        # "Hu, Jun" and "HU, J." share a block, so g0 and g1 share a
+        # co-author (4) and an org (2); g2's co-author is alone in its
+        # block and links g2 to nobody
+        records = [
+            make_record("g0", (
+                make_author(1, "Lin", first="Wei", countries=("CN",), orgs=("Inst One",)),
+                make_author(2, "Hu", first="Jun"),
+            )),
+            make_record("g1", (
+                make_author(1, "Lin", initials="W.", countries=("CN",), orgs=("Inst One",)),
+                make_author(2, "HU", initials="J."),
+            )),
+            make_record("g2", (
+                make_author(1, "Lin", first="Wei", countries=("CN",), orgs=("Inst One",)),
+                make_author(2, "Zhao", first="Min"),
+            )),
+        ]
+        index = CorpusIndex(records)
+        assert block_authorships(records) == [
+            [("g0", 2), ("g1", 2)], [("g0", 1), ("g1", 1), ("g2", 1)], [("g2", 2)],
+        ]
+        lin = [("g0", 1), ("g1", 1), ("g2", 1)]
+        block = {c.members for c in cluster_block(lin, index, WEIGHTS)}
+        assert block == components_oracle(lin, index, WEIGHTS)
+        assert block == {frozenset(lin[:2]), frozenset(lin[2:])}
+        everyone = list(index.authorships)
+        corpus = {c.members for c in cluster_corpus(records, WEIGHTS)}
+        assert corpus == components_oracle(everyone, index, WEIGHTS)
+        assert block <= corpus
 
     def test_display_name_is_modal_with_tie_break(self):
         records = [
@@ -527,18 +561,6 @@ def _funder_first_name_block():
     return records
 
 
-def _count_scored(monkeypatch):
-    scored = []
-    score_rows = disambig._score_rows
-
-    def counting(a, b, weights):
-        scored.append((a, b))
-        return score_rows(a, b, weights)
-
-    monkeypatch.setattr(disambig, "_score_rows", counting)
-    return scored
-
-
 @pytest.mark.parametrize("patch_sum", [False, True], ids=["plain", "fsum"])
 def test_pair_scoring_exactly_the_threshold_is_scored(monkeypatch, patch_sum):
     """affiliation + funder + first_name adds up to 0.6000000000000001 in
@@ -581,18 +603,20 @@ class TestLinkedBlocks:
         # funder 1 + first_name 2 = 3 < 5: shared funders and first names link nobody
         records = _funder_first_name_block()
         assert len(block_authorships(records)) == 1
-        scored, unions = _count_scored(monkeypatch), _count_unions(monkeypatch)
+        unions = _count_unions(monkeypatch)
         clusters = cluster_corpus(records, WEIGHTS)
-        assert scored == unions == []
+        assert unions == []
         assert len(clusters) == 50
+        index = CorpusIndex(records)
+        assert {c.members for c in clusters} == components_oracle(
+            list(index.authorships), index, WEIGHTS
+        )
 
-    def test_funder_and_first_name_link_when_they_reach_threshold(self, monkeypatch):
+    def test_funder_and_first_name_link_when_they_reach_threshold(self):
         records = _funder_first_name_block()
         weights = ScoringWeights(funder=3, first_name=3, threshold=5)
         assert ("funder", "first_name") in disambig._linking_sets(weights)
-        scored = _count_scored(monkeypatch)
         clusters = cluster_corpus(records, weights)
-        assert scored == []
         assert len(clusters) < 50
         index = CorpusIndex(records)
         assert {c.members for c in clusters} == components_oracle(
@@ -602,7 +626,8 @@ class TestLinkedBlocks:
 
 def _linked_block(firsts, overrides=()):
     """The clusters of a block of one Lin authorship per given name in
-    ``firsts``, each pair sharing an org and a co-author (2 + 4 = 6 >= 5)."""
+    ``firsts``, each pair sharing an org and a co-author (2 + 4 = 6 >= 5),
+    after checking them against the all-pairs reference."""
     records = [
         make_record(f"g{i}", (
             make_author(1, "Lin", first=first, initials="W.",
@@ -612,7 +637,9 @@ def _linked_block(firsts, overrides=()):
         for i, first in enumerate(firsts)
     ]
     keys = [(r.pub_id, 1) for r in records]
-    clusters = cluster_block(keys, CorpusIndex(records), WEIGHTS, overrides)
+    index = CorpusIndex(records)
+    clusters = cluster_block(keys, index, WEIGHTS, overrides)
+    assert {c.members for c in clusters} == components_oracle(keys, index, WEIGHTS, overrides)
     return [sorted(c.members) for c in clusters]
 
 
@@ -629,19 +656,21 @@ class TestLinkingGroups:
 
     def test_group_of_two_with_its_split_pair_stays_split(self, monkeypatch):
         split = ManualOverride(("g0", 1), ("g1", 1), "SPLIT")
-        scored = _count_scored(monkeypatch)
+        unions = _count_unions(monkeypatch)
         assert _linked_block(["Wei", "Wei"], [split]) == [[("g0", 1)], [("g1", 1)]]
-        # both are split members of both of their groups, so nothing is scored
-        assert scored == []
+        assert unions == []
 
-    def test_group_of_four_with_one_split_pair_stays_one_cluster(self, monkeypatch):
+    def test_group_of_four_with_one_split_pair_stays_one_cluster(self):
+        # g0 and g2 are split; each still joins g1 and g3, whose first
+        # names do not conflict with "Wei"
         split = ManualOverride(("g2", 1), ("g0", 1), "SPLIT")
-        scored = _count_scored(monkeypatch)
         clusters = _linked_block(["Wei", None, "Wei", "W."], [split])
         assert clusters == [[("g0", 1), ("g1", 1), ("g2", 1), ("g3", 1)]]
-        # only in the affiliation + co-author group: g0 against g1 and g3,
-        # g2 against g1 and g3, and the SPLIT pair is skipped
-        assert len(scored) == 4
+
+    def test_split_member_does_not_join_a_conflicting_first_name(self):
+        split = ManualOverride(("g0", 1), ("g1", 1), "SPLIT")
+        clusters = _linked_block(["Wei", "Wei", "Wen", "Wen"], [split])
+        assert clusters == [[("g0", 1)], [("g1", 1)], [("g2", 1), ("g3", 1)]]
 
 
 # -- linking-set clustering against the all-pairs reference -------------------
@@ -769,19 +798,24 @@ def test_block_splits_equal_all_pairs_reference(scenario, weights):
 def test_normalizations_per_authorship_do_not_grow_with_the_corpus(monkeypatch):
     """Clustering normalizes each distinct string once, so the work per
     authorship stays flat, and below one, as the corpus grows. Only a miss
-    of the ``normalize_text`` memo reaches ``strip_accents``. Without
-    overrides no pair is scored, and unions stay below one per
-    authorship."""
+    of the ``normalize_text`` memo reaches ``strip_accents``. Each
+    authorship's block key is computed once, in the blocking pass, and
+    unions stay below one per authorship."""
     gen = load_bench_gen(monkeypatch)
-    calls = []
-    strip_accents = textnorm.strip_accents
+    calls, keyed = [], []
+    strip_accents, real_block_key = textnorm.strip_accents, disambig.block_key
 
     def counting(text):
         calls.append(text)
         return strip_accents(text)
 
+    def counting_keys(author):
+        keyed.append(author)
+        return real_block_key(author)
+
     monkeypatch.setattr(textnorm, "strip_accents", counting)
-    scored, unions = _count_scored(monkeypatch), _count_unions(monkeypatch)
+    monkeypatch.setattr(disambig, "block_key", counting_keys)
+    unions = _count_unions(monkeypatch)
     per_authorship = []
     for scale in (1, 4):
         spec = dataclasses.replace(gen.SPECS["cn-skewed"], records=1800 * scale)
@@ -789,11 +823,12 @@ def test_normalizations_per_authorship_do_not_grow_with_the_corpus(monkeypatch):
         records = filter_documents(parse_corpus(lines).records)
         normalize_text.cache_clear()
         calls.clear()
+        keyed.clear()
         unions.clear()
         cluster_corpus(records, WEIGHTS)
         authorships = sum(len(r.authors) for r in records)
         per_authorship.append(len(calls) / authorships)
-        assert scored == []
+        assert len(keyed) == authorships
         assert len(unions) / authorships < 1
     at_1x, at_4x = per_authorship
     assert at_4x <= at_1x < 1

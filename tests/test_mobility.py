@@ -366,6 +366,13 @@ def test_field_id_given_twice_is_an_error(tmp_path):
         load_field_map(path)
 
 
+def test_field_name_holding_a_tab_is_an_error(tmp_path):
+    path = tmp_path / "fields.tsv"
+    path.write_text("# field_id<TAB>name\nphys\tPhysics\tand Engineering\n")
+    with pytest.raises(ValueError, match="field name on line 2 holds a tab"):
+        load_field_map(path)
+
+
 def test_load_surnames(data_dir):
     surnames = SurnameList.load(data_dir / "surnames_cn.txt")
     assert "chen" in surnames

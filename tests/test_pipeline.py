@@ -28,7 +28,7 @@ DEMO_DIGESTS = {
     "field_distribution.tsv": "ea3c260e69d1ff688e72dfed25d55797f09b309991988ad46260bc4bbec7af27",
     "temporal.tsv": "b738eca9b22f8c01f10418e037c25dda28fa2a6189ff5b234759f0e2bdb68f97",
     "indicators.json": "c958ae799f336d0539e393a67ed6b2cc6abf884e3329d521611f36f83c70861f",
-    "manifest.json": "e7fa149096a566b7a6be5699aaa9257db3078ab7f481234f4f8f3eab773a3a60",
+    "manifest.json": "031b65eeef8b30f185f4a108381acdf59c10ccf7fc807c2bf295c3e3fdcaefeb",
 }
 ARTIFACTS = list(DEMO_DIGESTS)
 
@@ -380,15 +380,24 @@ def test_every_traced_attribute_resolves():
 
 
 def test_every_traced_span_is_reached_from_run_pipeline(data_dir, tmp_path):
+    """A traced demo run opens every span, computes the funded ids once,
+    writes the pinned artifacts and leaves every swapped attribute as it
+    found it. ``bench/tests`` checks the same of the benchmark corpora."""
     tracing = load_bench_tracing()
+    before = {(m, a): tracing.resolve(fundmob, m, a) for m, a in tracing.patched_attributes()}
     tracer = tracing.Tracer()
     tracer.install(fundmob)
     try:
-        run_pipeline(demo_config(data_dir, tmp_path / "out"))
+        out = tmp_path / "out"
+        run_pipeline(demo_config(data_dir, out))
     finally:
         tracer.uninstall()
     reached = {span[0] for span in tracer.spans}
     assert {span for _, _, span in tracing.SPANNED} <= reached
+    assert tracer.counters["periods.funded_ids_calls"] == 1
+    assert all(tracing.resolve(fundmob, m, a) is f for (m, a), f in before.items())
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+    assert digests == DEMO_DIGESTS
 
 
 def test_overrides_flow_through_pipeline(data_dir, tmp_path):

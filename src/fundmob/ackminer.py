@@ -13,8 +13,7 @@ the whole text; only the sentence boundaries around it are classified,
 back to the last sentence end before it and on to the first one after
 it, and that one sentence is searched within its own bounds. Sentences
 before the next mention cannot hold one, so a text without a mention
-classifies no boundary. ``split_sentences`` uses the same per-sentence
-step, so both read sentence ends by one rule.
+classifies no boundary.
 
 Variant strings are stored normalized (case-folded, diacritics stripped)
 with dotted-initial forms kept as explicit entries. Variants and sentences
@@ -28,14 +27,13 @@ long ones pass a substring test before the word-edge check.
 """
 from __future__ import annotations
 
-import itertools
 import re
 import string
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import contains_bounded, normalize_text, strip_token_punct
@@ -135,7 +133,7 @@ _ASCII_LETTERS = frozenset(string.ascii_letters)
 
 def _is_sentence_break(text: str, punct_start: int, punct_end: int, rest_start: int) -> bool:
     # reads the text in place: slicing the tail or the head at every
-    # boundary would make splitting quadratic in the text length
+    # boundary would make extraction quadratic in the text length
     if rest_start >= len(text):
         return False
     first = text[rest_start]
@@ -168,39 +166,6 @@ def _is_sentence_break(text: str, punct_start: int, punct_end: int, rest_start: 
     return True
 
 
-def _sentence_at(text: str, start: int, boundaries: Iterator[re.Match[str]]) -> tuple[int, int, int]:
-    """The sentence starting at ``start``, which is 0 or the end of a
-    break: its span with the edge whitespace trimmed, and where the next
-    sentence starts. ``boundaries`` yields the boundaries from ``start``
-    on, in order, less any already known not to be breaks."""
-    end = next_start = len(text)
-    for m in boundaries:
-        if _is_sentence_break(text, m.start(1), m.end(1), m.end()):
-            end, next_start = m.end(1), m.end()
-            break
-    while start < end and text[start].isspace():
-        start += 1
-    while end > start and text[end - 1].isspace():
-        end -= 1
-    return start, end, next_start
-
-
-def split_sentences(text: str) -> list[tuple[int, int]]:
-    """Sentence spans over ``text``.
-
-    Splits at runs of ``.!?`` followed by whitespace and an uppercase
-    letter or digit, with guards for abbreviations and name initials.
-    """
-    spans: list[tuple[int, int]] = []
-    boundaries = _BOUNDARY_RE.finditer(text)
-    start = 0
-    while start < len(text):
-        s, e, start = _sentence_at(text, start, boundaries)
-        if s < e:
-            spans.append((s, e))
-    return spans
-
-
 def extract_funding_sentences(
     ack_text: str | None, lexicon: FunderLexicon
 ) -> list[FundingSentence]:
@@ -208,12 +173,13 @@ def extract_funding_sentences(
 
     Boundaries are classified only around mentions. From a sentence start,
     the next mention anywhere in the text is found first. The sentences
-    before it hold no mention, since that search is leftmost, so only the
-    boundaries between the start and the mention are walked, backwards to
-    the last break, and then forwards to the first break at or after the
-    mention. That one sentence is searched for a mention within its own
-    bounds, and the walk goes on after it. A text without a mention
-    classifies no boundary.
+    before it hold no mention, since that search is leftmost. One walk
+    over the boundaries from the start keeps those that end at or before
+    the mention, unclassified, and stops at the first break after it,
+    which ends the sentence. The kept boundaries are then walked
+    backwards to the last break, which starts it. That one sentence is
+    searched for a mention within its own bounds, and the walk goes on
+    after it. A text without a mention classifies no boundary.
     """
     if not ack_text:
         return []
@@ -221,24 +187,28 @@ def extract_funding_sentences(
     sentences = []
     start = 0
     while (mention := find(ack_text, start)) is not None:
-        boundaries = _BOUNDARY_RE.finditer(ack_text, start)
         before: list[re.Match[str]] = []
-        for m in boundaries:
-            if m.end() > mention.start():
-                # the first boundary not before the mention may end its sentence
-                boundaries = itertools.chain((m,), boundaries)
+        end = next_start = len(ack_text)
+        for m in _BOUNDARY_RE.finditer(ack_text, start):
+            if m.end() <= mention.start():
+                before.append(m)
+            elif _is_sentence_break(ack_text, m.start(1), m.end(1), m.end()):
+                end, next_start = m.end(1), m.end()
                 break
-            before.append(m)
         for m in reversed(before):
             if _is_sentence_break(ack_text, m.start(1), m.end(1), m.end()):
                 start = m.end()
                 break
-        s, e, start = _sentence_at(ack_text, start, boundaries)
+        while start < end and ack_text[start].isspace():
+            start += 1
+        while end > start and ack_text[end - 1].isspace():
+            end -= 1
         # every sentence starts at 0 or after whitespace and ends before
         # whitespace or at the text end, so searching in place sees what
         # searching the slice sees
-        if find(ack_text, s, e) is not None:
-            sentences.append(FundingSentence(text=ack_text[s:e], span=(s, e)))
+        if find(ack_text, start, end) is not None:
+            sentences.append(FundingSentence(text=ack_text[start:end], span=(start, end)))
+        start = next_start
     return sentences
 
 

@@ -110,8 +110,9 @@ class RecordError(ValueError):
 
 def config_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The 1-based line number and stripped text of every line of a
-    config file that is neither blank nor a ``#`` comment."""
-    text = Path(path).read_text(encoding="utf-8")
+    config file that is neither blank nor a ``#`` comment. A UTF-8
+    byte-order mark at the start of the file is dropped."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
@@ -403,9 +404,10 @@ def parse_corpus(
 
 
 def load_corpus(path: str | Path, aliases: CountryAliases | None = None) -> ParseResult:
-    """Parse a UTF-8 corpus file. An undecodable byte becomes a lone
-    surrogate, so its line alone is reported (see :func:`parse_corpus`)."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    """Parse a UTF-8 corpus file. A byte-order mark at its start is
+    dropped. An undecodable byte becomes a lone surrogate, so its line
+    alone is reported (see :func:`parse_corpus`)."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         return parse_corpus(handle, aliases)
 
 

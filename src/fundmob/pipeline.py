@@ -167,6 +167,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     for cluster in clusters:
         for key in cluster.members:
             cluster_of[key] = cluster.cluster_id
+    for o in overrides or ():
+        if o.a not in cluster_of or o.b not in cluster_of:
+            logger.warning(
+                "%s override of %s %d and %s %d names no authorship of the corpus; ignored",
+                o.action, *o.a, *o.b,
+            )
     funded_clusters = [
         c for c in clusters if c.members & identified_keys
     ]

@@ -17,7 +17,6 @@ from fundmob.ackminer import (
     match_funded_authors,
     mine_record,
     ordinal_phrases,
-    split_sentences,
 )
 from fundmob.textnorm import contains_bounded, normalize_text, strip_token_punct
 
@@ -67,6 +66,13 @@ class TestLexicon:
         path.write_text("# nothing here\n")
         with pytest.raises(ValueError):
             FunderLexicon.load(path)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(b"\xef\xbb\xbfChina Scholarship Council\nCSC scholarship\n")
+        lexicon = FunderLexicon.load(path)
+        assert lexicon.variants == ("China Scholarship Council", "CSC scholarship")
+        assert lexicon.find_mention("by the China Scholarship Council.") is not None
 
     def test_variant_without_letter_or_digit_rejected(self, tmp_path):
         # "--" would match in "2019 -- 2020" and mark the record funded
@@ -163,16 +169,6 @@ class TestSentenceSplitting:
         sentences = extract_funding_sentences(text, lexicon)
         assert len(sentences) == 1
         assert sentences[0].text == text
-
-    def test_spans_tile_original_text(self):
-        text = "First sentence here. Second one follows! A third? Yes."
-        spans = split_sentences(text)
-        assert [text[s:e] for s, e in spans] == [
-            "First sentence here.",
-            "Second one follows!",
-            "A third?",
-            "Yes.",
-        ]
 
     def test_every_funding_sentence_contains_mention(self, lexicon):
         text = (
@@ -403,12 +399,12 @@ def test_adding_author_never_removes_matches(authors, extra_last, extra_first):
     assert before <= after
 
 
-# -- the splitter against the simple reference it replaced ------------------
+# -- extraction against the simple splitter it replaced --------------------
 #
 # reference_split_sentences is the slicing splitter the package used before
 # it read the text in place: it copies the tail and searches the whole head
 # at every boundary, so it is quadratic in the text length, but it is the
-# definition the fast splitter must reproduce.
+# definition the sentences extraction finds must reproduce.
 
 _REF_BOUNDARY_RE = re.compile(r"([.!?]+)(\s+)")
 _REF_LEFT_TOKEN_RE = re.compile(r"([A-Za-z]+)$")
@@ -538,33 +534,24 @@ _LONG_ACKNOWLEDGMENT = " ".join(
 
 class TestSplitterOracle:
     @given(_texts)
-    def test_split_sentences_equals_reference(self, text):
-        assert split_sentences(text) == reference_split_sentences(text)
-
-    @given(_texts)
     def test_funding_sentences_equal_reference(self, text):
         assert extract_funding_sentences(text, _LEXICON) == reference_funding_sentences(text, _LEXICON)
 
+    # a funder mention sits in the sentence next to each tricky boundary,
+    # before it and after it, so both walks of extraction read it
     @pytest.mark.parametrize("text", [
-        "Thanks to Dr\n. Smith for help.",
-        "We thank X\n. Y\n. Zhang. Funding came later.",
+        "Thanks to Dr\n. Smith of the CSC scholarship for help.",
+        "The CSC scholarship funded Dr\n. Smith. We thank him.",
+        "We thank X\n. Y\n. Zhang of the China Scholarship Council. Funding came later.",
         "See e.g\n. The CSC scholarship funded it.",
-        "Sentence one.\n\nSentence two. ",
-        "We thank É. Chen and X.H. Li. A grant. I agree! 3 more? ok.",
+        "Sentence one.\n\nThe CSC scholarship funded two. ",
+        "We thank É. Chen and X.H. Li. A CSC scholarship grant. I agree! 3 more CSC scholarship? ok.",
+        "We thank É. Chen and X.H. Li of the CSC scholarship. A grant. I agree! 3 more? ok.",
     ])
     def test_edge_cases_equal_reference(self, text):
-        assert split_sentences(text) == reference_split_sentences(text)
-
-    def test_long_acknowledgment_splits_in_linear_time(self):
-        # the slicing reference re-scans the text at every boundary and
-        # takes seconds here
-        text = _LONG_ACKNOWLEDGMENT
-        assert 75_000 <= len(text) <= 85_000
-        start = time.perf_counter()
-        spans = split_sentences(text)
-        elapsed = time.perf_counter() - start
-        assert len(spans) == 1000
-        assert elapsed < 1.0
+        expected = reference_funding_sentences(text, _LEXICON)
+        assert expected
+        assert extract_funding_sentences(text, _LEXICON) == expected
 
 
 # -- the funder scan and extraction across lexicons -------------------------
@@ -655,7 +642,10 @@ _FILLER = "We thank Dr. Smith, X.H. Li and e.g. the reviewers (No. 7). Data were
     (_FILLER * 40, 0),
     # one mention after 80 sentences: only the break right before it
     (_FILLER * 40 + "Long Chen thanks the CSC scholarship.", 1),
-], ids=["no-mention", "mention-after-80-sentences"])
+    # a mention opening a sentence: the break that ends right before it
+    # starts its sentence, and no earlier boundary is looked at
+    (_FILLER * 40 + "CSC scholarship funded Long Chen.", 1),
+], ids=["no-mention", "mention-after-80-sentences", "mention-opening-a-sentence"])
 def test_extraction_classifies_boundaries_only_around_mentions(monkeypatch, lexicon, text, classified):
     calls = []
     is_break = ackminer._is_sentence_break
@@ -671,6 +661,9 @@ def test_extraction_classifies_boundaries_only_around_mentions(monkeypatch, lexi
 
 
 def test_long_acknowledgment_extracts_in_linear_time(lexicon):
+    # the slicing reference re-scans the text at every boundary and takes
+    # seconds here
+    assert 75_000 <= len(_LONG_ACKNOWLEDGMENT) <= 85_000
     start = time.perf_counter()
     sentences = extract_funding_sentences(_LONG_ACKNOWLEDGMENT, lexicon)
     elapsed = time.perf_counter() - start

@@ -241,6 +241,28 @@ class TestParseCorpus:
         assert [r.pub_id for r in result.records] == ["W1", "W3"]
         assert result.errors == [ParseIssue(2, "line is not valid UTF-8")]
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + "\n".join([line(), line(pub_id="W2")]).encode())
+        result = load_corpus(path)
+        assert [r.pub_id for r in result.records] == ["W1", "W2"]
+        assert result.errors == []
+
+    def test_invalid_byte_after_a_byte_order_mark_is_a_parse_issue(self, tmp_path):
+        # only the mark at the very start is dropped; a later line keeps
+        # its number and its report
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"\n".join([
+            b"\xef\xbb\xbf" + line().encode(),
+            line(pub_id="W2").encode(),
+            line(pub_id="W3").encode().replace(b'"T"', b'"T\xff"'),
+            b"\xef\xbb\xbf" + line(pub_id="W4").encode(),
+        ]))
+        result = load_corpus(path)
+        assert [r.pub_id for r in result.records] == ["W1", "W2"]
+        assert [e.line_no for e in result.errors] == [3, 4]
+        assert result.errors[0] == ParseIssue(3, "line is not valid UTF-8")
+
     @pytest.mark.parametrize("field", ["pub_id", "title", "acknowledgment_text"])
     @pytest.mark.parametrize("escape", ["\ud800", "\udfff", "x\udc00y"], ids=["high", "low", "inside"])
     def test_lone_surrogate_escape_is_a_parse_issue(self, field, escape):

@@ -373,6 +373,14 @@ def test_field_name_holding_a_tab_is_an_error(tmp_path):
         load_field_map(path)
 
 
+def test_leading_byte_order_mark_is_dropped_from_surnames(tmp_path):
+    path = tmp_path / "surnames.txt"
+    path.write_bytes(b"\xef\xbb\xbfwang\nli\n")
+    surnames = SurnameList.load(path)
+    assert "wang" in surnames
+    assert "li" in surnames
+
+
 def test_load_surnames(data_dir):
     surnames = SurnameList.load(data_dir / "surnames_cn.txt")
     assert "chen" in surnames

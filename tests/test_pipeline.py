@@ -2,6 +2,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import pkgutil
+import re
 import stat
 import tracemalloc
 from collections import Counter
@@ -379,6 +381,22 @@ def test_every_traced_attribute_resolves():
     assert missing == []
 
 
+def test_every_library_use_name_in_the_readme_resolves():
+    # every `module.name` reference of README's "Library use" section, and
+    # the two disambig functions it names bare, must exist in the package
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    modules = {info.name for info in pkgutil.iter_modules(fundmob.__path__)}
+    named = {ref for ref in re.findall(r"`(\w+)\.(\w+)", section) if ref[0] in modules}
+    assert len(named) >= 15
+    named |= {("disambig", "score_pair"), ("disambig", "cluster_block")}
+    missing = [
+        f"{module}.{attr}" for module, attr in sorted(named)
+        if not hasattr(importlib.import_module(f"fundmob.{module}"), attr)
+    ]
+    assert missing == []
+
+
 def test_every_traced_span_is_reached_from_run_pipeline(data_dir, tmp_path):
     """A traced demo run opens every span, computes the funded ids once,
     writes the pinned artifacts and leaves every swapped attribute as it
@@ -412,3 +430,22 @@ def test_overrides_flow_through_pipeline(data_dir, tmp_path):
     )
     assert with_split["stages"]["clusters"] == baseline["stages"]["clusters"]
     assert with_split["config"]["overrides_sha256"] is not None
+
+
+def test_override_naming_no_authorship_warns(data_dir, tmp_path, caplog):
+    overrides = tmp_path / "ov.tsv"
+    overrides.write_text("P999\t1\tP001\t1\tMERGE\nP001\t9\tP002\t1\tSPLIT\nP001\t2\tP002\t1\tSPLIT\n")
+    baseline = tmp_path / "base"
+    run_pipeline(demo_config(data_dir, baseline))
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="fundmob"):
+        run_pipeline(demo_config(data_dir, out, overrides=overrides))
+    assert [m for m in caplog.messages if "override" in m] == [
+        "MERGE override of P999 1 and P001 1 names no authorship of the corpus; ignored",
+        "SPLIT override of P001 9 and P002 1 names no authorship of the corpus; ignored",
+    ]
+    # the third one is known but changes no cluster, so only the manifest,
+    # which holds the overrides hash, differs
+    for name in ARTIFACTS:
+        if name != "manifest.json":
+            assert (out / name).read_bytes() == (baseline / name).read_bytes(), name

@@ -9,14 +9,20 @@ in a funding sentence.
 
 Extraction starts from the mentions, not from the sentences. One funder
 pattern, which ``re`` can scan for by prefix, finds the next mention in
-the whole text; only the sentence boundaries around it are classified,
-back to the last sentence end before it and on to the first one after
-it, and that one sentence is searched within its own bounds. Sentences
-before the next mention cannot hold one, so a text without a mention
-classifies no boundary.
+the whole text; only the sentence boundaries around it are classified.
+The sentence start is found backwards: one search that ends at the
+mention finds the last boundary before it, and while that boundary is
+no sentence end the search repeats up to it. The sentence end is found
+forwards, walking the boundaries from the mention itself. A mention
+that runs past that end is searched for again within the sentence's own
+bounds. Sentences before the next mention cannot hold one, so a text
+without a mention classifies no boundary, and no character is read more
+than a bounded number of times.
 
 Variant strings are stored normalized (case-folded, diacritics stripped)
-with dotted-initial forms kept as explicit entries. Variants and sentences
+with dotted-initial forms kept as explicit entries. Each funding sentence
+is tokenized once, without the ``normalize_text`` memo: it is seen once,
+so a memo entry would only hold memory. Variants and sentences
 are compared with token-edge punctuation stripped from both, so "Chen. L",
 "C.L." and "Chen L" all resolve; a variant made only of edge punctuation
 never matches. Variants of three characters or fewer ("cl", "bw") only
@@ -36,7 +42,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import Authorship, PublicationRecord, config_lines
-from .textnorm import contains_bounded, normalize_text, strip_token_punct
+from .textnorm import contains_bounded, match_tokens, normalize_text
 
 
 @dataclass(frozen=True)
@@ -126,9 +132,19 @@ _ABBREVIATIONS = frozenset({
     "sr", "univ", "dept", "approx", "ca", "cf", "resp",
 })
 
-_BOUNDARY_RE = re.compile(r"([.!?]+)(\s+)")
+_END_MARKS = ".!?"
+# a boundary is a whole run of sentence-end marks and the whitespace after
+# it; the lookbehind lets a match begin only where a run begins, so a long
+# run is read once, not once per mark
+_BOUNDARY_RE = re.compile(rf"(?<![{_END_MARKS}])([{_END_MARKS}]+)(\s+)")
+# the last boundary in the searched range: re jumps to the range end and
+# backs up, so each search reads only what lies after the boundary it finds
+_LAST_BOUNDARY_RE = re.compile(r"(?s:.*)" + _BOUNDARY_RE.pattern)
 _RIGHT_INITIAL_RE = re.compile(r"[A-Z]\.?(?![A-Za-z])")
 _ASCII_LETTERS = frozenset(string.ascii_letters)
+_GIVEN_PART_SPLIT_RE = re.compile(r"[\s\-]+")
+# [^\W_] is str.isalnum, as in the funder pattern
+_ALNUM_RE = re.compile(r"[^\W_]")
 
 
 def _is_sentence_break(text: str, punct_start: int, punct_end: int, rest_start: int) -> bool:
@@ -173,13 +189,15 @@ def extract_funding_sentences(
 
     Boundaries are classified only around mentions. From a sentence start,
     the next mention anywhere in the text is found first. The sentences
-    before it hold no mention, since that search is leftmost. One walk
-    over the boundaries from the start keeps those that end at or before
-    the mention, unclassified, and stops at the first break after it,
-    which ends the sentence. The kept boundaries are then walked
-    backwards to the last break, which starts it. That one sentence is
-    searched for a mention within its own bounds, and the walk goes on
-    after it. A text without a mention classifies no boundary.
+    before it hold no mention, since that search is leftmost. The last
+    boundary before the mention is found by one backward search that ends
+    at the mention; while it is no break, the search is repeated up to
+    that boundary, and the first break found starts the sentence. The
+    boundaries from the mention on are walked forward to the first break,
+    which ends it. The sentence holds a mention when that one ends within
+    it or, failing that, when a search within its own bounds finds one.
+    The walk goes on after it. A text without a mention classifies no
+    boundary.
     """
     if not ack_text:
         return []
@@ -187,26 +205,33 @@ def extract_funding_sentences(
     sentences = []
     start = 0
     while (mention := find(ack_text, start)) is not None:
-        before: list[re.Match[str]] = []
-        end = next_start = len(ack_text)
-        for m in _BOUNDARY_RE.finditer(ack_text, start):
-            if m.end() <= mention.start():
-                before.append(m)
-            elif _is_sentence_break(ack_text, m.start(1), m.end(1), m.end()):
-                end, next_start = m.end(1), m.end()
-                break
-        for m in reversed(before):
+        limit = mention.start()
+        while (m := _LAST_BOUNDARY_RE.match(ack_text, start, limit)) is not None:
             if _is_sentence_break(ack_text, m.start(1), m.end(1), m.end()):
                 start = m.end()
+                break
+            limit = m.start(1)
+        # a mention that opens with a sentence-end mark may continue a run
+        # of them; the boundary is that whole run
+        walk = mention.start()
+        if ack_text[walk] in _END_MARKS:
+            while walk > start and ack_text[walk - 1] in _END_MARKS:
+                walk -= 1
+        end = next_start = len(ack_text)
+        for m in _BOUNDARY_RE.finditer(ack_text, walk):
+            if _is_sentence_break(ack_text, m.start(1), m.end(1), m.end()):
+                end, next_start = m.end(1), m.end()
                 break
         while start < end and ack_text[start].isspace():
             start += 1
         while end > start and ack_text[end - 1].isspace():
             end -= 1
-        # every sentence starts at 0 or after whitespace and ends before
+        # a mention that ends inside the sentence is one of its own; one
+        # that runs past its end is searched for again within it. Every
+        # sentence starts at 0 or after whitespace and ends before
         # whitespace or at the text end, so searching in place sees what
         # searching the slice sees
-        if find(ack_text, start, end) is not None:
+        if mention.end() <= end or find(ack_text, start, end) is not None:
             sentences.append(FundingSentence(text=ack_text[start:end], span=(start, end)))
         start = next_start
     return sentences
@@ -253,12 +278,12 @@ def generate_name_variants(author: Authorship) -> frozenset[str]:
 
     given_forms: set[str] = set()
     # a given name or initials without a letter or digit ("-", ".") count as none
-    if any(ch.isalnum() for ch in given):
+    if _ALNUM_RE.search(given):
         given_forms.add(given)
         if "-" in given:
             given_forms.add(given.replace("-", ""))
             given_forms.add(given.replace("-", " "))
-    elif any(ch.isalnum() for ch in initials):
+    elif _ALNUM_RE.search(initials):
         given_forms.add(initials)
         if initial_letters:
             given_forms.add("".join(initial_letters))
@@ -272,7 +297,7 @@ def generate_name_variants(author: Authorship) -> frozenset[str]:
     # "(J.)" -> j); a part without a letter gives none, and a given name
     # without any falls back to the letters of the initials
     letters = []
-    for part in re.split(r"[\s\-]+", given):
+    for part in _GIVEN_PART_SPLIT_RE.split(given):
         for ch in part:
             if ch.isalpha():
                 letters.append(ch)
@@ -315,8 +340,9 @@ def _best_hit(
     punctuation strips to "", which is short and never a token, so it
     never occurs.
     """
-    for form in sorted(forms, key=lambda f: (len(f), f), reverse=True):
-        stripped = strip_token_punct(form)
+    # both sorts are stable, so this is the order of (len, form), descending
+    for form in sorted(sorted(forms, reverse=True), key=len, reverse=True):
+        stripped = " ".join(match_tokens(form))
         short = len(stripped) <= SHORT_VARIANT_LIMIT
         for span, text, tokens in views:
             # the C-level substring test rules out most long forms before
@@ -343,27 +369,27 @@ def match_funded_authors(
         return []
     views = []
     for sentence in sorted(sentences, key=lambda s: s.span):
-        stripped = strip_token_punct(normalize_text(sentence.text))
-        views.append((sentence.span, stripped, frozenset(stripped.split())))
+        # each sentence is seen once, so it bypasses the normalize_text memo
+        tokens = match_tokens(sentence.text)
+        views.append((sentence.span, " ".join(tokens), frozenset(tokens)))
     funded = []
     for author in record.authors:
-        for kind, forms in (
-            (MatchKind.NAME, generate_name_variants(author)),
-            (MatchKind.ORDINAL, ordinal_phrases(author.position)),
-        ):
-            hit = _best_hit(forms, views)
-            if hit is not None:
-                evidence, span = hit
-                funded.append(
-                    FundedAuthorship(
-                        pub_id=record.pub_id,
-                        author_position=author.position,
-                        evidence=evidence,
-                        sentence_span=span,
-                        match_kind=kind,
-                    )
+        kind = MatchKind.NAME
+        hit = _best_hit(generate_name_variants(author), views)
+        if hit is None:
+            kind = MatchKind.ORDINAL
+            hit = _best_hit(ordinal_phrases(author.position), views)
+        if hit is not None:
+            evidence, span = hit
+            funded.append(
+                FundedAuthorship(
+                    pub_id=record.pub_id,
+                    author_position=author.position,
+                    evidence=evidence,
+                    sentence_span=span,
+                    match_kind=kind,
                 )
-                break
+            )
     return sorted(funded, key=lambda f: f.author_position)
 
 

@@ -11,9 +11,11 @@ so "(c.l.)," in a sentence and the variant "c.l." meet as "c.l".
 org names and funders, and each distinct string is normalized once per
 process. The memo is unbounded on purpose. It holds one normalized copy
 of each distinct input string, and a run already holds every record
-those strings come from in memory. ``strip_accents`` returns ASCII text
-as it is, since NFKD changes no ASCII character and none is a combining
-mark; most names and acknowledgments take that path.
+those strings come from in memory. Funding sentences are the exception:
+each is seen once, so ``match_tokens`` tokenizes them without the memo.
+``strip_accents`` returns ASCII text as it is, since NFKD
+changes no ASCII character and none is a combining mark; most names and
+acknowledgments take that path.
 """
 from __future__ import annotations
 
@@ -47,6 +49,20 @@ def strip_token_punct(text: str) -> str:
     """
     tokens = [tok.strip(_EDGE_PUNCT) for tok in text.split()]
     return " ".join(tok for tok in tokens if tok)
+
+
+def match_tokens(text: str) -> list[str]:
+    """The tokens name matching compares: the whitespace tokens of
+    ``text``, accent-stripped and case-folded, with edge punctuation
+    stripped and tokens reduced to nothing dropped.
+
+    Joined by spaces they are ``strip_token_punct(normalize_text(text))``,
+    made in one pass and without entering the memo.
+    """
+    return [
+        stripped for tok in strip_accents(text).casefold().split()
+        if (stripped := tok.strip(_EDGE_PUNCT))
+    ]
 
 
 def contains_bounded(needle: str, haystack: str) -> bool:

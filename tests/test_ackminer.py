@@ -350,6 +350,25 @@ class TestMatchFundedAuthors:
         record = worked_example_record()
         assert mine_record(record, lexicon) == mine_record(record, lexicon)
 
+    def test_funding_sentences_stay_out_of_the_memo(self, lexicon):
+        # each funding sentence is seen once, so a memo entry for it would
+        # only hold memory; the names are normalized once per run anyway
+        record = make_record(
+            "memo",
+            (make_author(1, "Zhang", first="Wen-Jie"), make_author(2, "Okafor", initials="C.N.")),
+            ack="Lab notes 4711 were kept by others. Wen-Jie Zhang and the 2nd author "
+            "thank the China Scholarship Council (grant 4711-memo).",
+        )
+        for author in record.authors:
+            for name in (author.last_name, author.first_name, author.initials):
+                if name:
+                    normalize_text(name)
+        before = normalize_text.cache_info().currsize
+        sentences, matches = mine_record(record, lexicon)
+        assert len(sentences) == 1
+        assert [m.author_position for m in matches] == [1, 2]
+        assert normalize_text.cache_info().currsize == before
+
 
 _SURNAMES = ["Chen", "Wang", "Li", "Zhao", "Sun", "Gomez", "Smith", "Tanaka"]
 _FIRSTS = ["Long", "Wei", "Min", "Zhi-Chao", None]
@@ -617,6 +636,17 @@ class TestFunderScanOracle:
         assert [m[0] for m in find_mentions(text, lexicon)] == ["Scholarship Council. The"]
         assert extract_funding_sentences(text, lexicon) == []
 
+    # the mention opens inside a run of end marks, and that whole run is
+    # the boundary: "!." breaks where "." alone, before an initial, would not
+    @pytest.mark.parametrize("text", [
+        "Wow!. L Council funds it. More.",
+        "Yes?. L Council! ok",
+        "We thank the CSC!. L Council. Then X.",
+    ])
+    def test_mention_opening_with_an_end_mark_equals_reference(self, text):
+        lexicon = FunderLexicon((". L Council", "CSC"))
+        assert extract_funding_sentences(text, lexicon) == reference_funding_sentences(text, lexicon)
+
 
 def test_bench_corpora_mine_as_the_references(monkeypatch):
     """On every acknowledgment of the three benchmark workloads (seed 5),
@@ -668,6 +698,31 @@ def test_long_acknowledgment_extracts_in_linear_time(lexicon):
     sentences = extract_funding_sentences(_LONG_ACKNOWLEDGMENT, lexicon)
     elapsed = time.perf_counter() - start
     assert len(sentences) == 1000
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("build, count", [
+    # every boundary before the mention is no break, so the backward search
+    # for the sentence start runs once per boundary
+    (lambda n: "Dr. " * n + "the CSC scholarship funded it.", 20_000),
+    # one run of end marks with no whitespace after it
+    (lambda n: "!" * n + "CSC scholarship funded it.", 50_000),
+    # no boundary at all before the mention
+    (lambda n: "we thank you " * n + "and the CSC scholarship.", 80_000 // 13),
+], ids=["non-breaks-before-mention", "end-mark-run-before-mention", "no-boundary-before-mention"])
+def test_worst_case_acknowledgment_extracts_in_linear_time(lexicon, build, count):
+    # the slicing reference takes about half a minute on the first two at
+    # full size, so it is compared on a short text of the same shape; in
+    # both, the whole text is the one funding sentence
+    short = build(200)
+    assert extract_funding_sentences(short, lexicon) == reference_funding_sentences(short, lexicon) == [
+        FundingSentence(text=short, span=(0, len(short)))
+    ]
+    text = build(count)
+    start = time.perf_counter()
+    sentences = extract_funding_sentences(text, lexicon)
+    elapsed = time.perf_counter() - start
+    assert sentences == [FundingSentence(text=text, span=(0, len(text)))]
     assert elapsed < 1.0
 
 
@@ -1017,7 +1072,10 @@ def oracle_sentences(draw, authors):
     for author in authors:
         pool += [author.last_name, author.first_name or "", author.initials or ""]
         pool += sorted(reference_generate_name_variants(author))
-    pieces = st.tuples(st.sampled_from(pool), st.sampled_from(["", " ", ", ", ". ", " (", ") ", "-"]))
+    # separators include whitespace other than " ": the matcher splits with
+    # str.split, the reference normalizes with re's \s
+    separators = ["", " ", ", ", ". ", " (", ") ", "-", "\u00a0", "\x1c", "\u2028", "\t\n"]
+    pieces = st.tuples(st.sampled_from(pool), st.sampled_from(separators))
     case = draw(st.sampled_from([str, str.upper, str.title]))
     sentences = []
     for k in range(draw(st.integers(1, 3))):

@@ -6,9 +6,18 @@ plausible years) and collects per-line errors instead of dropping bad
 lines silently. Affiliation countries are normalized through a
 configurable alias table; anything outside the configured vocabulary is
 marked Unknown.
+
+Each field is read with one lookup and one type test, and an error
+names its author only when it is raised. Affiliations are interned per
+:func:`parse_corpus` call: every raw ``(org_name, country)`` pair is
+parsed once, and the authorships that list it share one
+:class:`Affiliation`; no memo outlives the call. :func:`load_corpus`
+hashes the file's bytes as it reads them, so the corpus is read once.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -93,6 +102,8 @@ class ParseIssue:
 class ParseResult:
     records: list[PublicationRecord] = field(default_factory=list)
     errors: list[ParseIssue] = field(default_factory=list)
+    #: the SHA-256 of the file's bytes, when :func:`load_corpus` read them
+    sha256: str | None = None
 
 
 class CorpusParseError(Exception):
@@ -186,8 +197,9 @@ def _parse_date(value: object, label: str) -> date:
 def _parse_doc_type(value: object) -> DocType:
     if not isinstance(value, str):
         raise RecordError("doc_type must be a string")
+    wanted = value.strip().lower()
     for member in DocType:
-        if value.strip().lower() == member.value.lower():
+        if wanted == member.value.lower():
             return member
     raise RecordError(f"unknown doc_type string: {value!r}")
 
@@ -213,68 +225,107 @@ def _parse_list(obj: dict, key: str, label: str) -> list:
     return value
 
 
-def _parse_str(obj: dict, key: str, default: str | None = None, owner: str = "") -> str | None:
-    """A string field; missing or null is ``default``, any other non-string
-    is an error rather than its ``str()``. ``owner`` prefixes the field
-    name in the error ("author 2 ")."""
-    value = obj.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        raise RecordError(f"{owner}{key} is not a string")
-    return value
-
-
 def _tsv_cell(value: str, label: str) -> str:
     """``value``, which an artifact writes into one TSV cell, so that it
-    may hold neither a tab nor a character ``str.splitlines`` splits at."""
-    if "\t" in value or "".join(value.splitlines()) != value:
+    may hold neither a tab nor a character ``str.splitlines`` splits at.
+    Every such character is unprintable, so a printable value passes
+    without the split."""
+    if not value.isprintable() and ("\t" in value or "".join(value.splitlines()) != value):
         raise RecordError(f"{label} holds a tab or a line break: {value!r}")
     return value
 
 
-def _parse_authorship(obj: object, index: int, aliases: CountryAliases | None) -> Authorship:
-    label = f"author {index + 1}"
-    owner = f"{label} "
+#: each raw affiliation of one parse, ``(org_name, country)`` as read,
+#: mapped to the one affiliation it parses to
+_Interned = dict[tuple[str | None, str | None], Affiliation]
+
+
+def _parse_authorship(
+    obj: object, aliases: CountryAliases | None, interned: _Interned
+) -> Authorship:
+    """One author. Errors name the field alone; the caller prefixes the
+    author ("author 2 ")."""
     if not isinstance(obj, dict):
-        raise RecordError(f"{label} is not an object")
+        raise RecordError("is not an object")
     if "position" not in obj or "last_name" not in obj:
-        raise RecordError(f"{label} missing position/last_name")
-    position = _parse_int(obj["position"], f"{label} position")
-    last_name = _parse_str(obj, "last_name", "", owner)
+        raise RecordError("missing position/last_name")
+    position = obj["position"]
+    if type(position) is not int:
+        position = _parse_int(position, "position")
+    last_name = obj["last_name"]
+    if last_name is None:
+        last_name = ""
+    elif not isinstance(last_name, str):
+        raise RecordError("last_name is not a string")
     if not normalize_text(last_name):
-        raise RecordError(f"{label} has an empty last_name")
-    affiliations = []
-    for aff in _parse_list(obj, "affiliations", f"{label} affiliations"):
+        raise RecordError("has an empty last_name")
+    affs = obj.get("affiliations")
+    if affs is not None and not isinstance(affs, list):
+        raise RecordError("affiliations is not a list")
+    affiliations: list[Affiliation] = []
+    for aff in affs or ():
         if not isinstance(aff, dict):
-            raise RecordError(f"{label} has an affiliation that is not an object")
-        country = _parse_str(aff, "country", owner=owner)
-        affiliations.append(Affiliation(
-            org_name=_parse_str(aff, "org_name", "", owner),
-            country=(aliases.normalize(country) if aliases is not None
-                     else (country or "").strip() or UNKNOWN_COUNTRY),
-        ))
-    email = (_parse_str(obj, "email", owner=owner) or "").strip()
+            raise RecordError("has an affiliation that is not an object")
+        # both are typed before the lookup, so neither can be unhashable
+        country = aff.get("country")
+        if country is not None and not isinstance(country, str):
+            raise RecordError("country is not a string")
+        org_name = aff.get("org_name")
+        if org_name is not None and not isinstance(org_name, str):
+            raise RecordError("org_name is not a string")
+        affiliation = interned.get((org_name, country))
+        if affiliation is None:
+            affiliation = interned[(org_name, country)] = Affiliation(
+                org_name=org_name or "",
+                country=(aliases.normalize(country) if aliases is not None
+                         else (country or "").strip() or UNKNOWN_COUNTRY),
+            )
+        affiliations.append(affiliation)
+    email = obj.get("email")
+    if email is not None:
+        if not isinstance(email, str):
+            raise RecordError("email is not a string")
+        email = email.strip() or None
+    full_name = obj.get("full_name")
+    if full_name is None:
+        full_name = last_name
+    elif not isinstance(full_name, str):
+        raise RecordError("full_name is not a string")
+    _tsv_cell(full_name, "full_name")
+    first_name = obj.get("first_name")
+    if first_name is not None and not isinstance(first_name, str):
+        raise RecordError("first_name is not a string")
+    initials = obj.get("initials")
+    if initials is not None and not isinstance(initials, str):
+        raise RecordError("initials is not a string")
     return Authorship(
         position=position,
-        full_name=_tsv_cell(_parse_str(obj, "full_name", last_name, owner), f"{label} full_name"),
+        full_name=full_name,
         last_name=last_name,
-        first_name=_parse_str(obj, "first_name", owner=owner) or None,
-        initials=_parse_str(obj, "initials", owner=owner) or None,
-        email=email or None,
+        first_name=first_name or None,
+        initials=initials or None,
+        email=email,
         affiliations=tuple(affiliations),
     )
 
 
 def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> PublicationRecord:
     """Build and validate one record from a decoded JSON object."""
+    return _record_from_dict(obj, aliases, {})
+
+
+def _record_from_dict(
+    obj: object, aliases: CountryAliases | None, interned: _Interned
+) -> PublicationRecord:
+    """:func:`record_from_dict`, reusing the affiliations ``interned``
+    holds and adding the new ones to it."""
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
     pub_id = obj.get("pub_id")
-    if not pub_id:
+    if pub_id is None or pub_id == "":
         raise RecordError("missing pub_id")
-    # integer ids keep their decimal text form; any other non-string is an
-    # error rather than its str()
+    # integer ids keep their decimal text form; any other non-string,
+    # false included, is an error rather than its str()
     if isinstance(pub_id, int) and not isinstance(pub_id, bool):
         pub_id = str(pub_id)
     elif not isinstance(pub_id, str):
@@ -292,9 +343,12 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
     authors_raw = obj.get("authors")
     if not authors_raw or not isinstance(authors_raw, list):
         raise RecordError("authors list is missing or empty")
-    authors = tuple(
-        _parse_authorship(a, i, aliases) for i, a in enumerate(authors_raw)
-    )
+    authors = []
+    for i, author in enumerate(authors_raw):
+        try:
+            authors.append(_parse_authorship(author, aliases, interned))
+        except RecordError as exc:
+            raise RecordError(f"author {i + 1} {exc}") from exc
     positions = [a.position for a in authors]
     if positions != list(range(1, len(authors) + 1)):
         raise RecordError(f"author position gap or disorder: {positions}")
@@ -309,7 +363,9 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
             raise RecordError(f"field weight {fw['weight']!r} is not a number") from exc
         if not 0.0 < weight <= 1.0:
             raise RecordError(f"field weight {weight} outside (0, 1]")
-        field_weights.append(FieldWeight(_tsv_cell(_parse_str(fw, "field_id"), "field_id"), weight))
+        if not isinstance(fw["field_id"], str):
+            raise RecordError("field_id is not a string")
+        field_weights.append(FieldWeight(_tsv_cell(fw["field_id"], "field_id"), weight))
     if field_weights:
         total = sum(fw.weight for fw in field_weights)
         if abs(total - 1.0) > 1e-9:
@@ -320,17 +376,23 @@ def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> Publ
         raise RecordError("funding_orgs entries must be strings")
 
     # no stage reads the title or the DOI, so they are checked, not kept
-    _parse_str(obj, "title")
-    _parse_str(obj, "doi")
+    for key in ("title", "doi"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise RecordError(f"{key} is not a string")
     doi_created = obj.get("doi_created_date")
+    if doi_created:
+        doi_created = _parse_date(doi_created, "doi_created_date")
+    ack = obj.get("acknowledgment_text")
+    if ack is not None and not isinstance(ack, str):
+        raise RecordError("acknowledgment_text is not a string")
     return PublicationRecord(
         pub_id=pub_id,
         pub_year=pub_year,
         doc_type=doc_type,
-        doi_created_date=_parse_date(doi_created, "doi_created_date") if doi_created else None,
-        acknowledgment_text=_parse_str(obj, "acknowledgment_text") or None,
+        doi_created_date=doi_created or None,
+        acknowledgment_text=ack or None,
         funding_orgs=tuple(funding_orgs),
-        authors=authors,
+        authors=tuple(authors),
         field_weights=tuple(field_weights),
     )
 
@@ -362,6 +424,7 @@ def parse_corpus(
     result = ParseResult()
     saw_content = False
     seen_ids: set[str] = set()
+    interned: _Interned = {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -375,7 +438,7 @@ def parse_corpus(
                 json.dumps(obj, ensure_ascii=False)
             ):
                 raise RecordError("a string holds a lone surrogate escape")
-            record = record_from_dict(obj, aliases)
+            record = _record_from_dict(obj, aliases, interned)
         except json.JSONDecodeError as exc:
             result.errors.append(ParseIssue(line_no, f"invalid JSON: {exc.msg}"))
             continue
@@ -403,12 +466,36 @@ def parse_corpus(
     return result
 
 
+class _HashingReader(io.RawIOBase):
+    """A binary file that adds every byte read through it to a SHA-256."""
+
+    def __init__(self, raw: io.RawIOBase):
+        self._raw = raw
+        self.digest = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        size = self._raw.readinto(buffer)
+        if size:
+            self.digest.update(memoryview(buffer)[:size])
+        return size
+
+
 def load_corpus(path: str | Path, aliases: CountryAliases | None = None) -> ParseResult:
-    """Parse a UTF-8 corpus file. A byte-order mark at its start is
-    dropped. An undecodable byte becomes a lone surrogate, so its line
-    alone is reported (see :func:`parse_corpus`)."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-        return parse_corpus(handle, aliases)
+    """Parse a UTF-8 corpus file, hashing its bytes as they are read. A
+    byte-order mark at its start is dropped. An undecodable byte becomes
+    a lone surrogate, so its line alone is reported (see
+    :func:`parse_corpus`)."""
+    with open(path, "rb", buffering=0) as raw:
+        hashing = _HashingReader(raw)
+        with io.TextIOWrapper(
+            io.BufferedReader(hashing), encoding="utf-8-sig", errors="surrogateescape"
+        ) as handle:
+            result = parse_corpus(handle, aliases)
+    result.sha256 = hashing.digest.hexdigest()
+    return result
 
 
 def filter_documents(records: Iterable[PublicationRecord]) -> list[PublicationRecord]:

@@ -21,8 +21,10 @@ reaches the threshold exactly when its full first names do not
 conflict, so first names and SPLIT overrides alone decide its edges.
 In :func:`cluster_corpus` a co-author is known by the index of its
 block in the one blocking pass, so each block key is computed once per
-run. :func:`score_pair` is the pairwise reference that clustering
-agrees with.
+run. The feature rows are built in one pass over the records: funder
+keys once per record, first-name and org keys once per distinct value,
+every absent value the one shared empty set. The pairwise scorer that
+clustering agrees with is kept in the tests as its reference.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Authorship, PublicationRecord, config_lines
 from .textnorm import normalize_text
@@ -163,16 +165,18 @@ def block_authorships(
     return [sorted(blocks[key]) for key in sorted(blocks)]
 
 
-def _full_first_name(author: Authorship) -> set[str]:
+#: the value set of a feature an authorship has no value of
+_NONE: frozenset = frozenset()
+
+
+def _full_first_name(first_name: str | None) -> frozenset[str]:
     """The flattened given name if it has two or more letters."""
-    flattened = "".join(
-        ch for ch in normalize_text(author.first_name or "") if ch.isalpha()
-    )
-    return {flattened} if len(flattened) >= 2 else set()
+    flattened = "".join(ch for ch in normalize_text(first_name or "") if ch.isalpha())
+    return frozenset((flattened,)) if len(flattened) >= 2 else _NONE
 
 
-def _org_keys(author: Authorship) -> set[str]:
-    return {normalize_text(a.org_name) for a in author.affiliations if a.org_name.strip()}
+def _org_key(org_name: str) -> frozenset[str]:
+    return frozenset((normalize_text(org_name),)) if org_name.strip() else _NONE
 
 
 class _FeatureRow(NamedTuple):
@@ -180,32 +184,51 @@ class _FeatureRow(NamedTuple):
     ``FEATURES`` order. ``email`` and ``first_name`` hold at most one
     value."""
 
-    email: set[str]
-    affiliation: set[str]
-    coauthor: set[Hashable]
-    funder: set[str]
-    first_name: set[str]
+    email: frozenset[str]
+    affiliation: frozenset[str]
+    coauthor: frozenset[int]
+    funder: frozenset[str]
+    first_name: frozenset[str]
 
 
-def _feature_row(
-    index: CorpusIndex, key: AuthorshipKey, block_of: Mapping[AuthorshipKey, Hashable]
-) -> _FeatureRow:
-    """The row of ``key``. ``block_of`` gives each co-author an id that two
-    authorships share exactly when they share a block key."""
-    author, record = index.author(key), index.record(key[0])
-    email = (author.email or "").strip().lower()
-    return _FeatureRow(
-        email={email} if email else set(),
-        affiliation=_org_keys(author),
-        coauthor={block_of[(key[0], a.position)] for a in record.authors if a.position != key[1]},
-        funder={normalize_text(f) for f in record.funding_orgs},
-        first_name=_full_first_name(author),
-    )
-
-
-def _block_keys_of(index: CorpusIndex, pub_ids: Iterable[str]) -> dict[AuthorshipKey, tuple[str, str]]:
-    """The block key of every author of the records ``pub_ids``."""
-    return {(p, a.position): block_key(a) for p in pub_ids for a in index.record(p).authors}
+def _feature_rows(
+    corpus: Iterable[PublicationRecord], block_of: Mapping[AuthorshipKey, int], linked: Sequence[bool]
+) -> dict[AuthorshipKey, _FeatureRow]:
+    """The row of every authorship whose block index ``linked`` marks, from
+    one pass over the records. A co-author is known by its block index,
+    which two authorships share exactly when they share a block key.
+    Funder keys are made once per record; first-name and org keys once per
+    distinct value."""
+    first_names: dict[str | None, frozenset[str]] = {}
+    orgs: dict[str, frozenset[str]] = {}
+    rows: dict[AuthorshipKey, _FeatureRow] = {}
+    for record in corpus:
+        pub_id, authors = record.pub_id, record.authors
+        ids = [block_of[(pub_id, a.position)] for a in authors]
+        funder: frozenset[str] | None = None
+        for i, author in enumerate(authors):
+            if not linked[ids[i]]:
+                continue
+            if funder is None:
+                funder = frozenset([normalize_text(f) for f in record.funding_orgs])
+            first = first_names.get(author.first_name)
+            if first is None:
+                first = first_names[author.first_name] = _full_first_name(author.first_name)
+            affiliation = _NONE
+            for aff in author.affiliations:
+                org = orgs.get(aff.org_name)
+                if org is None:
+                    org = orgs[aff.org_name] = _org_key(aff.org_name)
+                affiliation = affiliation | org if affiliation else org
+            email = (author.email or "").strip().lower()
+            rows[(pub_id, author.position)] = _FeatureRow(
+                email=frozenset((email,)) if email else _NONE,
+                affiliation=affiliation,
+                coauthor=frozenset(ids[:i] + ids[i + 1:]),
+                funder=funder,
+                first_name=first,
+            )
+    return rows
 
 
 def _first_names_conflict(a: _FeatureRow, b: _FeatureRow) -> bool:
@@ -222,29 +245,10 @@ def _weight_sum(weights: ScoringWeights, triggered: Iterable[bool]) -> float:
     return total
 
 
-def score_pair(
-    index: CorpusIndex,
-    a: AuthorshipKey,
-    b: AuthorshipKey,
-    weights: ScoringWeights,
-) -> float:
-    """Sum of triggered feature weights for a pair of authorships.
-
-    Symmetric in its arguments. Conflicting full first names force 0
-    regardless of any other evidence. This is the pairwise reference;
-    clustering never calls it.
-    """
-    block_of = _block_keys_of(index, {a[0], b[0]})
-    row_a, row_b = (_feature_row(index, key, block_of) for key in (a, b))
-    if _first_names_conflict(row_a, row_b):
-        return 0.0
-    return _weight_sum(weights, [not x.isdisjoint(y) for x, y in zip(row_a, row_b)])
-
-
 def _linking_sets(weights: ScoringWeights) -> list[tuple[str, ...]]:
     """The minimal linking sets, smallest first: each set of features, in
-    ``FEATURES`` order, whose weights reach the threshold through the
-    scorer's own helper while no proper subset's do.
+    ``FEATURES`` order, whose weights reach the threshold through
+    :func:`_weight_sum` while no proper subset's do.
 
     Adding non-negative weights in a fixed order never lowers the sum, so
     a pair sharing a value of every feature of such a set scores at least
@@ -261,32 +265,56 @@ def _linking_sets(weights: ScoringWeights) -> list[tuple[str, ...]]:
     return found
 
 
-def _linked_groups(
-    rows: Sequence[_FeatureRow], linking: Sequence[tuple[str, ...]]
-) -> Iterator[list[int]]:
-    """For each linking set, the indices of rows sharing one value of each
-    of its features: one list, in row order, per combination of values
-    that two or more rows share.
+#: one grouping step: a prefix of a linking set, the prefix it refines,
+#: the index of its last feature, and whether it is a linking set itself
+_Step = tuple[tuple[str, ...], tuple[str, ...], int, bool]
 
-    Rows are grouped one feature at a time and only groups of two or more
-    are split further, so sets that start with the same features share
-    those steps.
-    """
-    refined: dict[tuple[str, ...], list[list[int]]] = {(): [list(range(len(rows)))]}
+
+def _refinements(linking: Sequence[tuple[str, ...]]) -> list[_Step]:
+    """The steps that group rows by every linking set one feature at a
+    time, each prefix of a set once, in the order the sets need them."""
+    steps: list[_Step] = []
+    seen: set[tuple[str, ...]] = {()}
     for names in linking:
         for size in range(1, len(names) + 1):
-            if names[:size] in refined:
+            if names[:size] not in seen:
+                seen.add(names[:size])
+                steps.append((names[:size], names[: size - 1],
+                              FEATURES.index(names[size - 1]), size == len(names)))
+    return steps
+
+
+def _linked_groups(rows: Sequence[_FeatureRow], steps: Sequence[_Step]) -> Iterator[list[int]]:
+    """For each linking set, the indices of rows sharing one value of each
+    of its features: one list, in row order, per combination of values
+    that two or more rows share, and one for a pair however many values
+    it shares.
+
+    Rows are grouped one feature at a time along ``steps`` (see
+    :func:`_refinements`) and only groups of two or more are split
+    further, so sets that start with the same features share those steps.
+    """
+    refined: dict[tuple[str, ...], list[list[int]]] = {(): [list(range(len(rows)))]}
+    for prefix, parent, field, is_linking in steps:
+        groups: list[list[int]] = []
+        for group in refined[parent]:
+            if len(group) == 2:
+                a, b = group
+                if not rows[a][field].isdisjoint(rows[b][field]):
+                    groups.append(group)
                 continue
-            field = FEATURES.index(names[size - 1])
-            groups: list[list[int]] = []
-            for group in refined[names[: size - 1]]:
-                by_value: dict[object, list[int]] = {}
-                for i in group:
-                    for value in rows[i][field]:
-                        by_value.setdefault(value, []).append(i)
-                groups.extend(g for g in by_value.values() if len(g) > 1)
-            refined[names[:size]] = groups
-        yield from refined[names]
+            by_value: dict[object, list[int]] = {}
+            for i in group:
+                for value in rows[i][field]:
+                    same = by_value.get(value)
+                    if same is None:
+                        by_value[value] = [i]
+                    else:
+                        same.append(i)
+            groups += [g for g in by_value.values() if len(g) > 1]
+        refined[prefix] = groups
+        if is_linking:
+            yield from groups
 
 
 class _UnionFind:
@@ -318,20 +346,25 @@ def most_frequent(values: Iterable[str]) -> str:
 
 
 def _make_clusters(
-    groups: Iterable[Sequence[AuthorshipKey]], index: CorpusIndex
+    keys: Iterable[AuthorshipKey], uf: _UnionFind, index: CorpusIndex
 ) -> list[ResearcherCluster]:
+    """One cluster per union-find component. ``keys`` come sorted, so each
+    component's members, and the components by their first member, come
+    out in order without another sort."""
+    groups: dict[AuthorshipKey, list[AuthorshipKey]] = {}
+    for key in keys:
+        groups.setdefault(uf.find(key), []).append(key)
+    authorships = index.authorships
     clusters = []
-    for ordered in sorted((sorted(members) for members in groups), key=lambda o: o[0]):
+    for ordered in groups.values():
         anchor = ordered[0]
-        if len(ordered) == 1:
-            display_name = index.author(anchor).full_name
-        else:
-            display_name = most_frequent(index.author(key).full_name for key in ordered)
+        names = [authorships[key].full_name for key in ordered]
+        first = names[0]
         clusters.append(
             ResearcherCluster(
                 cluster_id=f"{anchor[0]}#{anchor[1]}",
                 members=frozenset(ordered),
-                display_name=display_name,
+                display_name=first if names.count(first) == len(names) else most_frequent(names),
             )
         )
     return clusters
@@ -370,70 +403,48 @@ def _union_linked(
                 uf.union(keys[i], keys[j])
 
 
-def _cluster_keys(
-    blocks: Iterable[Sequence[AuthorshipKey]],
-    block_of: Mapping[AuthorshipKey, Hashable],
-    index: CorpusIndex,
-    weights: ScoringWeights,
-    overrides: Iterable[ManualOverride] | None,
-) -> list[ResearcherCluster]:
-    overrides = list(overrides or [])
-    splits: dict[AuthorshipKey, set[AuthorshipKey]] = {}
-    for o in overrides:
-        if o.action == "SPLIT":
-            splits.setdefault(o.a, set()).add(o.b)
-            splits.setdefault(o.b, set()).add(o.a)
-    blocks = [sorted(block) for block in blocks]
-    uf = _UnionFind(key for block in blocks for key in block)
-    linking = _linking_sets(weights)
-    for block in blocks:
-        if len(block) < 2:
-            continue
-        rows = [_feature_row(index, key, block_of) for key in block]
-        for group in _linked_groups(rows, linking):
-            _union_linked([block[i] for i in group], [rows[i] for i in group], splits, uf)
-    for o in overrides:
-        if o.action == "MERGE" and o.a in uf.parent and o.b in uf.parent:
-            uf.union(o.a, o.b)
-    groups: dict[AuthorshipKey, list[AuthorshipKey]] = {}
-    for block in blocks:
-        for key in block:
-            groups.setdefault(uf.find(key), []).append(key)
-    return _make_clusters(groups.values(), index)
-
-
-def cluster_block(
-    block: Sequence[AuthorshipKey],
-    index: CorpusIndex,
-    weights: ScoringWeights,
-    overrides: Iterable[ManualOverride] | None = None,
-) -> list[ResearcherCluster]:
-    """Single-linkage clusters of one block: connected components of the
-    graph whose edges are pairs scoring at or above the threshold.
-
-    A SPLIT override suppresses the direct edge of that pair only; the two
-    authorships can still end up together through transitive links.
-    Co-authors are compared by block key, computed for the block's
-    records alone.
-    """
-    block_of = _block_keys_of(index, {key[0] for key in block})
-    return _cluster_keys([block], block_of, index, weights, overrides)
-
-
 def cluster_corpus(
     corpus: Sequence[PublicationRecord],
     weights: ScoringWeights,
     overrides: Iterable[ManualOverride] | None = None,
     index: CorpusIndex | None = None,
 ) -> list[ResearcherCluster]:
-    """Cluster every authorship of the corpus.
+    """Cluster every authorship of the corpus: single-linkage clusters of
+    each block, the connected components of the graph whose edges are the
+    pairs scoring at or above the threshold.
 
+    A SPLIT override suppresses the direct edge of that pair only; the two
+    authorships can still end up together through transitive links.
     Evidence links authorships only within blocks, but MERGE overrides
     join across blocks, mirroring a manual-cleaning pass that may repair
     blocking mistakes.
     """
     index = index or CorpusIndex(corpus)
+    overrides = list(overrides or [])
+    splits: dict[AuthorshipKey, set[AuthorshipKey]] = {}
+    for o in overrides:
+        if o.action == "SPLIT":
+            splits.setdefault(o.a, set()).add(o.b)
+            splits.setdefault(o.b, set()).add(o.a)
     blocks = block_authorships(corpus)
     # blocks are sorted by key, so a block's index stands for its key
     block_of = {key: i for i, block in enumerate(blocks) for key in block}
-    return _cluster_keys(blocks, block_of, index, weights, overrides)
+    rows = _feature_rows(corpus, block_of, [len(block) > 1 for block in blocks])
+    uf = _UnionFind(block_of)
+    steps = _refinements(_linking_sets(weights))
+    for block in blocks:
+        if len(block) < 2:
+            continue
+        block_rows = [rows[key] for key in block]
+        for group in _linked_groups(block_rows, steps):
+            if len(group) == 2:
+                # most groups: one edge, unless SPLIT or first names veto it
+                a, b = block[group[0]], block[group[1]]
+                if b not in splits.get(a, ()) and not _first_names_conflict(rows[a], rows[b]):
+                    uf.union(a, b)
+                continue
+            _union_linked([block[i] for i in group], [block_rows[i] for i in group], splits, uf)
+    for o in overrides:
+        if o.action == "MERGE" and o.a in uf.parent and o.b in uf.parent:
+            uf.union(o.a, o.b)
+    return _make_clusters(sorted(block_of), uf, index)

@@ -97,8 +97,9 @@ def _load_config_files(config: PipelineConfig) -> list[object]:
 
 
 def _sha256(path: Path | None) -> str | None:
-    """The file's SHA-256, read through one 1 MiB buffer, so the memory
-    it takes does not grow with the file."""
+    """The config file's SHA-256, read through one 1 MiB buffer, so the
+    memory it takes does not grow with the file. The corpus is hashed
+    while it is parsed."""
     if path is None:
         return None
     digest = hashlib.sha256()
@@ -124,7 +125,9 @@ def _write_table(
     footer_comments: Sequence[str] = (),
 ) -> None:
     lines = ["# delimiter: tab", "\t".join(columns)]
-    lines.extend("\t".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(
+        "\t".join([cell if type(cell) is str else _fmt(cell) for cell in row]) for row in rows
+    )
     lines.extend(f"# {comment}" for comment in footer_comments)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -221,7 +224,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     )
 
     manifest = {
-        "input_sha256": _sha256(config.input),
+        "input_sha256": parsed.sha256,
         "config": {
             **{f"{field}_sha256": _sha256(getattr(config, field)) for field, _, _ in _CONFIG_FILES},
             "whole_count": config.whole_count,

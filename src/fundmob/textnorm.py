@@ -41,23 +41,14 @@ def normalize_text(text: str) -> str:
     return _WS_RE.sub(" ", strip_accents(text).casefold()).strip()
 
 
-def strip_token_punct(text: str) -> str:
-    """Strip leading/trailing punctuation from every whitespace token.
-
-    "(csc)." -> "csc"; interior punctuation survives: "c.l." -> "c.l".
-    Tokens reduced to nothing are dropped.
-    """
-    tokens = [tok.strip(_EDGE_PUNCT) for tok in text.split()]
-    return " ".join(tok for tok in tokens if tok)
-
-
 def match_tokens(text: str) -> list[str]:
     """The tokens name matching compares: the whitespace tokens of
     ``text``, accent-stripped and case-folded, with edge punctuation
     stripped and tokens reduced to nothing dropped.
 
-    Joined by spaces they are ``strip_token_punct(normalize_text(text))``,
-    made in one pass and without entering the memo.
+    Joined by spaces they are ``normalize_text(text)`` with edge
+    punctuation stripped from each token, made in one pass and without
+    entering the memo.
     """
     return [
         stripped for tok in strip_accents(text).casefold().split()

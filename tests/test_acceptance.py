@@ -9,14 +9,14 @@ import time
 import pytest
 
 from fundmob.ackminer import MatchKind, mine_record
-from fundmob.disambig import CorpusIndex, cluster_block
+from fundmob.disambig import CorpusIndex
 from fundmob.indicators import TOTAL_FIELD, field_distribution, is_international_collab, pp_ic, temporal_distribution
 from fundmob.mobility import infer_destination
 from fundmob.periods import Label, funded_pub_ids, label_corpus
 from fundmob.pipeline import PipelineConfig, run_pipeline
 
 from .conftest import make_author, make_record
-from .test_disambig import WEIGHTS, components_oracle, random_block
+from .test_disambig import WEIGHTS, cluster_block, components_oracle, random_block
 from .test_indicators import random_corpus
 from .test_mobility import all_subsets, oracle_decision
 from .test_periods import _COARSE, random_scenario, transcribed_labels
@@ -149,9 +149,10 @@ def test_criterion_4_period_classification_oracle(lexicon):
 
 
 def test_criterion_5_clustering_oracle():
-    """cluster_block equals connected components of the threshold graph on
+    """Clustering equals connected components of the threshold graph on
     200 random blocks of up to 12 members; permuting the input leaves the
-    output identical, cluster ids included."""
+    output identical, cluster ids included. ``cluster_block`` runs
+    ``cluster_corpus`` over the block's records in the order given."""
     with Budget(5.0):
         rng = random.Random(107)
         for _ in range(200):

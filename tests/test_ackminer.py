@@ -18,12 +18,13 @@ from fundmob.ackminer import (
     mine_record,
     ordinal_phrases,
 )
-from fundmob.textnorm import contains_bounded, normalize_text, strip_token_punct
+from fundmob.textnorm import contains_bounded, normalize_text
 
 from fundmob.corpus import Authorship, PublicationRecord, parse_corpus
 from fundmob.periods import record_acknowledges_funder
 
 from .conftest import DATA_DIR, load_bench_gen, make_author, make_record
+from .test_textnorm import strip_token_punct
 
 
 WORKED_EXAMPLE = (

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 from datetime import date
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fundmob.corpus import (
+    Affiliation,
     CorpusParseError,
     CountryAliases,
     DateSource,
     DocType,
     ParseIssue,
+    RecordError,
     filter_documents,
     load_corpus,
     parse_corpus,
@@ -21,6 +24,7 @@ from fundmob.corpus import (
 )
 
 from .conftest import make_author, make_record
+from .reference_parse import reference_record_from_dict
 
 
 def line(**overrides):
@@ -190,13 +194,17 @@ class TestParseCorpus:
         assert [r.pub_id for r in result.records] == ["W1"]
         assert [e.line_no for e in result.errors] == [2]
 
-    @pytest.mark.parametrize("pub_id", [["W", 1], {"id": "W2"}, True, 1.5],
-                             ids=["list", "object", "bool", "float"])
+    @pytest.mark.parametrize("pub_id", [["W", 1], {"id": "W2"}, True, False, 1.5, []],
+                             ids=["list", "object", "true", "false", "float", "empty-list"])
     def test_non_string_pub_id_is_a_parse_issue(self, pub_id):
         result = parse_corpus([line(), line(pub_id=pub_id)])
         assert [r.pub_id for r in result.records] == ["W1"]
-        assert [e.line_no for e in result.errors] == [2]
-        assert "pub_id" in result.errors[0].message
+        assert result.errors == [ParseIssue(2, "pub_id is not a string or an integer")]
+
+    @pytest.mark.parametrize("pub_id", [None, ""], ids=["null", "empty"])
+    def test_null_or_empty_pub_id_is_missing(self, pub_id):
+        result = parse_corpus([line(), line(pub_id=pub_id)])
+        assert result.errors == [ParseIssue(2, "missing pub_id")]
 
     @pytest.mark.parametrize("bad", ["\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
     @pytest.mark.parametrize("overrides", [
@@ -213,9 +221,10 @@ class TestParseCorpus:
         assert [e.line_no for e in result.errors] == [2]
         assert "holds a tab or a line break" in result.errors[0].message
 
-    def test_integer_pub_id_reads_as_its_decimal_text(self):
-        result = parse_corpus([line(pub_id=7)])
-        assert [r.pub_id for r in result.records] == ["7"]
+    @pytest.mark.parametrize("pub_id", [7, 0])
+    def test_integer_pub_id_reads_as_its_decimal_text(self, pub_id):
+        result = parse_corpus([line(pub_id=pub_id)])
+        assert [r.pub_id for r in result.records] == [str(pub_id)]
 
     def test_overlong_integer_literal_is_a_parse_issue(self):
         # longer than the interpreter's int conversion limit (4,300 digits)
@@ -597,3 +606,147 @@ def test_every_line_is_a_record_or_a_parse_issue(tmp_path_factory, record_lines,
         from_file = _parsed(load_corpus, path)
         assert from_file[0] == records
         assert [issue.line_no for issue in from_file[1]] == issue_lines
+
+
+# -- hashing while reading ------------------------------------------------
+
+
+def test_load_corpus_hashes_every_byte_it_reads(tmp_path):
+    # larger than the reader's buffers, with a byte-order mark, CRLF line
+    # ends and an undecodable byte, which the text layer handles as before
+    lines = [line(pub_id=f"W{i}", title="T" * 500).encode() for i in range(400)]
+    lines[7] = lines[7].replace(b'"T', b'"\xffT', 1)
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + b"\r\n".join(lines))
+    result = load_corpus(path)
+    assert result.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert len(result.records) == 399
+    assert result.errors == [ParseIssue(8, "line is not valid UTF-8")]
+    assert parse_corpus([line()]).sha256 is None
+
+
+# -- interned affiliations --------------------------------------------------
+
+
+def test_equal_raw_affiliations_share_one_object_within_a_parse(data_dir):
+    def author(position, country="Peoples R China"):
+        return {"position": position, "last_name": "Chen",
+                "affiliations": [{"org_name": "Tsinghua", "country": country}]}
+
+    lines = [
+        line(pub_id="W1", authors=[author(1), author(2)]),
+        line(pub_id="W2", authors=[author(1), author(2, "China")]),
+    ]
+    aliases = CountryAliases.load(data_dir / "country_aliases.tsv")
+    first = parse_corpus(lines, aliases)
+    parsed = [a.affiliations[0] for r in first.records for a in r.authors]
+    assert parsed == [Affiliation("Tsinghua", "CN")] * 4
+    # equal raw values share one object; other raw values get their own
+    assert parsed[0] is parsed[1] is parsed[2]
+    assert parsed[3] is not parsed[0]
+    # no memo outlives a parse: a second one builds its own objects, and
+    # reads the countries through its own alias table
+    second = parse_corpus(lines, aliases)
+    assert all(a.affiliations[0] is not parsed[0] for r in second.records for a in r.authors)
+    unaliased = parse_corpus(lines)
+    assert unaliased.records[0].authors[0].affiliations[0].country == "Peoples R China"
+
+
+@pytest.mark.parametrize("aff, message", [
+    ({"org_name": ["Tsinghua"], "country": "CN"}, "author 1 org_name is not a string"),
+    ({"org_name": "Tsinghua", "country": {"code": "CN"}}, "author 1 country is not a string"),
+    ({"org_name": {}, "country": []}, "author 1 country is not a string"),
+], ids=["list-org", "object-country", "both"])
+def test_unhashable_affiliation_value_is_a_parse_issue(aff, message):
+    bad = line(pub_id="W2", authors=[{"position": 1, "last_name": "Chen", "affiliations": [aff]}])
+    result = parse_corpus([line(), bad])
+    assert [r.pub_id for r in result.records] == ["W1"]
+    assert result.errors == [ParseIssue(2, message)]
+
+
+# -- the parser against its reference -------------------------------------
+
+_BAD_VALUES = [
+    None, True, False, 0, 7, 1.5, "", "  ", "Chen\tJr", "Chen\nJr", "a b",
+    [], ["Chen"], {}, {"name": "Chen"},
+]
+_AUTHOR_KEYS = ["position", "last_name", "full_name", "first_name", "initials",
+                "email", "affiliations", "extra"]
+_ORG_NAMES = ["Tsinghua", "MIT", "Tsinghua ", " ", "", None]
+_COUNTRIES = ["CN", "Germany", " DE ", "Peoples R China", "Atlantis", "", None]
+
+
+@st.composite
+def _affiliations(draw):
+    """Zero to three affiliations from small pools, so raw values repeat;
+    a None value is a null or a missing key."""
+    return [
+        {key: value for key, value in (("org_name", draw(st.sampled_from(_ORG_NAMES))),
+                                       ("country", draw(st.sampled_from(_COUNTRIES))))
+         if value is not None or draw(st.booleans())}
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+
+
+def _fault(draw, author):
+    """Apply one fault to the author dict ``author``; returns the author,
+    or what replaces it in the list."""
+    kind = draw(st.sampled_from(["set", "set", "delete", "affiliation", "not-an-object"]))
+    if kind == "set":
+        author[draw(st.sampled_from(_AUTHOR_KEYS))] = draw(st.sampled_from(_BAD_VALUES))
+    elif kind == "delete":
+        author.pop(draw(st.sampled_from(_AUTHOR_KEYS)), None)
+    elif kind == "affiliation":
+        affs = author.get("affiliations")
+        if not isinstance(affs, list) or not affs:
+            affs = author["affiliations"] = [{"org_name": "MIT", "country": "US"}]
+        at = draw(st.integers(0, len(affs) - 1))
+        if isinstance(affs[at], dict) and draw(st.booleans()):
+            affs[at][draw(st.sampled_from(["org_name", "country"]))] = draw(st.sampled_from(_BAD_VALUES))
+        else:
+            affs[at] = draw(st.sampled_from(_BAD_VALUES))
+    else:
+        return draw(st.sampled_from(_BAD_VALUES))
+    return author
+
+
+@st.composite
+def oracle_records(draw):
+    """A valid record whose affiliations repeat raw values, with zero to
+    three faults in its authors: a bad value in any author field or
+    affiliation, a deleted key, or an author that is not an object."""
+    obj = draw(records())
+    authors = obj["authors"]
+    for author in authors:
+        author["affiliations"] = draw(_affiliations())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(authors) - 1))
+        if isinstance(authors[at], dict):
+            authors[at] = _fault(draw, authors[at])
+    return obj
+
+
+def _outcome(parse, obj, aliases):
+    try:
+        return parse(obj, aliases)
+    except RecordError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(st.lists(oracle_records(), min_size=1, max_size=4), st.booleans())
+def test_parse_equals_the_reference_parser(data_dir, objs, with_aliases):
+    """Every record equals the reference parser's, and every fault is
+    reported with the reference's text, so the checks run in its order."""
+    aliases = CountryAliases.load(data_dir / "country_aliases.tsv") if with_aliases else None
+    lines, expected_records, expected_issues = [], [], []
+    for line_no, obj in enumerate(objs, start=1):
+        obj["pub_id"] = f"W{line_no}"
+        lines.append(json.dumps(obj))
+        expected = _outcome(reference_record_from_dict, obj, aliases)
+        assert _outcome(record_from_dict, obj, aliases) == expected
+        if isinstance(expected, str):
+            expected_issues.append(ParseIssue(line_no, expected))
+        else:
+            expected_records.append(expected)
+    assert _parsed(lambda ls: parse_corpus(ls, aliases), lines) == (expected_records, expected_issues)

@@ -1,5 +1,7 @@
+import builtins
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pkgutil
@@ -302,6 +304,34 @@ def test_hashing_a_file_takes_memory_independent_of_its_size(tmp_path):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("prefix, suffix", [
+    (b"", b""), (b"\xef\xbb\xbf", b""), (b"", b"\n{\"pub_id\": \"X\xff\"}\n"),
+], ids=["plain", "byte-order-mark", "invalid-byte"])
+def test_input_sha256_is_the_hash_of_the_corpus_bytes(data_dir, tmp_path, prefix, suffix):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_bytes(prefix + (data_dir / "demo" / "corpus.jsonl").read_bytes() + suffix)
+    manifest = run_pipeline(demo_config(data_dir, tmp_path / "out", input=corpus_path))
+    assert manifest["input_sha256"] == hashlib.sha256(corpus_path.read_bytes()).hexdigest()
+    assert manifest["stages"]["parse_errors"] == (1 if suffix else 0)
+
+
+def test_one_run_opens_the_corpus_once(data_dir, tmp_path, monkeypatch):
+    # the manifest's input_sha256 comes from the bytes that parsing read
+    corpus_path = (data_dir / "demo" / "corpus.jsonl").resolve()
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == corpus_path:
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    run_pipeline(demo_config(data_dir, tmp_path / "out"))
+    assert len(opened) == 1
+
+
 def test_funded_ids_are_computed_once_per_run(data_dir, tmp_path, monkeypatch):
     calls = []
     original = periods.funded_pub_ids
@@ -382,14 +412,13 @@ def test_every_traced_attribute_resolves():
 
 
 def test_every_library_use_name_in_the_readme_resolves():
-    # every `module.name` reference of README's "Library use" section, and
-    # the two disambig functions it names bare, must exist in the package
+    # every `module.name` reference of README's "Library use" section must
+    # exist in the package
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     modules = {info.name for info in pkgutil.iter_modules(fundmob.__path__)}
     named = {ref for ref in re.findall(r"`(\w+)\.(\w+)", section) if ref[0] in modules}
     assert len(named) >= 15
-    named |= {("disambig", "score_pair"), ("disambig", "cluster_block")}
     missing = [
         f"{module}.{attr}" for module, attr in sorted(named)
         if not hasattr(importlib.import_module(f"fundmob.{module}"), attr)

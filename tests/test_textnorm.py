@@ -2,7 +2,18 @@ import unicodedata
 
 from hypothesis import given, strategies as st
 
-from fundmob.textnorm import match_tokens, normalize_text, strip_accents, strip_token_punct
+from fundmob.textnorm import match_tokens, normalize_text, strip_accents
+
+
+def strip_token_punct(text: str) -> str:
+    """Strip leading/trailing punctuation from every whitespace token.
+
+    "(csc)." -> "csc"; interior punctuation survives: "c.l." -> "c.l".
+    Tokens reduced to nothing are dropped. This is the definition that
+    name matching's oracles compare with.
+    """
+    tokens = [tok.strip(".,;:!?()[]{}\"'") for tok in text.split()]
+    return " ".join(tok for tok in tokens if tok)
 
 
 @given(st.one_of(st.text(), st.text(alphabet="aZ .-éÉüßİﬁ́²")))

@@ -72,7 +72,7 @@ lexicon = FunderLexicon(("China Scholarship Council",))
 funded_ids = funded_pub_ids(records, lexicon)
 result = label_corpus([cluster], funded_ids, CorpusIndex(records))
 window = result.windows["chen"]
-print(f"  window: {window.first_funded_date.date} .. {window.last_funded_date.date}")
+print(f"  window: {window.first_funded_date} .. {window.last_funded_date}")
 for pair in result.pairs:
     print(f"  {pair.pub_id}: {pair.label.value}")
 print("\nThe unfunded paper inside the window is excluded rather than")

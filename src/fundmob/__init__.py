@@ -51,7 +51,6 @@ from .periods import (
 )
 from .indicators import (
     field_distribution,
-    is_international_collab,
     pp_ic,
     temporal_distribution,
 )

@@ -205,14 +205,12 @@ def _parse_doc_type(value: object) -> DocType:
 
 
 def _parse_int(value: object, label: str) -> int:
-    """An integer field; bools and non-integral numbers are rejected
-    rather than truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise RecordError(f"{label} is not an integer: {value!r}")
-    try:
+    """An integer field: a JSON integer, or a JSON float with no fraction.
+    Strings, bools and non-integral numbers are rejected rather than
+    coerced or truncated."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise RecordError(f"{label} is not an integer: {value!r}") from exc
+    raise RecordError(f"{label} is not an integer: {value!r}")
 
 
 def _parse_list(obj: dict, key: str, label: str) -> list:
@@ -357,10 +355,13 @@ def _record_from_dict(
     for fw in _parse_list(obj, "field_weights", "field_weights"):
         if not isinstance(fw, dict) or fw.get("field_id") is None or "weight" not in fw:
             raise RecordError("field_weights entries need field_id and weight")
+        weight = fw["weight"]
+        if type(weight) not in (int, float):   # a bool or a string is no JSON number
+            raise RecordError(f"field weight {weight!r} is not a number")
         try:
-            weight = float(fw["weight"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise RecordError(f"field weight {fw['weight']!r} is not a number") from exc
+            weight = float(weight)
+        except OverflowError as exc:
+            raise RecordError(f"field weight {weight!r} is not a number") from exc
         if not 0.0 < weight <= 1.0:
             raise RecordError(f"field weight {weight} outside (0, 1]")
         if not isinstance(fw["field_id"], str):

@@ -128,12 +128,6 @@ class CorpusIndex:
             for author in record.authors:
                 self.authorships[(record.pub_id, author.position)] = author
 
-    def record(self, pub_id: str) -> PublicationRecord:
-        return self.records[pub_id]
-
-    def author(self, key: AuthorshipKey) -> Authorship:
-        return self.authorships[key]
-
 
 def _surname_key(author: Authorship) -> str:
     return normalize_text(author.last_name).replace(" ", "").replace("-", "")

@@ -29,11 +29,6 @@ def known_countries(record: PublicationRecord) -> set[str]:
     }
 
 
-def is_international_collab(record: PublicationRecord) -> bool:
-    """Affiliations from two or more known countries."""
-    return len(known_countries(record)) >= 2
-
-
 @dataclass(frozen=True)
 class Proportion:
     numerator: float
@@ -127,8 +122,8 @@ def field_distribution(
     identified_ids: set[str],
     field_map: Mapping[str, str],
 ) -> dict[str, FieldShare]:
-    """Fractional paper counts per field, split by whether an identified
-    funded scholar authored the record."""
+    """Fractional paper counts per field, in field order, split by whether
+    an identified funded scholar authored the record."""
     identified: dict[str, list[float]] = {}
     unidentified: dict[str, list[float]] = {}
     for record in records:

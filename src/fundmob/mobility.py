@@ -85,7 +85,7 @@ class SurnameList:
 
 def modal_surname(cluster: ResearcherCluster, index: CorpusIndex) -> str:
     """Most frequent normalized surname; ties break lexicographically."""
-    return most_frequent(normalize_text(index.author(key).last_name) for key in cluster.members)
+    return most_frequent(normalize_text(index.authorships[key].last_name) for key in cluster.members)
 
 
 def is_mainland_chinese_scholar(
@@ -108,10 +108,10 @@ def collect_countries(
     """
     own: Counter[str] = Counter()
     coauthor: Counter[str] = Counter()
-    for pub_id, position in sorted(cluster.members):
+    for pub_id, position in cluster.members:
         if pub_id not in during_pub_ids:
             continue
-        for author in index.record(pub_id).authors:
+        for author in index.records[pub_id].authors:
             counts = own if author.position == position else coauthor
             for aff in author.affiliations:
                 if aff.country != UNKNOWN_COUNTRY:
@@ -159,10 +159,6 @@ def assign_mobility(
 class FlowTable:
     destinations: tuple[tuple[str, int], ...]
     unidentified: tuple[tuple[str, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(n for _, n in self.destinations) + sum(n for _, n in self.unidentified)
 
 
 def aggregate_flows(assignments: Sequence[MobilityAssignment]) -> FlowTable:
@@ -224,7 +220,7 @@ def scholar_field_profile(
     """
     raw: dict[str, float] = {}
     for pub_id in sorted(during_pub_ids):
-        for fw in index.record(pub_id).field_weights:
+        for fw in index.records[pub_id].field_weights:
             top = field_map.get(fw.field_id)
             if top is None:
                 continue

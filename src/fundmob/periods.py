@@ -13,6 +13,7 @@ when the scholars disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -39,11 +40,11 @@ class PeriodLabel:
 
 @dataclass(frozen=True)
 class SponsorshipWindow:
-    first_funded_date: PubDate
-    last_funded_date: PubDate
+    first_funded_date: date
+    last_funded_date: date
 
     def __post_init__(self) -> None:
-        if self.first_funded_date.date > self.last_funded_date.date:
+        if self.first_funded_date > self.last_funded_date:
             raise ValueError("window start after window end")
 
 
@@ -76,17 +77,10 @@ def compute_window(
     funded_ids: set[str],
 ) -> SponsorshipWindow:
     """Min and max resolved dates of the cluster's funded publications."""
-    funded_dates = [
-        dates[pub_id]
-        for pub_id in {key[0] for key in cluster.members}
-        if pub_id in funded_ids
-    ]
+    funded_dates = [dates[pub_id].date for pub_id, _ in cluster.members if pub_id in funded_ids]
     if not funded_dates:
         raise NoFundedPapers(cluster.cluster_id)
-    return SponsorshipWindow(
-        first_funded_date=min(funded_dates, key=lambda d: d.date),
-        last_funded_date=max(funded_dates, key=lambda d: d.date),
-    )
+    return SponsorshipWindow(min(funded_dates), max(funded_dates))
 
 
 def classify_publication(
@@ -101,9 +95,9 @@ def classify_publication(
     """
     if funded:
         return Label.DURING
-    if pub_date.date < window.first_funded_date.date:
+    if pub_date.date < window.first_funded_date:
         return Label.BEFORE
-    if pub_date.date > window.last_funded_date.date:
+    if pub_date.date > window.last_funded_date:
         return Label.AFTER
     return Label.EXCLUDED_WINDOW_GAP
 
@@ -147,7 +141,7 @@ def label_corpus(
     scholar_pubs = {c.cluster_id: {key[0] for key in c.members} for c in clusters}
     scholars = [c for c in clusters if scholar_pubs[c.cluster_id] & funded_ids]
     labeled = set().union(*(scholar_pubs[c.cluster_id] for c in scholars))
-    dates = {pub_id: resolve_pub_date(index.record(pub_id)) for pub_id in labeled}
+    dates = {pub_id: resolve_pub_date(index.records[pub_id]) for pub_id in labeled}
     windows = {c.cluster_id: compute_window(c, dates, funded_ids) for c in scholars}
 
     per_record: dict[str, dict[str, Label]] = {}

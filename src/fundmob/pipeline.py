@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -205,9 +206,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     )
 
     identified_record_ids = {f.pub_id for f in funded_authorships}
-    labeled_records = [
-        index.record(pub_id) for pub_id in sorted(labeling.record_labels)
-    ]
+    labeled_records = [index.records[pub_id] for pub_id in labeling.record_labels]
     ppic = indicators.pp_ic(
         labeled_records, labeling.record_labels, field_map, config.whole_count
     )
@@ -223,6 +222,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         assignments, flows, top_dest, ppic, field_dist, temporal,
     )
 
+    rules = Counter(a.rule_fired for a in assignments)
+    labels = Counter(p.label for p in labeling.pairs)
     manifest = {
         "input_sha256": parsed.sha256,
         "config": {
@@ -242,14 +243,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "clusters": len(clusters),
             "funded_scholar_clusters": len(funded_clusters),
             "chinese_scholar_clusters": len(chinese_clusters),
-            "assignments_by_rule": {
-                rule.value: sum(1 for a in assignments if a.rule_fired is rule)
-                for rule in mobility.Rule
-            },
-            "labels_by_class": {
-                label.value: sum(1 for p in labeling.pairs if p.label is label)
-                for label in periods.Label
-            },
+            "assignments_by_rule": {rule.value: rules[rule] for rule in mobility.Rule},
+            "labels_by_class": {label.value: labels[label] for label in periods.Label},
             "scholar_paper_pairs": len(labeling.pairs),
         },
     }
@@ -281,7 +276,7 @@ def _write_artifacts(
             [
                 f.pub_id,
                 f.author_position,
-                index.author((f.pub_id, f.author_position)).full_name,
+                index.authorships[(f.pub_id, f.author_position)].full_name,
                 cluster_of[(f.pub_id, f.author_position)],
                 f.match_kind.value,
                 f.evidence,
@@ -339,32 +334,31 @@ def _write_artifacts(
                 pair.pub_id,
                 pair.cluster_id,
                 pair.label.value,
-                labeling.windows[pair.cluster_id].first_funded_date.date.isoformat(),
-                labeling.windows[pair.cluster_id].last_funded_date.date.isoformat(),
+                labeling.windows[pair.cluster_id].first_funded_date.isoformat(),
+                labeling.windows[pair.cluster_id].last_funded_date.isoformat(),
                 labeling.dates[pair.pub_id].source.value,
             ]
             for pair in labeling.pairs
         ],
     )
 
+    # indicators.json nests these same rows
+    ppic_columns = ["period", "field", "numerator", "denominator", "proportion"]
+    ppic_rows = [
+        [period, field, cell.numerator, cell.denominator, cell.value]
+        for (period, field), cell in sorted(ppic.cells.items())
+    ]
     _write_table(
-        out / "pp_ic.tsv",
-        ["period", "field", "numerator", "denominator", "proportion"],
-        [
-            [period, field, cell.numerator, cell.denominator, cell.value]
-            for (period, field), cell in sorted(ppic.cells.items())
-        ],
+        out / "pp_ic.tsv", ppic_columns, ppic_rows,
         footer_comments=[f"records with no known country: {ppic.zero_country_records}"],
     )
 
-    _write_table(
-        out / "field_distribution.tsv",
-        ["field", "identified", "unidentified", "total"],
-        [
-            [field, share.identified, share.unidentified, share.total]
-            for field, share in sorted(field_dist.items())
-        ],
-    )
+    field_columns = ["field", "identified", "unidentified", "total"]
+    field_rows = [
+        [field, share.identified, share.unidentified, share.total]
+        for field, share in field_dist.items()
+    ]
+    _write_table(out / "field_distribution.tsv", field_columns, field_rows)
 
     _write_table(
         out / "temporal.tsv",
@@ -378,22 +372,13 @@ def _write_artifacts(
 
     # _write_json sorts the keys at every level
     pp_ic: dict[str, dict[str, dict]] = {}
-    for (period, field), cell in ppic.cells.items():
-        pp_ic.setdefault(period, {})[field] = {
-            "numerator": cell.numerator,
-            "denominator": cell.denominator,
-            "proportion": cell.value,
-        }
+    for period, field, *values in ppic_rows:
+        pp_ic.setdefault(period, {})[field] = dict(zip(ppic_columns[2:], values))
     report = {
         "pp_ic": pp_ic,
         "pp_ic_coverage": {"records_with_no_known_country": ppic.zero_country_records},
         "field_distribution": {
-            field: {
-                "identified": share.identified,
-                "unidentified": share.unidentified,
-                "total": share.total,
-            }
-            for field, share in field_dist.items()
+            field: dict(zip(field_columns[1:], values)) for field, *values in field_rows
         },
         "temporal": {str(year): row for year, row in temporal.items()},
     }

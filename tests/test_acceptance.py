@@ -10,14 +10,14 @@ import pytest
 
 from fundmob.ackminer import MatchKind, mine_record
 from fundmob.disambig import CorpusIndex
-from fundmob.indicators import TOTAL_FIELD, field_distribution, is_international_collab, pp_ic, temporal_distribution
+from fundmob.indicators import TOTAL_FIELD, field_distribution, pp_ic, temporal_distribution
 from fundmob.mobility import infer_destination
 from fundmob.periods import Label, funded_pub_ids, label_corpus
 from fundmob.pipeline import PipelineConfig, run_pipeline
 
 from .conftest import make_author, make_record
 from .test_disambig import WEIGHTS, cluster_block, components_oracle, random_block
-from .test_indicators import random_corpus
+from .test_indicators import is_international_collab, random_corpus
 from .test_mobility import all_subsets, oracle_decision
 from .test_periods import _COARSE, random_scenario, transcribed_labels
 

@@ -94,8 +94,9 @@ class TestParseCorpus:
         assert len(result.errors) == 1
 
     @pytest.mark.parametrize(
-        "weight", ["abc", None, [1], {"w": 1}, 10**400],
-        ids=["string", "null", "list", "object", "huge-int"],
+        "weight", ["abc", "1", "1.0", True, None, [1], {"w": 1}, 10**400],
+        ids=["string", "numeric-string", "float-string", "bool", "null", "list", "object",
+             "huge-int"],
     )
     def test_non_numeric_weight_is_a_parse_issue(self, weight):
         bad = line(pub_id="W2", field_weights=[{"field_id": "a", "weight": weight}])
@@ -128,7 +129,14 @@ class TestParseCorpus:
         {"pub_year": True},
         {"authors": [{"position": 1.5, "last_name": "Chen"}]},
         {"authors": [{"position": True, "last_name": "Chen"}]},
-    ], ids=["year-fraction", "year-bool", "position-fraction", "position-bool"])
+        {"pub_year": "2016"},
+        {"pub_year": " 2016\n"},
+        {"pub_year": "2_016"},
+        {"authors": [{"position": "1", "last_name": "Chen"}]},
+        {"authors": [{"position": "1_0", "last_name": "Chen"}]},
+    ], ids=["year-fraction", "year-bool", "position-fraction", "position-bool", "year-string",
+            "year-padded-string", "year-underscored-string", "position-string",
+            "position-underscored-string"])
     def test_year_and_position_must_be_integral(self, overrides):
         integral = line(pub_year=2015.0, authors=[{"position": 1.0, "last_name": "Chen"}])
         result = parse_corpus([integral, line(pub_id="W2", **overrides)])
@@ -667,7 +675,7 @@ def test_unhashable_affiliation_value_is_a_parse_issue(aff, message):
 # -- the parser against its reference -------------------------------------
 
 _BAD_VALUES = [
-    None, True, False, 0, 7, 1.5, "", "  ", "Chen\tJr", "Chen\nJr", "a b",
+    None, True, False, 0, 7, 1.5, "7", "", "  ", "Chen\tJr", "Chen\nJr", "a b",
     [], ["Chen"], {}, {"name": "Chen"},
 ]
 _AUTHOR_KEYS = ["position", "last_name", "full_name", "first_name", "initials",
@@ -690,10 +698,11 @@ def _affiliations(draw):
 
 def _fault(draw, author):
     """Apply one fault to the author dict ``author``; returns the author,
-    or what replaces it in the list."""
+    or what replaces it in the list. A bad value is a copy, so no fault
+    writes into the shared lists and dicts of ``_BAD_VALUES``."""
     kind = draw(st.sampled_from(["set", "set", "delete", "affiliation", "not-an-object"]))
     if kind == "set":
-        author[draw(st.sampled_from(_AUTHOR_KEYS))] = draw(st.sampled_from(_BAD_VALUES))
+        author[draw(st.sampled_from(_AUTHOR_KEYS))] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
     elif kind == "delete":
         author.pop(draw(st.sampled_from(_AUTHOR_KEYS)), None)
     elif kind == "affiliation":
@@ -702,12 +711,32 @@ def _fault(draw, author):
             affs = author["affiliations"] = [{"org_name": "MIT", "country": "US"}]
         at = draw(st.integers(0, len(affs) - 1))
         if isinstance(affs[at], dict) and draw(st.booleans()):
-            affs[at][draw(st.sampled_from(["org_name", "country"]))] = draw(st.sampled_from(_BAD_VALUES))
+            affs[at][draw(st.sampled_from(["org_name", "country"]))] = copy.deepcopy(
+                draw(st.sampled_from(_BAD_VALUES)))
         else:
-            affs[at] = draw(st.sampled_from(_BAD_VALUES))
+            affs[at] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
     else:
-        return draw(st.sampled_from(_BAD_VALUES))
+        return copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
     return author
+
+
+def test_faults_leave_the_bad_values_unchanged():
+    """Two faults on one affiliation: the first puts the shared ``{}`` in
+    its place, the second sets a key of what now stands there to ``{}``
+    again. Neither may write into ``_BAD_VALUES``."""
+    before = copy.deepcopy(_BAD_VALUES)
+    empty = _BAD_VALUES[_BAD_VALUES.index({})]
+    script = iter([
+        "affiliation", 0, False, empty,
+        # the value is drawn before the key it is set under
+        "affiliation", 0, True, empty, "org_name",
+    ])
+    author = {"position": 1, "last_name": "Chen", "affiliations": [{"org_name": "MIT"}]}
+    for _ in range(2):
+        author = _fault(lambda strategy: next(script), author)
+    assert next(script, None) is None
+    assert author["affiliations"] == [{"org_name": {}}]
+    assert _BAD_VALUES == before
 
 
 @st.composite

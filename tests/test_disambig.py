@@ -70,7 +70,7 @@ class TestBlocking:
         blocks = block_authorships(records)
         flat = [key for block in blocks for key in block]
         assert sorted(flat) == sorted({("a", 1), ("a", 2), ("b", 1)})
-        keys = [block_key(CorpusIndex(records).author(block[0])) for block in blocks]
+        keys = [block_key(CorpusIndex(records).authorships[block[0]]) for block in blocks]
         assert keys == sorted(keys)
 
 
@@ -187,8 +187,8 @@ def _coauthor_keys(record, position):
 
 
 def reference_score_pair(index, a, b, weights):
-    author_a, author_b = index.author(a), index.author(b)
-    record_a, record_b = index.record(a[0]), index.record(b[0])
+    author_a, author_b = index.authorships[a], index.authorships[b]
+    record_a, record_b = index.records[a[0]], index.records[b[0]]
 
     first_a, first_b = _full_first_name(author_a), _full_first_name(author_b)
     if first_a and first_b and first_a != first_b:
@@ -273,8 +273,8 @@ def cluster_block(keys, index, weights, overrides=None):
     """The clusters holding the authorships ``keys``, which share one block
     key, from :func:`cluster_corpus` over their records, taken in the
     order ``keys`` names them."""
-    records = [index.record(pub_id) for pub_id in dict.fromkeys(pub_id for pub_id, _ in keys)]
-    assert len({block_key(index.author(key)) for key in keys}) == 1
+    records = [index.records[pub_id] for pub_id in dict.fromkeys(pub_id for pub_id, _ in keys)]
+    assert len({block_key(index.authorships[key]) for key in keys}) == 1
     wanted = set(keys)
     return [c for c in cluster_corpus(records, weights, overrides) if c.members & wanted]
 

@@ -7,7 +7,6 @@ from fundmob.corpus import UNKNOWN_COUNTRY
 from fundmob.indicators import (
     TOTAL_FIELD,
     field_distribution,
-    is_international_collab,
     known_countries,
     pp_ic,
     temporal_distribution,
@@ -25,22 +24,34 @@ def paper(pub_id, countries, weights=(), year=2015):
     return make_record(pub_id, authors, year=year, weights=weights)
 
 
+def is_international_collab(record):
+    """The reference rule: affiliations from two or more known countries."""
+    return len(known_countries(record)) >= 2
+
+
+def counted_international(record):
+    """Whether :func:`pp_ic` counts the record, alone, as internationally
+    co-authored."""
+    cell = pp_ic([record], {record.pub_id: Label.DURING}, {}).cells[(Label.DURING.value, TOTAL_FIELD)]
+    return cell.numerator == 1.0
+
+
 class TestInternationalCollab:
     def test_two_countries(self):
-        assert is_international_collab(paper("a", ["CN", "DE"]))
+        assert counted_international(paper("a", ["CN", "DE"]))
 
     def test_single_country(self):
-        assert not is_international_collab(paper("a", ["CN"]))
+        assert not counted_international(paper("a", ["CN"]))
 
     def test_unknown_dropped(self):
         record = paper("a", ["CN", "CN", UNKNOWN_COUNTRY])
         assert known_countries(record) == {"CN"}
-        assert not is_international_collab(record)
+        assert not counted_international(record)
 
     def test_invariant_under_author_order_and_duplicates(self):
         record = paper("a", ["CN", "DE"])
         reversed_record = paper("a", ["DE", "CN", "DE", "CN"])
-        assert is_international_collab(record) == is_international_collab(reversed_record)
+        assert counted_international(record) == counted_international(reversed_record)
 
 
 FIXTURE_LABELS = {}

@@ -262,7 +262,8 @@ class TestAggregateFlows:
             MobilityAssignment("c2", Rule.MULTI_FOREIGN_OWN),
             MobilityAssignment("c3", Rule.NO_FOREIGN_SIGNAL),
         ]
-        assert aggregate_flows(assignments).total == len(assignments)
+        flows = aggregate_flows(assignments)
+        assert sum(n for _, n in flows.destinations + flows.unidentified) == len(assignments)
 
 
 FIELD_MAP = {"fa": "Field A", "fb": "Field B"}

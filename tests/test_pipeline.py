@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -16,9 +17,9 @@ import pytest
 import fundmob
 from fundmob import ackminer, corpus, mobility, periods
 from fundmob.cli import main
-from fundmob.pipeline import ConfigError, PipelineConfig, _sha256, run_pipeline
+from fundmob.pipeline import ConfigError, PipelineConfig, _fmt, _sha256, run_pipeline
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, load_bench_gen
 
 # SHA-256 of each artifact of the demo corpus run with the stock configuration
 DEMO_DIGESTS = {
@@ -478,3 +479,65 @@ def test_override_naming_no_authorship_warns(data_dir, tmp_path, caplog):
     for name in ARTIFACTS:
         if name != "manifest.json":
             assert (out / name).read_bytes() == (baseline / name).read_bytes(), name
+
+
+def _tsv(path):
+    """The rows and the footer comments of a TSV artifact; the header
+    and the delimiter comment are dropped."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "# delimiter: tab"
+    rows = [line.split("\t") for line in lines[2:] if not line.startswith("# ")]
+    footers = [line[2:] for line in lines[2:] if line.startswith("# ")]
+    return rows, footers
+
+
+def _reconciliation_runs(tmp_path, monkeypatch):
+    """The demo corpus, then a small corpus of each benchmark workload
+    (seed 5), with its overrides when the workload has some."""
+    yield "demo", demo_config(DATA_DIR, tmp_path / "demo")
+    gen = load_bench_gen(monkeypatch)
+    for workload in gen.WORKLOADS:
+        spec = dataclasses.replace(gen.SPECS[workload], records=200, other_records=5)
+        paths = gen.write(gen.generate(workload, 5, DATA_DIR, spec), tmp_path / workload / "in")
+        yield workload, demo_config(
+            DATA_DIR, tmp_path / workload / "out",
+            input=paths["corpus"], overrides=paths.get("overrides"),
+        )
+
+
+def test_report_tables_reconcile(tmp_path, monkeypatch):
+    """indicators.json restates pp_ic.tsv, field_distribution.tsv and
+    temporal.tsv cell for cell, as the TSV writer formats them, and the
+    manifest's counts match each other and the row counts of the TSVs."""
+    for name, config in _reconciliation_runs(tmp_path, monkeypatch):
+        manifest = run_pipeline(config)
+        out, stages = config.out_dir, manifest["stages"]
+        report = json.loads((out / "indicators.json").read_text(encoding="utf-8"))
+
+        rows, footers = _tsv(out / "pp_ic.tsv")
+        assert rows, name
+        assert {(p, f): values for p, f, *values in rows} == {
+            (period, field): [_fmt(cell[k]) for k in ("numerator", "denominator", "proportion")]
+            for period, fields in report["pp_ic"].items() for field, cell in fields.items()
+        }, name
+        coverage = report["pp_ic_coverage"]["records_with_no_known_country"]
+        assert footers == [f"records with no known country: {coverage}"], name
+
+        rows, _ = _tsv(out / "field_distribution.tsv")
+        assert rows, name
+        assert {f: values for f, *values in rows} == {
+            field: [_fmt(share[k]) for k in ("identified", "unidentified", "total")]
+            for field, share in report["field_distribution"].items()
+        }, name
+
+        rows, _ = _tsv(out / "temporal.tsv")
+        assert rows, name
+        assert sorted(rows) == sorted(
+            [year, tag, _fmt(count)]
+            for year, counts in report["temporal"].items() for tag, count in counts.items()
+        ), name
+
+        rows, _ = _tsv(out / "mobility_assignments.tsv")
+        assert sum(stages["assignments_by_rule"].values()) == stages["chinese_scholar_clusters"] == len(rows), name
+        rows, _ = _tsv(out / "period_labels.tsv")
+        assert sum(stages["labels_by_class"].values()) == stages["scholar_paper_pairs"] == len(rows), name

@@ -181,6 +181,8 @@ class CountryAliases:
 #: the one date form accepted; ``date.fromisoformat`` alone accepts more
 #: forms on newer Pythons ("20160321", "2016-W12-1")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+#: each doc type by its lower-cased value
+_DOC_TYPES = {member.value.lower(): member for member in DocType}
 
 
 def _parse_date(value: object, label: str) -> date:
@@ -197,11 +199,10 @@ def _parse_date(value: object, label: str) -> date:
 def _parse_doc_type(value: object) -> DocType:
     if not isinstance(value, str):
         raise RecordError("doc_type must be a string")
-    wanted = value.strip().lower()
-    for member in DocType:
-        if wanted == member.value.lower():
-            return member
-    raise RecordError(f"unknown doc_type string: {value!r}")
+    member = _DOC_TYPES.get(value.strip().lower())
+    if member is None:
+        raise RecordError(f"unknown doc_type string: {value!r}")
+    return member
 
 
 def _parse_int(value: object, label: str) -> int:

@@ -7,6 +7,7 @@ runs produce byte-identical output directories.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -141,7 +142,19 @@ def _write_json(path: Path, payload: object) -> None:
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every stage and write all artifacts; returns the manifest."""
+    """Run every stage and write all artifacts; returns the manifest.
+    Pauses the cyclic garbage collector (a run makes no reference cycles
+    per record) and restores the caller's setting, also on error."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_stages(config)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_stages(config: PipelineConfig) -> dict:
     aliases, lexicon, surnames, field_map, weights, overrides = _load_config_files(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import io
@@ -388,6 +389,87 @@ def test_countries_are_collected_once_per_chinese_scholar(data_dir, tmp_path, mo
     monkeypatch.setattr(mobility, "collect_countries", counting)
     stages = run_pipeline(demo_config(data_dir, tmp_path / "out"))["stages"]
     assert len(scholars) == len(set(scholars)) == stages["chinese_scholar_clusters"]
+
+
+@pytest.fixture
+def collector():
+    """Sets the cyclic garbage collector on or off, and puts back the
+    setting the test began with when it ends."""
+    began = gc.isenabled()
+
+    def turn(on):
+        (gc.enable if on else gc.disable)()
+
+    yield turn
+    turn(began)
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+def test_collector_is_paused_for_a_run_and_then_restored(data_dir, tmp_path, monkeypatch, collector, on):
+    seen = []
+    original = periods.funded_pub_ids
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(periods, "funded_pub_ids", recording)
+    collector(on)
+    run_pipeline(demo_config(data_dir, tmp_path / "out"))
+    assert (seen, gc.isenabled()) == ([False], on)
+
+
+@pytest.mark.parametrize("lines, error", [
+    (None, ConfigError),
+    (["not json", "{}", '"a string"'], corpus.CorpusParseError),
+], ids=["missing-input", "bad-lines-only"])
+def test_collector_is_restored_when_a_run_raises(data_dir, tmp_path, collector, lines, error):
+    path = tmp_path / "corpus.jsonl"
+    if lines is not None:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    collector(True)
+    with pytest.raises(error):
+        run_pipeline(demo_config(data_dir, tmp_path / "out", input=path))
+    assert gc.isenabled()
+
+
+def test_a_run_leaves_no_cycles_that_grow_with_its_input(tmp_path, monkeypatch, collector):
+    """The pause is safe while a run builds no reference cycles per
+    record: what the collector finds after a run does not grow with the
+    corpus. The collector stays off, so none of it is collected early."""
+    gen = load_bench_gen(monkeypatch)
+    collector(False)
+    found = []
+    for records in (100, 400):
+        spec = dataclasses.replace(gen.SPECS["cn-skewed"], records=records)
+        paths = gen.write(gen.generate("cn-skewed", 5, DATA_DIR, spec), tmp_path / str(records))
+        config = demo_config(DATA_DIR, tmp_path / f"out{records}", input=paths["corpus"])
+        gc.collect()
+        run_pipeline(config)
+        found.append(gc.collect())
+    assert found[0] == found[1]
+
+
+def test_parse_issues_leave_no_cycles(collector):
+    """500 lines of each fault kind the parser reports leave the
+    collector nothing to find."""
+    good = json.dumps({
+        "pub_id": "W0", "title": "T", "pub_year": 2015, "doc_type": "Article",
+        "authors": [{"position": 1, "full_name": "Chen, Long", "last_name": "Chen"}],
+    })
+    bad = [
+        good,                                       # duplicate pub_id
+        good.replace("Article", "Letter"),          # a field's value is wrong
+        good[:-1],                                  # invalid JSON
+        "[" * 5_000 + "]" * 5_000,                  # nested too deeply
+        good.replace("2015", "9" * 5_000),          # integer literal too long
+        good.replace("W0", "W0\udcff"),             # not valid UTF-8
+    ]
+    collector(False)
+    gc.collect()
+    result = corpus.parse_corpus([good] + bad * 500)
+    assert (len(result.records), len(result.errors)) == (1, 3_000)
+    assert gc.collect() == 0
 
 
 def load_bench_tracing():

@@ -104,7 +104,7 @@ class FunderLexicon:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FundingSentence:
     text: str
     span: tuple[int, int]
@@ -115,7 +115,7 @@ class MatchKind(Enum):
     ORDINAL = "OrdinalMatch"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FundedAuthorship:
     pub_id: str
     author_position: int
@@ -232,7 +232,7 @@ def extract_funding_sentences(
         # whitespace or at the text end, so searching in place sees what
         # searching the slice sees
         if mention.end() <= end or find(ack_text, start, end) is not None:
-            sentences.append(FundingSentence(text=ack_text[start:end], span=(start, end)))
+            sentences.append(FundingSentence(ack_text[start:end], (start, end)))
         start = next_start
     return sentences
 
@@ -381,15 +381,7 @@ def match_funded_authors(
             hit = _best_hit(ordinal_phrases(author.position), views)
         if hit is not None:
             evidence, span = hit
-            funded.append(
-                FundedAuthorship(
-                    pub_id=record.pub_id,
-                    author_position=author.position,
-                    evidence=evidence,
-                    sentence_span=span,
-                    match_kind=kind,
-                )
-            )
+            funded.append(FundedAuthorship(record.pub_id, author.position, evidence, span, kind))
     return sorted(funded, key=lambda f: f.author_position)
 
 

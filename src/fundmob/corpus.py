@@ -13,6 +13,11 @@ names its author only when it is raised. Affiliations are interned per
 parsed once, and the authorships that list it share one
 :class:`Affiliation`; no memo outlives the call. :func:`load_corpus`
 hashes the file's bytes as it reads them, so the corpus is read once.
+
+Records, authorships and field weights are built once per input item,
+positionally, as plain slotted dataclasses: a frozen one sets every
+field through ``object.__setattr__``. They compare by value and are not
+hashable, and no stage changes them once parsed.
 """
 from __future__ import annotations
 
@@ -52,7 +57,7 @@ class Affiliation:
     country: str = UNKNOWN_COUNTRY
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Authorship:
     position: int
     full_name: str
@@ -63,13 +68,13 @@ class Authorship:
     affiliations: tuple[Affiliation, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FieldWeight:
     field_id: str
     weight: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PublicationRecord:
     pub_id: str
     pub_year: int
@@ -298,13 +303,8 @@ def _parse_authorship(
     if initials is not None and not isinstance(initials, str):
         raise RecordError("initials is not a string")
     return Authorship(
-        position=position,
-        full_name=full_name,
-        last_name=last_name,
-        first_name=first_name or None,
-        initials=initials or None,
-        email=email,
-        affiliations=tuple(affiliations),
+        position, full_name, last_name, first_name or None, initials or None,
+        email, tuple(affiliations),
     )
 
 
@@ -388,14 +388,8 @@ def _record_from_dict(
     if ack is not None and not isinstance(ack, str):
         raise RecordError("acknowledgment_text is not a string")
     return PublicationRecord(
-        pub_id=pub_id,
-        pub_year=pub_year,
-        doc_type=doc_type,
-        doi_created_date=doi_created or None,
-        acknowledgment_text=ack or None,
-        funding_orgs=tuple(funding_orgs),
-        authors=tuple(authors),
-        field_weights=tuple(field_weights),
+        pub_id, pub_year, doc_type, doi_created or None, ack or None,
+        tuple(funding_orgs), tuple(authors), tuple(field_weights),
     )
 
 

@@ -78,6 +78,9 @@ class ScoringWeights:
                 raise ValueError(f"weight {key!r} given twice, on lines {line_of[key]} and {line_no}")
             line_of[key] = line_no
             try:
+                # float() also reads "1_0" as 10 and non-ASCII digits
+                if "_" in raw or not raw.isascii():
+                    raise ValueError
                 values[key] = float(raw)
             except ValueError:
                 raise ValueError(
@@ -101,6 +104,9 @@ def load_overrides(path: str | Path) -> list[ManualOverride]:
         if len(parts) != 5 or parts[4].upper() not in ("MERGE", "SPLIT"):
             raise ValueError(f"bad override on line {line_no}: {line!r}")
         try:
+            # ASCII digits only: int() also reads "+2", "1_0" and "٣"
+            if not all(p.isascii() and p.isdigit() for p in (parts[1], parts[3])):
+                raise ValueError
             a, b = (parts[0], int(parts[1])), (parts[2], int(parts[3]))
         except ValueError:
             raise ValueError(f"override position on line {line_no} is not an integer: {line!r}") from None
@@ -108,7 +114,7 @@ def load_overrides(path: str | Path) -> list[ManualOverride]:
     return overrides
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResearcherCluster:
     cluster_id: str
     members: frozenset[AuthorshipKey]
@@ -216,11 +222,8 @@ def _feature_rows(
                 affiliation = affiliation | org if affiliation else org
             email = (author.email or "").strip().lower()
             rows[(pub_id, author.position)] = _FeatureRow(
-                email=frozenset((email,)) if email else _NONE,
-                affiliation=affiliation,
-                coauthor=frozenset(ids[:i] + ids[i + 1:]),
-                funder=funder,
-                first_name=first,
+                frozenset((email,)) if email else _NONE,
+                affiliation, frozenset(ids[:i] + ids[i + 1:]), funder, first,
             )
     return rows
 
@@ -354,13 +357,11 @@ def _make_clusters(
         anchor = ordered[0]
         names = [authorships[key].full_name for key in ordered]
         first = names[0]
-        clusters.append(
-            ResearcherCluster(
-                cluster_id=f"{anchor[0]}#{anchor[1]}",
-                members=frozenset(ordered),
-                display_name=first if names.count(first) == len(names) else most_frequent(names),
-            )
-        )
+        clusters.append(ResearcherCluster(
+            f"{anchor[0]}#{anchor[1]}",
+            frozenset(ordered),
+            first if names.count(first) == len(names) else most_frequent(names),
+        ))
     return clusters
 
 

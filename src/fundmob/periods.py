@@ -31,7 +31,7 @@ class Label(Enum):
     EXCLUDED_WINDOW_GAP = "ExcludedWindowGap"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PeriodLabel:
     pub_id: str
     cluster_id: str

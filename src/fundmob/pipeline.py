@@ -190,9 +190,7 @@ def _run_stages(config: PipelineConfig) -> dict:
                 "%s override of %s %d and %s %d names no authorship of the corpus; ignored",
                 o.action, *o.a, *o.b,
             )
-    funded_clusters = [
-        c for c in clusters if c.members & identified_keys
-    ]
+    funded_clusters = [c for c in clusters if not c.members.isdisjoint(identified_keys)]
 
     labeling = periods.label_corpus(funded_clusters, funded_ids, index)
     during_by_cluster: dict[str, set[str]] = {}

@@ -453,7 +453,11 @@ class TestOverridesAndConfig:
         with pytest.raises(ValueError, match="threshold must be finite"):
             ScoringWeights.load(path)
 
-    @pytest.mark.parametrize("text", ["coauthor = four", "coauthor", "coauthor = "])
+    @pytest.mark.parametrize("text", [
+        "coauthor = four", "coauthor", "coauthor = ",
+        # float() reads these as 10, 3 and 4
+        "coauthor = 1_0", "coauthor = \u0663", "coauthor = \uff14.0",
+    ])
     def test_non_numeric_weight_names_key_and_line(self, tmp_path, text):
         path = tmp_path / "w.cfg"
         path.write_text(f"# weights\nemail = 10\n{text}\n")
@@ -505,10 +509,20 @@ class TestOverridesAndConfig:
             ManualOverride(("c", 2), ("d", 3), "SPLIT"),
         ]
 
-    def test_bad_override_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        ("a\t1\tb\t1\tFUSE", "bad override on line 2"),
+        ("a\tone\tb\t1\tMERGE", "override position on line 2 is not an integer"),
+        # int() reads these as 10, 2, 3, 2 and -1
+        ("a\t1_0\tb\t1\tMERGE", "override position on line 2 is not an integer"),
+        ("a\t1\tb\t+2\tMERGE", "override position on line 2 is not an integer"),
+        ("a\t\u0663\tb\t1\tSPLIT", "override position on line 2 is not an integer"),
+        ("a\t 2\tb\t1\tMERGE", "override position on line 2 is not an integer"),
+        ("a\t-1\tb\t1\tSPLIT", "override position on line 2 is not an integer"),
+    ])
+    def test_bad_override_line_rejected(self, tmp_path, line, message):
         path = tmp_path / "ov.tsv"
-        path.write_text("a\t1\tb\t1\tFUSE\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
             load_overrides(path)
 
 

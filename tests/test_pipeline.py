@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import fundmob
-from fundmob import ackminer, corpus, mobility, periods
+from fundmob import ackminer, corpus, disambig, mobility, periods
 from fundmob.cli import main
 from fundmob.pipeline import ConfigError, PipelineConfig, _fmt, _sha256, run_pipeline
 
@@ -623,3 +623,37 @@ def test_report_tables_reconcile(tmp_path, monkeypatch):
         assert sum(stages["assignments_by_rule"].values()) == stages["chinese_scholar_clusters"] == len(rows), name
         rows, _ = _tsv(out / "period_labels.tsv")
         assert sum(stages["labels_by_class"].values()) == stages["scholar_paper_pairs"] == len(rows), name
+
+
+def test_a_run_changes_none_of_its_records_or_clusters(tmp_path, monkeypatch):
+    """Records, authorships, clusters, funding sentences and matches are
+    plain slotted dataclasses, so nothing but this test stops a stage
+    from assigning to one. What a run parsed, mined and clustered still
+    equals, after the run, a fresh parse, mining and clustering of the
+    same input."""
+    load, mine, cluster = corpus.load_corpus, ackminer.mine_record, disambig.cluster_corpus
+    kept = {}
+
+    def keeping(name, stage):
+        def call(*args, **kwargs):
+            result = stage(*args, **kwargs)
+            kept.setdefault(name, []).append((args, kwargs, result))
+            return result
+        return call
+
+    monkeypatch.setattr(corpus, "load_corpus", keeping("load", load))
+    monkeypatch.setattr(ackminer, "mine_record", keeping("mine", mine))
+    monkeypatch.setattr(disambig, "cluster_corpus", keeping("cluster", cluster))
+    for name, config in _reconciliation_runs(tmp_path, monkeypatch):
+        kept.clear()
+        run_pipeline(config)
+        assert kept["mine"], name
+        [(args, kwargs, parsed)] = kept["load"]
+        fresh = load(*args, **kwargs)
+        assert parsed.records == fresh.records, name
+        by_id = {record.pub_id: record for record in fresh.records}
+        for (record, lexicon), _, mined in kept["mine"]:
+            assert mined == mine(by_id[record.pub_id], lexicon), (name, record.pub_id)
+        [((_, weights, overrides), _, clusters)] = kept["cluster"]
+        docs = corpus.filter_documents(fresh.records)
+        assert clusters == cluster(docs, weights, overrides), name

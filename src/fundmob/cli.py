@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", required=True, help="artifact output directory")
     parser.add_argument("--whole-count", action="store_true",
                         help="whole counting instead of fractional for field-grouped PP(IC)")
-    parser.add_argument("--top-k", type=int, default=10,
+    parser.add_argument("--top-k", type=int, default=PipelineConfig.top_k,
                         help="destinations per field in the top-destinations table")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     return parser

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .textnorm import normalize_text
 
@@ -135,6 +135,30 @@ def config_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+def config_pairs(
+    path: str | Path, separator: str, key_label: str, value_label: str,
+    key_of: Callable[[str], str] = str,
+) -> Iterator[tuple[int, str, str]]:
+    """The line number, key and value of every ``key<separator>value``
+    line that :func:`config_lines` yields, split at the first separator
+    and stripped. A line without a value is malformed; a value holding a
+    tab, and a key given twice as ``key_of`` reads it, are rejected."""
+    shown = "<TAB>" if separator == "\t" else separator
+    line_of: dict[str, int] = {}
+    for line_no, line in config_lines(path):
+        key, _, value = line.partition(separator)
+        key, value = key.strip(), value.strip()
+        if not value:
+            raise ValueError(f"malformed line {line_no} (need {key_label}{shown}{value_label}): {line!r}")
+        if "\t" in value:
+            raise ValueError(f"{value_label} on line {line_no} holds a tab: {value!r}")
+        seen = key_of(key)
+        if seen in line_of:
+            raise ValueError(f"{key_label} {key!r} given twice, on lines {line_of[seen]} and {line_no}")
+        line_of[seen] = line_no
+        yield line_no, key, value
+
+
 class CountryAliases:
     """Maps raw affiliation country strings to normalized codes.
 
@@ -149,25 +173,10 @@ class CountryAliases:
 
     @classmethod
     def load(cls, path: str | Path) -> "CountryAliases":
-        """Read a two-column delimited file: raw_name<TAB>code per line."""
-        aliases: dict[str, str] = {}
-        line_of: dict[str, int] = {}
-        for line_no, line in config_lines(path):
-            raw, _, code = line.partition("\t")
-            if not code:
-                raise ValueError(f"malformed alias line {line_no} (need raw<TAB>code): {line!r}")
-            # raw names compare as lookup reads them, normalized
-            raw, code = raw.strip(), code.strip()
-            if "\t" in code:
-                raise ValueError(f"country code on line {line_no} holds a tab: {code!r}")
-            key = normalize_text(raw)
-            if key in line_of:
-                raise ValueError(
-                    f"country name {raw!r} given twice, on lines {line_of[key]} and {line_no}"
-                )
-            line_of[key] = line_no
-            aliases[key] = code
-        return cls(aliases)
+        """Read a two-column delimited file: raw_name<TAB>code per line;
+        raw names compare as lookup reads them, normalized."""
+        pairs = config_pairs(path, "\t", "country name", "country code", normalize_text)
+        return cls({normalize_text(raw): code for _, raw, code in pairs})
 
     def normalize(self, raw: str | None) -> str:
         if raw is None:

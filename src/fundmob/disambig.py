@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import Authorship, PublicationRecord, config_lines
+from .corpus import Authorship, PublicationRecord, config_lines, config_pairs
 from .textnorm import normalize_text
 
 AuthorshipKey = tuple[str, int]
@@ -67,16 +67,10 @@ class ScoringWeights:
     def load(cls, path: str | Path) -> "ScoringWeights":
         """Key-value config: ``name = value`` per line, # comments."""
         values: dict[str, float] = {}
-        line_of: dict[str, int] = {}
         known = set(cls.__dataclass_fields__)
-        for line_no, line in config_lines(path):
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
+        for line_no, key, raw in config_pairs(path, "=", "weight", "value"):
             if key not in known:
-                raise ValueError(f"unknown disambiguation weight: {key!r}")
-            if key in line_of:
-                raise ValueError(f"weight {key!r} given twice, on lines {line_of[key]} and {line_no}")
-            line_of[key] = line_no
+                raise ValueError(f"unknown disambiguation weight {key!r} on line {line_no}")
             try:
                 # float() also reads "1_0" as 10 and non-ASCII digits
                 if "_" in raw or not raw.isascii():
@@ -86,6 +80,11 @@ class ScoringWeights:
                 raise ValueError(
                     f"weight {key!r} on line {line_no} is not a number: {raw!r}"
                 ) from None
+            try:
+                # the range rules of __post_init__, with the line named
+                cls(**{key: values[key]})
+            except ValueError as exc:
+                raise ValueError(f"{exc}, on line {line_no}") from None
         return cls(**values)
 
 

@@ -15,8 +15,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import MAINLAND_CHINA, UNKNOWN_COUNTRY, config_lines
+from .corpus import MAINLAND_CHINA, UNKNOWN_COUNTRY, config_lines, config_pairs
 from .disambig import CorpusIndex, ResearcherCluster, most_frequent
+from .indicators import TOTAL_FIELD
 from .textnorm import normalize_text
 
 
@@ -181,19 +182,9 @@ def aggregate_flows(assignments: Sequence[MobilityAssignment]) -> FlowTable:
 def load_field_map(path: str | Path) -> dict[str, str]:
     """Tab-delimited field map: field_id<TAB>top-level field name."""
     mapping: dict[str, str] = {}
-    line_of: dict[str, int] = {}
-    for line_no, line in config_lines(path):
-        field_id, _, name = line.partition("\t")
-        if not name:
-            raise ValueError(f"malformed field map line {line_no}: {line!r}")
-        field_id, name = field_id.strip(), name.strip()
-        if "\t" in name:
-            raise ValueError(f"field name on line {line_no} holds a tab: {name!r}")
-        if field_id in line_of:
-            raise ValueError(
-                f"field_id {field_id!r} given twice, on lines {line_of[field_id]} and {line_no}"
-            )
-        line_of[field_id] = line_no
+    for line_no, field_id, name in config_pairs(path, "\t", "field_id", "field name"):
+        if name == TOTAL_FIELD:
+            raise ValueError(f"field name {name!r} on line {line_no} names the whole-period row")
         mapping[field_id] = name
     return mapping
 
@@ -236,7 +227,7 @@ def top_destinations_by_field(
     index: CorpusIndex,
     field_map: Mapping[str, str],
     during_by_cluster: Mapping[str, set[str]],
-    k: int = 10,
+    k: int,
 ) -> FieldDestinations:
     """Top-k destinations per top-level field by fractional scholar count.
 

@@ -78,7 +78,7 @@ def _load_config_files(config: PipelineConfig) -> list[object]:
         else:
             try:
                 loaded.append(loader(path))
-            except ValueError as exc:
+            except (ValueError, OSError) as exc:
                 problems.append(f"{label} file {path}: {exc}")
     probe = config.out_dir
     while not probe.exists():

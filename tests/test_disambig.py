@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,11 +451,21 @@ class TestOverridesAndConfig:
     def test_non_finite_weight_in_file_rejected(self, tmp_path):
         path = tmp_path / "w.cfg"
         path.write_text("email = 10\nthreshold = nan\n")
-        with pytest.raises(ValueError, match="threshold must be finite"):
+        with pytest.raises(ValueError, match="threshold must be finite, on line 2"):
+            ScoringWeights.load(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("coauthor = -1", "weight coauthor must be >= 0, on line 2"),
+        ("threshold = 0", "threshold must be > 0, on line 2"),
+    ])
+    def test_weight_out_of_range_in_file_names_line(self, tmp_path, text, message):
+        path = tmp_path / "w.cfg"
+        path.write_text(f"# weights\n{text}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ScoringWeights.load(path)
 
     @pytest.mark.parametrize("text", [
-        "coauthor = four", "coauthor", "coauthor = ",
+        "coauthor = four",
         # float() reads these as 10, 3 and 4
         "coauthor = 1_0", "coauthor = \u0663", "coauthor = \uff14.0",
     ])
@@ -462,6 +473,13 @@ class TestOverridesAndConfig:
         path = tmp_path / "w.cfg"
         path.write_text(f"# weights\nemail = 10\n{text}\n")
         with pytest.raises(ValueError, match="'coauthor' on line 3 is not a number"):
+            ScoringWeights.load(path)
+
+    @pytest.mark.parametrize("text", ["coauthor", "coauthor = "])
+    def test_weight_without_value_is_malformed(self, tmp_path, text):
+        path = tmp_path / "w.cfg"
+        path.write_text(f"# weights\nemail = 10\n{text}\n")
+        with pytest.raises(ValueError, match="malformed line 3"):
             ScoringWeights.load(path)
 
     @pytest.mark.parametrize("key", ["email", "threshold"])

@@ -374,6 +374,14 @@ def test_field_name_holding_a_tab_is_an_error(tmp_path):
         load_field_map(path)
 
 
+def test_field_named_total_is_an_error(tmp_path):
+    # pp_ic already adds every record to the (period, "Total") row
+    path = tmp_path / "fields.tsv"
+    path.write_text("phys\tPhysics\nchem\tTotal\n")
+    with pytest.raises(ValueError, match="'Total' on line 2 names the whole-period row"):
+        load_field_map(path)
+
+
 def test_leading_byte_order_mark_is_dropped_from_surnames(tmp_path):
     path = tmp_path / "surnames.txt"
     path.write_bytes(b"\xef\xbb\xbfwang\nli\n")

@@ -12,6 +12,7 @@ import stat
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -176,25 +177,26 @@ class TestRunPipeline:
         assert sum(stages["labels_by_class"].values()) == stages["scholar_paper_pairs"]
 
 
-class TestCli:
-    def common_args(self, data_dir, out_dir):
-        return [
-            "--input", str(data_dir / "demo" / "corpus.jsonl"),
-            "--lexicon", str(data_dir / "lexicon_csc.txt"),
-            "--surnames", str(data_dir / "surnames_cn.txt"),
-            "--field-map", str(data_dir / "field_map.tsv"),
-            "--country-aliases", str(data_dir / "country_aliases.tsv"),
-            "--disambig-config", str(data_dir / "disambig_weights.cfg"),
-            "--out-dir", str(out_dir),
-        ]
+def cli_args(data_dir, out_dir):
+    return [
+        "--input", str(data_dir / "demo" / "corpus.jsonl"),
+        "--lexicon", str(data_dir / "lexicon_csc.txt"),
+        "--surnames", str(data_dir / "surnames_cn.txt"),
+        "--field-map", str(data_dir / "field_map.tsv"),
+        "--country-aliases", str(data_dir / "country_aliases.tsv"),
+        "--disambig-config", str(data_dir / "disambig_weights.cfg"),
+        "--out-dir", str(out_dir),
+    ]
 
+
+class TestCli:
     def test_cli_runs_demo(self, data_dir, tmp_path, capsys):
-        code = main(self.common_args(data_dir, tmp_path / "out"))
+        code = main(cli_args(data_dir, tmp_path / "out"))
         assert code == 0
         assert "12 records in" in capsys.readouterr().out
 
     def test_cli_missing_lexicon_is_config_error(self, data_dir, tmp_path, capsys):
-        args = self.common_args(data_dir, tmp_path / "out")
+        args = cli_args(data_dir, tmp_path / "out")
         args[args.index("--lexicon") + 1] = str(tmp_path / "gone.txt")
         code = main(args)
         assert code == 2
@@ -210,7 +212,7 @@ class TestCli:
             "--disambig-config": "email = ten\n",
             "--overrides": "W1\tx\tW2\t1\tMERGE\n",
         }
-        args = self.common_args(data_dir, tmp_path / "out") + ["--overrides", ""]
+        args = cli_args(data_dir, tmp_path / "out") + ["--overrides", ""]
         for flag, text in bad.items():
             path = tmp_path / flag.strip("-")
             path.write_text(text)
@@ -229,7 +231,7 @@ class TestCli:
     def test_cli_missing_file_hides_no_other_config_error(self, data_dir, tmp_path, capsys):
         weights = tmp_path / "weights.cfg"
         weights.write_text("email = ten\n")
-        args = self.common_args(data_dir, tmp_path / "out") + ["--top-k", "0"]
+        args = cli_args(data_dir, tmp_path / "out") + ["--top-k", "0"]
         args[args.index("--surnames") + 1] = str(tmp_path / "gone.txt")
         args[args.index("--disambig-config") + 1] = str(weights)
         code = main(args)
@@ -245,7 +247,7 @@ class TestCli:
     def test_cli_key_given_twice_is_one_config_error(self, data_dir, tmp_path, capsys):
         fields = tmp_path / "fields.tsv"
         fields.write_text((data_dir / "field_map.tsv").read_text() + "phys\tPhysics\n")
-        args = self.common_args(data_dir, tmp_path / "out")
+        args = cli_args(data_dir, tmp_path / "out")
         args[args.index("--field-map") + 1] = str(fields)
         code = main(args)
         assert code == 2
@@ -254,10 +256,28 @@ class TestCli:
         assert errors[0].startswith(f"config error: field map file {fields}: field_id 'phys' given twice")
         assert not (tmp_path / "out").exists()
 
+    def test_cli_unreadable_config_file_is_config_error(self, data_dir, tmp_path, capsys, monkeypatch):
+        # root reads a file whatever its mode bits, so the denial is simulated
+        fields = data_dir / "field_map.tsv"
+        read_text = Path.read_text
+
+        def denying(path, *args, **kwargs):
+            if path == fields:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denying)
+        code = main(cli_args(data_dir, tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: field map file {fields}: [Errno 13] Permission denied: '{fields}'",
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_cli_all_bad_lines_exit_nonzero(self, data_dir, tmp_path, capsys):
         corpus = tmp_path / "broken.jsonl"
         corpus.write_text("{nope\n{still nope\n")
-        args = self.common_args(data_dir, tmp_path / "out")
+        args = cli_args(data_dir, tmp_path / "out")
         args[args.index("--input") + 1] = str(corpus)
         code = main(args)
         assert code == 1
@@ -271,12 +291,72 @@ class TestCli:
 
     def test_cli_flags_reach_the_manifest(self, data_dir, tmp_path):
         out = tmp_path / "out"
-        code = main(self.common_args(data_dir, out)
+        code = main(cli_args(data_dir, out)
                     + ["--whole-count", "--top-k", "3"])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["whole_count"] is True
         assert manifest["config"]["top_k"] == 3
+
+
+@dataclasses.dataclass(frozen=True)
+class KeyedFile:
+    """One of the config files read as ``key<separator>value`` lines."""
+
+    flag: str
+    label: str
+    load: Callable[[Path], object]
+    #: a valid line, its key and separator, and what ``read`` finds for it
+    key: str
+    separator: str
+    value: str
+    read: Callable[[object], str]
+
+    @property
+    def line(self):
+        return f"{self.key}{self.separator}{self.value}"
+
+
+@pytest.fixture(params=[
+    KeyedFile("--country-aliases", "country aliases", corpus.CountryAliases.load,
+              "Germany", "\t", "DE", lambda aliases: aliases.normalize("germany")),
+    KeyedFile("--field-map", "field map", mobility.load_field_map,
+              "phys", "\t", "Physics", lambda mapping: mapping["phys"]),
+    KeyedFile("--disambig-config", "disambiguation config", disambig.ScoringWeights.load,
+              "email", " = ", "10", lambda weights: f"{weights.email:g}"),
+], ids=lambda keyed: keyed.flag.strip("-"))
+def keyed(request):
+    return request.param
+
+
+class TestKeyedConfigFormat:
+    @pytest.mark.parametrize("template, message", [
+        ("# header\n{key}{separator}\n", "malformed line 2"),
+        ("{line}\t{value}\n", "on line 1 holds a tab"),
+        ("{line}\n# again\n{line}\n", "given twice, on lines 1 and 3"),
+    ], ids=["no-value", "tab-in-value", "key-twice"])
+    def test_bad_line_is_named(self, keyed, tmp_path, template, message):
+        path = tmp_path / "config"
+        path.write_text(template.format(
+            line=keyed.line, key=keyed.key, separator=keyed.separator, value=keyed.value
+        ))
+        with pytest.raises(ValueError, match=message):
+            keyed.load(path)
+
+    def test_leading_byte_order_mark_is_dropped(self, keyed, tmp_path):
+        path = tmp_path / "config"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{keyed.line}\n".encode())
+        assert keyed.read(keyed.load(path)) == keyed.value
+
+    def test_bad_line_is_a_config_error(self, keyed, data_dir, tmp_path, capsys):
+        path = tmp_path / "config"
+        path.write_text(f"# header\n{keyed.key}{keyed.separator}\n")
+        args = cli_args(data_dir, tmp_path / "out")
+        args[args.index(keyed.flag) + 1] = str(path)
+        assert main(args) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"config error: {keyed.label} file {path}: malformed line 2 ")
 
 
 @pytest.fixture(scope="module")

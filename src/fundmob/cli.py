@@ -24,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--surnames", required=True,
                         help="romanized mainland-Chinese surnames, one per line")
     parser.add_argument("--field-map", required=True,
-                        help="tab-delimited field_id to top-level field name map")
+                        help="tab-delimited field_id to top-level field name map; "
+                        "an unmapped field_id keeps its own name")
     parser.add_argument("--country-aliases", required=True,
                         help="tab-delimited raw country name to code map")
     parser.add_argument("--disambig-config", required=True,

@@ -5,7 +5,9 @@ validates structural invariants (author positions, field-weight sums,
 plausible years) and collects per-line errors instead of dropping bad
 lines silently. Affiliation countries are normalized through a
 configurable alias table; anything outside the configured vocabulary is
-marked Unknown.
+marked Unknown. Field ids are read through the field map to their
+top-level field names; field ids missing from the field map keep their
+own name, and a field that resolves to the whole-period row is reported.
 
 Each field is read with one lookup and one type test, and an error
 names its author only when it is raised. Affiliations are interned per
@@ -29,11 +31,14 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .textnorm import normalize_text
 
 UNKNOWN_COUNTRY = "Unknown"
+
+#: the field name of the report tables' whole-period rows
+TOTAL_FIELD = "Total"
 
 #: Code used for mainland China throughout the mobility rules. Hong Kong,
 #: Macau and Taiwan carry their own codes and count as non-mainland.
@@ -70,7 +75,8 @@ class Authorship:
 
 @dataclass(slots=True)
 class FieldWeight:
-    field_id: str
+    #: the record's field_id, read through the field map to its top-level name
+    field: str
     weight: float
 
 
@@ -318,15 +324,15 @@ def _parse_authorship(
 
 
 def record_from_dict(obj: object, aliases: CountryAliases | None = None) -> PublicationRecord:
-    """Build and validate one record from a decoded JSON object."""
-    return _record_from_dict(obj, aliases, {})
+    """Build and validate one record from a decoded JSON object; field ids stay raw."""
+    return _record_from_dict(obj, aliases, {}, {})
 
 
 def _record_from_dict(
-    obj: object, aliases: CountryAliases | None, interned: _Interned
+    obj: object, aliases: CountryAliases | None, field_map: Mapping[str, str], interned: _Interned
 ) -> PublicationRecord:
-    """:func:`record_from_dict`, reusing the affiliations ``interned``
-    holds and adding the new ones to it."""
+    """:func:`record_from_dict`, naming fields through ``field_map`` and
+    reusing the affiliations ``interned`` holds, adding new ones to it."""
     if not isinstance(obj, dict):
         raise RecordError("record is not an object")
     pub_id = obj.get("pub_id")
@@ -376,7 +382,11 @@ def _record_from_dict(
             raise RecordError(f"field weight {weight} outside (0, 1]")
         if not isinstance(fw["field_id"], str):
             raise RecordError("field_id is not a string")
-        field_weights.append(FieldWeight(_tsv_cell(fw["field_id"], "field_id"), weight))
+        field_id = _tsv_cell(fw["field_id"], "field_id")
+        name = field_map.get(field_id, field_id)
+        if name == TOTAL_FIELD:
+            raise RecordError(f"field {name!r} names the whole-period row")
+        field_weights.append(FieldWeight(name, weight))
     if field_weights:
         total = sum(fw.weight for fw in field_weights)
         if abs(total - 1.0) > 1e-9:
@@ -416,7 +426,8 @@ def _is_utf8(text: str) -> bool:
 
 
 def parse_corpus(
-    lines: Iterable[str], aliases: CountryAliases | None = None
+    lines: Iterable[str], aliases: CountryAliases | None = None,
+    field_map: Mapping[str, str] | None = None,
 ) -> ParseResult:
     """Parse a line-delimited record stream.
 
@@ -430,6 +441,7 @@ def parse_corpus(
     saw_content = False
     seen_ids: set[str] = set()
     interned: _Interned = {}
+    field_map = field_map or {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -443,7 +455,7 @@ def parse_corpus(
                 json.dumps(obj, ensure_ascii=False)
             ):
                 raise RecordError("a string holds a lone surrogate escape")
-            record = _record_from_dict(obj, aliases, interned)
+            record = _record_from_dict(obj, aliases, field_map, interned)
         except json.JSONDecodeError as exc:
             result.errors.append(ParseIssue(line_no, f"invalid JSON: {exc.msg}"))
             continue
@@ -488,7 +500,10 @@ class _HashingReader(io.RawIOBase):
         return size
 
 
-def load_corpus(path: str | Path, aliases: CountryAliases | None = None) -> ParseResult:
+def load_corpus(
+    path: str | Path, aliases: CountryAliases | None = None,
+    field_map: Mapping[str, str] | None = None,
+) -> ParseResult:
     """Parse a UTF-8 corpus file, hashing its bytes as they are read. A
     byte-order mark at its start is dropped. An undecodable byte becomes
     a lone surrogate, so its line alone is reported (see
@@ -498,7 +513,7 @@ def load_corpus(path: str | Path, aliases: CountryAliases | None = None) -> Pars
         with io.TextIOWrapper(
             io.BufferedReader(hashing), encoding="utf-8-sig", errors="surrogateescape"
         ) as handle:
-            result = parse_corpus(handle, aliases)
+            result = parse_corpus(handle, aliases, field_map)
     result.sha256 = hashing.digest.hexdigest()
     return result
 

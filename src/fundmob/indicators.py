@@ -4,8 +4,7 @@ fractional field distributions, and temporal distributions.
 Proportions with an empty denominator are reported as None, never zero:
 downstream consumers must be able to tell "no data" from "no
 collaboration". All fractional aggregation uses math.fsum so conservation
-identities hold to 1e-9. Field ids missing from the field map keep their
-own name.
+identities hold to 1e-9.
 """
 from __future__ import annotations
 
@@ -13,10 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .corpus import UNKNOWN_COUNTRY, PublicationRecord
+from .corpus import TOTAL_FIELD, UNKNOWN_COUNTRY, PublicationRecord
 from .periods import Label
-
-TOTAL_FIELD = "Total"
 
 
 def known_countries(record: PublicationRecord) -> set[str]:
@@ -53,22 +50,16 @@ class PpIcReport:
 _EXCLUDED = {Label.EXCLUDED_CONFLICT, Label.EXCLUDED_WINDOW_GAP}
 
 
-def _field_shares(
-    record: PublicationRecord,
-    field_map: Mapping[str, str],
-    whole_count: bool,
-) -> dict[str, float]:
+def _field_shares(record: PublicationRecord, whole_count: bool) -> dict[str, float]:
     shares: dict[str, float] = {}
     for fw in record.field_weights:
-        name = field_map.get(fw.field_id, fw.field_id)
-        shares[name] = 1.0 if whole_count else shares.get(name, 0.0) + fw.weight
+        shares[fw.field] = 1.0 if whole_count else shares.get(fw.field, 0.0) + fw.weight
     return shares
 
 
 def pp_ic(
     records: Sequence[PublicationRecord],
     labels: Mapping[str, Label],
-    field_map: Mapping[str, str],
     whole_count: bool = False,
 ) -> PpIcReport:
     """Proportion of internationally co-authored papers per period and
@@ -97,7 +88,7 @@ def pp_ic(
             zero_country += 1
         international = len(countries) >= 2
         add(label.value, TOTAL_FIELD, 1.0, international)
-        for field, share in _field_shares(record, field_map, whole_count).items():
+        for field, share in _field_shares(record, whole_count).items():
             add(label.value, field, share, international)
 
     cells = {
@@ -120,7 +111,6 @@ class FieldShare:
 def field_distribution(
     records: Sequence[PublicationRecord],
     identified_ids: set[str],
-    field_map: Mapping[str, str],
 ) -> dict[str, FieldShare]:
     """Fractional paper counts per field, in field order, split by whether
     an identified funded scholar authored the record."""
@@ -129,8 +119,7 @@ def field_distribution(
     for record in records:
         bucket = identified if record.pub_id in identified_ids else unidentified
         for fw in record.field_weights:
-            name = field_map.get(fw.field_id, fw.field_id)
-            bucket.setdefault(name, []).append(fw.weight)
+            bucket.setdefault(fw.field, []).append(fw.weight)
     fields = sorted(set(identified) | set(unidentified))
     return {
         name: FieldShare(

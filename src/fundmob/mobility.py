@@ -15,9 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import MAINLAND_CHINA, UNKNOWN_COUNTRY, config_lines, config_pairs
+from .corpus import MAINLAND_CHINA, TOTAL_FIELD, UNKNOWN_COUNTRY, config_lines, config_pairs
 from .disambig import CorpusIndex, ResearcherCluster, most_frequent
-from .indicators import TOTAL_FIELD
 from .textnorm import normalize_text
 
 
@@ -193,29 +192,22 @@ def load_field_map(path: str | Path) -> dict[str, str]:
 class FieldDestinations:
     #: field -> ranked (destination, fractional scholar count)
     per_field: dict[str, list[tuple[str, float]]]
-    #: scholars with a destination but no mapped during-sponsorship weights
+    #: scholars with a destination but no during-sponsorship field weights
     excluded_scholars: int
 
 
-def scholar_field_profile(
-    during_pub_ids: set[str],
-    index: CorpusIndex,
-    field_map: Mapping[str, str],
-) -> dict[str, float]:
+def scholar_field_profile(during_pub_ids: set[str], index: CorpusIndex) -> dict[str, float]:
     """Unit-mass field profile from a scholar's during-sponsorship
     publications.
 
-    Field weights are mapped to top-level fields, summed over the
-    scholar's during papers, then normalized so each scholar contributes
-    exactly one scholar-unit split across fields.
+    Field weights are summed per top-level field over the scholar's
+    during papers, then normalized so each scholar contributes exactly
+    one scholar-unit split across fields.
     """
     raw: dict[str, float] = {}
     for pub_id in sorted(during_pub_ids):
         for fw in index.records[pub_id].field_weights:
-            top = field_map.get(fw.field_id)
-            if top is None:
-                continue
-            raw[top] = raw.get(top, 0.0) + fw.weight
+            raw[fw.field] = raw.get(fw.field, 0.0) + fw.weight
     total = sum(raw.values())
     if total <= 0:
         return {}
@@ -225,7 +217,6 @@ def scholar_field_profile(
 def top_destinations_by_field(
     assignments: Sequence[MobilityAssignment],
     index: CorpusIndex,
-    field_map: Mapping[str, str],
     during_by_cluster: Mapping[str, set[str]],
     k: int,
 ) -> FieldDestinations:
@@ -240,7 +231,7 @@ def top_destinations_by_field(
         if assignment.outcome is not Outcome.DESTINATION:
             continue
         profile = scholar_field_profile(
-            during_by_cluster.get(assignment.cluster_id, set()), index, field_map
+            during_by_cluster.get(assignment.cluster_id, set()), index
         )
         if not profile:
             excluded += 1

@@ -158,9 +158,15 @@ def _run_stages(config: PipelineConfig) -> dict:
     aliases, lexicon, surnames, field_map, weights, overrides = _load_config_files(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    parsed = corpus.load_corpus(config.input, aliases)
+    parsed = corpus.load_corpus(config.input, aliases, field_map)
     for issue in parsed.errors:
         logger.warning("skipping %s", issue)
+    field_records = Counter(
+        name for record in parsed.records for name in {fw.field for fw in record.field_weights}
+    )
+    for name in sorted(field_records.keys() - field_map.values()):
+        logger.warning("field id %r is not in the field map and keeps its own name; "
+                       "records holding it: %d", name, field_records[name])
     docs = corpus.filter_documents(parsed.records)
     index = disambig.CorpusIndex(docs)
 
@@ -213,17 +219,13 @@ def _run_stages(config: PipelineConfig) -> dict:
     )
     flows = mobility.aggregate_flows(assignments)
     top_dest = mobility.top_destinations_by_field(
-        assignments, index, field_map, during_by_cluster, k=config.top_k
+        assignments, index, during_by_cluster, k=config.top_k
     )
 
     identified_record_ids = {f.pub_id for f in funded_authorships}
     labeled_records = [index.records[pub_id] for pub_id in labeling.record_labels]
-    ppic = indicators.pp_ic(
-        labeled_records, labeling.record_labels, field_map, config.whole_count
-    )
-    field_dist = indicators.field_distribution(
-        funded_records, identified_record_ids, field_map
-    )
+    ppic = indicators.pp_ic(labeled_records, labeling.record_labels, config.whole_count)
+    field_dist = indicators.field_distribution(funded_records, identified_record_ids)
     temporal = indicators.temporal_distribution(
         funded_records, lambda r: r.doc_type.value
     )

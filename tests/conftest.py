@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
+import json
 import sys
 from datetime import date
 from pathlib import Path
@@ -80,6 +82,18 @@ def make_record(
         authors=authors,
         field_weights=tuple(FieldWeight(f, w) for f, w in weights),
     )
+
+
+def record_as_dict(record: PublicationRecord) -> dict:
+    """The input-format dict of a record: its dataclass fields, with the
+    enum and the date in their JSON forms, and each field weight's field
+    under its input key ``field_id``."""
+    def encode(value):
+        return value.value if isinstance(value, DocType) else value.isoformat()
+    obj = json.loads(json.dumps(dataclasses.asdict(record), default=encode))
+    obj["field_weights"] = [{"field_id": fw["field"], "weight": fw["weight"]}
+                            for fw in obj["field_weights"]]
+    return obj
 
 
 def load_bench_gen(monkeypatch):

@@ -7,6 +7,11 @@ One difference is intended. Here a falsy ``pub_id`` such as ``false``,
 ``0`` or ``[]`` is reported as "missing pub_id"; the package reports only
 a null or empty one so, and types the rest. The property draws valid
 pub_ids only.
+
+The reference reads no field map, so it keeps every raw field id; a
+raw id of ``Total``, the whole-period row's name, is rejected where the
+package rejects a field that resolves to it. The package's parse with a
+field map is compared with this parse renamed through the map.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import re
 from datetime import date
 
 from fundmob.corpus import (
+    TOTAL_FIELD,
     UNKNOWN_COUNTRY,
     Affiliation,
     Authorship,
@@ -170,7 +176,10 @@ def reference_record_from_dict(obj: object, aliases: CountryAliases | None = Non
             raise RecordError(f"field weight {weight!r} is not a number") from exc
         if not 0.0 < weight <= 1.0:
             raise RecordError(f"field weight {weight} outside (0, 1]")
-        field_weights.append(FieldWeight(_tsv_cell(_parse_str(fw, "field_id"), "field_id"), weight))
+        field_id = _tsv_cell(_parse_str(fw, "field_id"), "field_id")
+        if field_id == TOTAL_FIELD:
+            raise RecordError(f"field {field_id!r} names the whole-period row")
+        field_weights.append(FieldWeight(field_id, weight))
     if field_weights:
         total = sum(fw.weight for fw in field_weights)
         if abs(total - 1.0) > 1e-9:

@@ -176,14 +176,14 @@ def test_criterion_6_indicator_conservation():
         for size in (50, 400, 1000):
             records, labels = random_corpus(rng, size)
 
-            dist = field_distribution(records, {r.pub_id for r in records[::3]}, {})
+            dist = field_distribution(records, {r.pub_id for r in records[::3]})
             total = math.fsum(share.total for share in dist.values())
             expected = math.fsum(
                 fw.weight for r in records for fw in r.field_weights
             )
             assert abs(total - expected) < 1e-9
 
-            report = pp_ic(records, labels, {})
+            report = pp_ic(records, labels)
             counted = [
                 r for r in records
                 if labels[r.pub_id] in (Label.BEFORE, Label.DURING, Label.AFTER)

@@ -13,6 +13,7 @@ from fundmob.corpus import (
     CountryAliases,
     DateSource,
     DocType,
+    FieldWeight,
     ParseIssue,
     RecordError,
     filter_documents,
@@ -20,10 +21,11 @@ from fundmob.corpus import (
     parse_corpus,
     record_from_dict,
     resolve_pub_date,
+    TOTAL_FIELD,
     UNKNOWN_COUNTRY,
 )
 
-from .conftest import make_author, make_record
+from .conftest import make_author, make_record, record_as_dict
 from .reference_parse import reference_record_from_dict
 
 
@@ -228,6 +230,26 @@ class TestParseCorpus:
         assert [r.pub_id for r in result.records] == ["W1"]
         assert [e.line_no for e in result.errors] == [2]
         assert "holds a tab or a line break" in result.errors[0].message
+
+    @pytest.mark.parametrize("field_id, field_map", [
+        ("Total", {}), ("Total", {"phys": "Physics"}), ("all", {"all": "Total"}),
+    ], ids=["raw", "raw-beside-a-map", "mapped"])
+    def test_field_resolving_to_total_is_a_parse_issue(self, field_id, field_map):
+        # Total names the whole-period row of the PP(IC) table
+        bad = line(pub_id="W2", field_weights=[{"field_id": field_id, "weight": 1.0}])
+        result = parse_corpus([line(), bad], field_map=field_map)
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert result.errors == [ParseIssue(2, "field 'Total' names the whole-period row")]
+
+    def test_field_map_names_the_fields_at_parse(self, tmp_path):
+        weights = [{"field_id": "phys", "weight": 0.5}, {"field_id": "xyz", "weight": 0.25},
+                   {"field_id": "Total", "weight": 0.25}]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(line(field_weights=weights) + "\n")
+        result = load_corpus(path, None, {"phys": "Physics", "Total": "All"})
+        # an unmapped id keeps its own name; a raw Total mapped away is a field
+        assert result.records[0].field_weights == (
+            FieldWeight("Physics", 0.5), FieldWeight("xyz", 0.25), FieldWeight("All", 0.25))
 
     @pytest.mark.parametrize("pub_id", [7, 0])
     def test_integer_pub_id_reads_as_its_decimal_text(self, pub_id):
@@ -503,19 +525,12 @@ def test_parse_serialize_roundtrip(obj):
     assert result.records == [record_from_dict(obj)]
 
 
-def _record_as_dict(record):
-    """The input-format dict of a record: its dataclass fields, with the
-    enum and the date in their JSON forms."""
-    def encode(value):
-        return value.value if isinstance(value, DocType) else value.isoformat()
-    return json.loads(json.dumps(dataclasses.asdict(record), default=encode))
-
-
-# every field of the record dataclasses is read back under its own name
+# every field of the record dataclasses is read back under its own name,
+# but a field weight's field, which is read from field_id
 @given(records())
 def test_to_dict_from_dict_roundtrip(obj):
     record = record_from_dict(obj)
-    assert record_from_dict(_record_as_dict(record)) == record
+    assert record_from_dict(record_as_dict(record)) == record
 
 
 # st.text() never draws a surrogate, so one is spliced in half the time;
@@ -779,3 +794,34 @@ def test_parse_equals_the_reference_parser(data_dir, objs, with_aliases):
         else:
             expected_records.append(expected)
     assert _parsed(lambda ls: parse_corpus(ls, aliases), lines) == (expected_records, expected_issues)
+
+
+# a loaded field map names no field Total; keys leave Total out, since the
+# reference rejects the raw id where a map could rename it
+_field_maps = st.dictionaries(
+    st.sampled_from(["f0", "f1", "f2", "fx"]), st.sampled_from(["F", "G", "f1"]), max_size=4)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(oracle_records(), st.booleans()), min_size=1, max_size=4), _field_maps)
+def test_parse_with_a_field_map_equals_the_reference_renamed(data_dir, drawn, field_map):
+    """Reading the field ids through the map at parse equals the reference
+    parse with each field weight renamed through ``field_map.get(id, id)``
+    afterwards; a raw id of Total is a fault in both."""
+    aliases = CountryAliases.load(data_dir / "country_aliases.tsv")
+    lines, expected_records, expected_issues = [], [], []
+    for line_no, (obj, with_total) in enumerate(drawn, start=1):
+        obj["pub_id"] = f"W{line_no}"
+        if with_total and obj["field_weights"]:
+            obj["field_weights"][-1]["field_id"] = TOTAL_FIELD
+        lines.append(json.dumps(obj))
+        expected = _outcome(reference_record_from_dict, obj, aliases)
+        if isinstance(expected, str):
+            expected_issues.append(ParseIssue(line_no, expected))
+        else:
+            expected_records.append(dataclasses.replace(expected, field_weights=tuple(
+                FieldWeight(field_map.get(fw.field, fw.field), fw.weight)
+                for fw in expected.field_weights
+            )))
+    assert _parsed(lambda ls: parse_corpus(ls, aliases, field_map), lines) == (
+        expected_records, expected_issues)

@@ -1,9 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
-from fundmob.corpus import UNKNOWN_COUNTRY
+from fundmob.corpus import UNKNOWN_COUNTRY, parse_corpus
 from fundmob.indicators import (
     TOTAL_FIELD,
     field_distribution,
@@ -13,7 +14,7 @@ from fundmob.indicators import (
 )
 from fundmob.periods import Label
 
-from .conftest import make_author, make_record
+from .conftest import make_author, make_record, record_as_dict
 
 
 def paper(pub_id, countries, weights=(), year=2015):
@@ -32,7 +33,7 @@ def is_international_collab(record):
 def counted_international(record):
     """Whether :func:`pp_ic` counts the record, alone, as internationally
     co-authored."""
-    cell = pp_ic([record], {record.pub_id: Label.DURING}, {}).cells[(Label.DURING.value, TOTAL_FIELD)]
+    cell = pp_ic([record], {record.pub_id: Label.DURING}).cells[(Label.DURING.value, TOTAL_FIELD)]
     return cell.numerator == 1.0
 
 
@@ -85,21 +86,21 @@ class TestPpIc:
     def test_simple_ratio(self):
         records = [paper("a", ["CN", "DE"]), paper("b", ["CN"]), paper("c", ["US", "CN"])]
         labels = {p: Label.DURING for p in "abc"}
-        report = pp_ic(records, labels, {})
+        report = pp_ic(records, labels)
         cell = report.cells[("During", TOTAL_FIELD)]
         assert cell.value == pytest.approx(2 / 3)
 
     def test_empty_group_is_undefined_not_zero(self):
-        report = pp_ic([], {}, {})
+        report = pp_ic([], {})
         assert report.cells == {}
         # a degenerate cell constructed by grouping nothing stays undefined
         records = [paper("a", ["CN"], (("fa", 1.0),))]
-        report = pp_ic(records, {"a": Label.DURING}, {})
+        report = pp_ic(records, {"a": Label.DURING})
         assert report.cells[("During", "fa")].value == 0.0
 
     def test_hand_computed_weighted_fixture(self):
         records, labels = ppic_fixture()
-        report = pp_ic(records, labels, {})
+        report = pp_ic(records, labels)
         cells = report.cells
         assert cells[("During", TOTAL_FIELD)].value == pytest.approx(3 / 4)
         assert cells[("During", "fa")].value == pytest.approx(0.5 / 1.5)
@@ -113,36 +114,50 @@ class TestPpIc:
 
     def test_excluded_labels_omitted(self):
         records, labels = ppic_fixture()
-        report = pp_ic(records, labels, {})
+        report = pp_ic(records, labels)
         periods = {period for period, _ in report.cells}
         assert periods == {"During", "Before", "After"}
 
     def test_whole_count_mode(self):
         records, labels = ppic_fixture()
-        report = pp_ic(records, labels, {}, whole_count=True)
+        report = pp_ic(records, labels, whole_count=True)
         assert report.cells[("During", "fa")].value == pytest.approx(1 / 2)
         assert report.cells[("During", "fb")].value == pytest.approx(2 / 2)
 
     def test_field_map_groups_ids(self):
+        # the map is read at parse; pp_ic groups the fields the records hold
         records, labels = ppic_fixture()
-        report = pp_ic(records, labels, {"fa": "F", "fb": "F"})
+        lines = [json.dumps(record_as_dict(r)) for r in records]
+        parsed = parse_corpus(lines, field_map={"fa": "F", "fb": "F"})
+        report = pp_ic(parsed.records, labels)
         assert report.cells[("During", "F")].denominator == pytest.approx(3.0)
+
+    def test_field_named_total_stays_out_of_the_whole_period_row(self):
+        # a record whose field resolves to Total is a parse issue, so the
+        # (Before, Total) cell counts the phys record alone
+        records = [paper("t", ["CN"], (("Total", 1.0),)), paper("p", ["CN"], (("phys", 1.0),))]
+        parsed = parse_corpus([json.dumps(record_as_dict(r)) for r in records],
+                              field_map={"phys": "Physics"})
+        assert [e.line_no for e in parsed.errors] == [1]
+        report = pp_ic(parsed.records, {"t": Label.BEFORE, "p": Label.BEFORE})
+        assert report.cells[("Before", TOTAL_FIELD)].denominator == 1.0
+        assert report.cells[("Before", "Physics")].denominator == 1.0
 
     def test_zero_country_coverage_counter(self):
         records = [paper("a", []), paper("b", ["CN"])]
-        report = pp_ic(records, {"a": Label.DURING, "b": Label.DURING}, {})
+        report = pp_ic(records, {"a": Label.DURING, "b": Label.DURING})
         assert report.zero_country_records == 1
 
 
 class TestFieldDistribution:
     def test_even_split(self):
         records = [paper("a", ["CN"], (("fa", 0.5), ("fb", 0.5)))]
-        dist = field_distribution(records, identified_ids=set(), field_map={})
+        dist = field_distribution(records, identified_ids=set())
         assert dist["fa"].total == pytest.approx(0.5)
         assert dist["fb"].total == pytest.approx(0.5)
 
     def test_empty_corpus(self):
-        assert field_distribution([], set(), {}) == {}
+        assert field_distribution([], set()) == {}
 
     def test_identified_split_hand_sums(self):
         records = [
@@ -151,7 +166,7 @@ class TestFieldDistribution:
             paper("c", ["CN"], (("fb", 1.0),)),
             paper("d", ["CN"], (("fa", 0.3), ("fb", 0.7))),
         ]
-        dist = field_distribution(records, identified_ids={"a", "c"}, field_map={})
+        dist = field_distribution(records, identified_ids={"a", "c"})
         assert dist["fa"].identified == pytest.approx(0.6)
         assert dist["fa"].unidentified == pytest.approx(1.3)
         assert dist["fb"].identified == pytest.approx(1.4)
@@ -205,7 +220,7 @@ def test_field_distribution_conserves_fractional_counts():
     rng = random.Random(37)
     records, _ = random_corpus(rng, 300)
     dist = field_distribution(
-        records, identified_ids={r.pub_id for r in records[::2]}, field_map={}
+        records, identified_ids={r.pub_id for r in records[::2]}
     )
     total = math.fsum(share.total for share in dist.values())
     expected = math.fsum(fw.weight for r in records for fw in r.field_weights)
@@ -215,7 +230,7 @@ def test_field_distribution_conserves_fractional_counts():
 def test_ppic_cells_are_well_formed():
     rng = random.Random(39)
     records, labels = random_corpus(rng, 300)
-    report = pp_ic(records, labels, {})
+    report = pp_ic(records, labels)
     for cell in report.cells.values():
         assert 0 <= cell.numerator <= cell.denominator
         if cell.value is not None:
@@ -225,7 +240,7 @@ def test_ppic_cells_are_well_formed():
 def test_ppic_groups_recombine_to_pooled_proportion():
     rng = random.Random(41)
     records, labels = random_corpus(rng, 300)
-    report = pp_ic(records, labels, {})
+    report = pp_ic(records, labels)
     counted = [r for r in records
                if labels[r.pub_id] in (Label.BEFORE, Label.DURING, Label.AFTER)]
     pooled_num = sum(1 for r in counted if is_international_collab(r))
@@ -245,7 +260,7 @@ def test_ppic_groups_recombine_to_pooled_proportion():
 def test_ppic_field_denominators_recombine_per_period():
     rng = random.Random(43)
     records, labels = random_corpus(rng, 200)
-    report = pp_ic(records, labels, {})
+    report = pp_ic(records, labels)
     for period in ("Before", "During", "After"):
         field_cells = [cell for (p, field), cell in report.cells.items()
                        if p == period and field != TOTAL_FIELD]
@@ -264,9 +279,9 @@ def test_rescaling_one_paper_leaves_other_shares_unchanged():
     fixed = paper("a", ["CN"], (("fa", 0.5), ("fb", 0.5)))
     original = paper("b", ["CN"], (("fa", 0.25), ("fb", 0.75)))
     rescaled = paper("b", ["CN"], (("fa", 0.2), ("fb", 0.8)))
-    alone = field_distribution([fixed], set(), {})
-    with_original = field_distribution([fixed, original], set(), {})
-    with_rescaled = field_distribution([fixed, rescaled], set(), {})
+    alone = field_distribution([fixed], set())
+    with_original = field_distribution([fixed, original], set())
+    with_rescaled = field_distribution([fixed, rescaled], set())
     for field, b_orig, b_new in (("fa", 0.25, 0.2), ("fb", 0.75, 0.8)):
         assert with_original[field].total - b_orig == pytest.approx(
             alone[field].total, abs=1e-12)

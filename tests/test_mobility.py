@@ -266,7 +266,8 @@ class TestAggregateFlows:
         assert sum(n for _, n in flows.destinations + flows.unidentified) == len(assignments)
 
 
-FIELD_MAP = {"fa": "Field A", "fb": "Field B"}
+# records hold top-level field names: corpus.parse_corpus reads the field map
+FA, FB = "Field A", "Field B"
 
 
 def destination(cid, code):
@@ -276,10 +277,10 @@ def destination(cid, code):
 def top_destinations_fixture():
     records = [
         make_record("r1", (make_author(1, "Chen"),),
-                    weights=(("fa", 0.6), ("fb", 0.4))),
-        make_record("r2", (make_author(1, "Wang"),), weights=(("fa", 1.0),)),
-        make_record("r3", (make_author(1, "Li"),), weights=(("fa", 1.0),)),
-        make_record("r4", (make_author(1, "Li"),), weights=(("fb", 1.0),)),
+                    weights=((FA, 0.6), (FB, 0.4))),
+        make_record("r2", (make_author(1, "Wang"),), weights=((FA, 1.0),)),
+        make_record("r3", (make_author(1, "Li"),), weights=((FA, 1.0),)),
+        make_record("r4", (make_author(1, "Li"),), weights=((FB, 1.0),)),
         make_record("r5", (make_author(1, "Sun"),)),
     ]
     during = {"s1": {"r1"}, "s2": {"r2"}, "s3": {"r3", "r4"}, "s4": {"r5"}}
@@ -294,20 +295,20 @@ def top_destinations_fixture():
 
 class TestTopDestinations:
     def test_single_scholar_single_field(self):
-        records = [make_record("r", (make_author(1, "Chen"),), weights=(("fa", 1.0),))]
+        records = [make_record("r", (make_author(1, "Chen"),), weights=((FA, 1.0),))]
         result = top_destinations_by_field(
             [destination("s", "US")], CorpusIndex(records),
-            FIELD_MAP, {"s": {"r"}}, k=10,
+            {"s": {"r"}}, k=10,
         )
         assert result.per_field == {"Field A": [("US", 1.0)]}
         assert result.excluded_scholars == 0
 
     def test_even_split_contributes_half_to_each(self):
         records = [make_record("r", (make_author(1, "Chen"),),
-                               weights=(("fa", 0.5), ("fb", 0.5)))]
+                               weights=((FA, 0.5), (FB, 0.5)))]
         result = top_destinations_by_field(
             [destination("s", "US")], CorpusIndex(records),
-            FIELD_MAP, {"s": {"r"}}, k=10,
+            {"s": {"r"}}, k=10,
         )
         assert result.per_field == {
             "Field A": [("US", 0.5)],
@@ -318,7 +319,7 @@ class TestTopDestinations:
         records, during, assignments = top_destinations_fixture()
         index = CorpusIndex(records)
         result = top_destinations_by_field(
-            assignments, index, FIELD_MAP, during, k=10
+            assignments, index, during, k=10
         )
         # hand-computed: s1 splits 0.6/0.4; s2 adds 1.0 to A; s3 has two
         # during papers, one per field, so 0.5 each; s4 has no weights
@@ -332,7 +333,7 @@ class TestTopDestinations:
         # k covers every destination, so no ranking is cut
         k = len({a.destination for a in assignments})
         result = top_destinations_by_field(
-            assignments, index, FIELD_MAP, during, k=k
+            assignments, index, during, k=k
         )
         total = sum(n for ranking in result.per_field.values() for _, n in ranking)
         scholars_with_weights = len(assignments) - result.excluded_scholars
@@ -340,18 +341,20 @@ class TestTopDestinations:
 
     def test_profile_normalizes_to_unit_mass(self):
         records, during, _ = top_destinations_fixture()
-        profile = scholar_field_profile(during["s3"], CorpusIndex(records), FIELD_MAP)
+        profile = scholar_field_profile(during["s3"], CorpusIndex(records))
         assert abs(sum(profile.values()) - 1.0) < 1e-12
 
-    def test_unmapped_field_ids_ignored(self):
+    def test_unmapped_field_ids_kept(self):
+        # an id the field map leaves unmapped keeps its own name, as in the
+        # PP(IC) and field-distribution tables
         records = [make_record("r", (make_author(1, "Chen"),),
                                weights=(("mystery", 1.0),))]
         result = top_destinations_by_field(
             [destination("s", "US")], CorpusIndex(records),
-            FIELD_MAP, {"s": {"r"}}, k=10,
+            {"s": {"r"}}, k=10,
         )
-        assert result.per_field == {}
-        assert result.excluded_scholars == 1
+        assert result.per_field == {"mystery": [("US", 1.0)]}
+        assert result.excluded_scholars == 0
 
 
 def test_load_field_map(data_dir):

@@ -643,6 +643,54 @@ def test_override_naming_no_authorship_warns(data_dir, tmp_path, caplog):
             assert (out / name).read_bytes() == (baseline / name).read_bytes(), name
 
 
+def _scholar_record(pub_id, first, last, country, field_ids):
+    """A record whose one author, acknowledged by the China Scholarship
+    Council, is affiliated in ``country``, split evenly over ``field_ids``."""
+    return json.dumps({
+        "pub_id": pub_id, "pub_year": 2016, "doc_type": "Article",
+        "acknowledgment_text": f"{first} {last} is supported by the China Scholarship Council.",
+        "authors": [{"position": 1, "full_name": f"{last}, {first}", "last_name": last,
+                     "first_name": first, "affiliations": [{"org_name": "U", "country": country}]}],
+        "field_weights": [{"field_id": f, "weight": 1 / len(field_ids)} for f in field_ids],
+    })
+
+
+def _unmapped_field_run(tmp_path):
+    """A run on three funded scholars' papers, where the stock field map
+    leaves ``mystery`` and ``arcana`` unmapped."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("\n".join([
+        _scholar_record("R1", "Wei", "Wang", "USA", ["phys"]),
+        _scholar_record("R2", "Na", "Li", "Germany", ["mystery"]),
+        _scholar_record("R3", "Lei", "Zhao", "USA", ["chem", "mystery", "arcana", "soc"]),
+    ]) + "\n")
+    config = demo_config(DATA_DIR, tmp_path / "out", input=corpus_path)
+    run_pipeline(config)
+    return config.out_dir
+
+
+def test_unmapped_field_ids_warn_once_each(tmp_path, caplog):
+    with caplog.at_level("WARNING", logger="fundmob"):
+        _unmapped_field_run(tmp_path)
+    assert [m for m in caplog.messages if "field map" in m] == [
+        "field id 'arcana' is not in the field map and keeps its own name; records holding it: 1",
+        "field id 'mystery' is not in the field map and keeps its own name; records holding it: 2",
+    ]
+
+
+def test_every_field_table_names_the_same_fields(tmp_path):
+    """pp_ic.tsv, field_distribution.tsv and top_destinations.tsv read
+    the fields the one parse-time rule gave the records, an unmapped id
+    under its own name in each."""
+    out = _unmapped_field_run(tmp_path)
+    ppic = {field for _, field, *_ in _tsv(out / "pp_ic.tsv")[0]} - {"Total"}
+    dist = {field for field, *_ in _tsv(out / "field_distribution.tsv")[0]}
+    top = {field for field, *_ in _tsv(out / "top_destinations.tsv")[0]}
+    assert ppic == dist == top == {
+        "Physical Sciences and Engineering", "Social Sciences and Humanities", "mystery", "arcana",
+    }
+
+
 def _tsv(path):
     """The rows and the footer comments of a TSV artifact; the header
     and the delimiter comment are dropped."""

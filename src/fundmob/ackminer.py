@@ -30,6 +30,16 @@ match whole tokens, which suppresses substring false positives inside
 ordinary words. Each author's variants are walked once, longest first,
 and the first that occurs in a funding sentence is the evidence; the
 long ones pass a substring test before the word-edge check.
+
+A form occurs only as a substring of a sentence's stripped text, so the
+record's stripped sentences are joined once and two gates skip the forms
+that cannot occur. The variants that hold the surname are built only
+when the author's stripped surname is in the joined text: each one's
+stripped form holds the stripped surname, since stripping works token by
+token and the surname is a whole-token part of the variant. The
+positional phrases are tried only when "author", which each of them
+holds, is in it. The variants made of initials alone ("z.c.", "ww") are
+always tried.
 """
 from __future__ import annotations
 
@@ -257,6 +267,71 @@ def ordinal_phrases(position: int) -> set[str]:
     return phrases
 
 
+def _name_parts(author: Authorship) -> tuple[str, str, str, list[str]]:
+    """The normalized surname, given name and initials, and the initial
+    letters: the first letter of each given-name part ("Zhi-Chao" -> z, c;
+    "(J.)" -> j), where a part without a letter gives none, and the letters
+    of the initials for a given name without any."""
+    last = normalize_text(author.last_name)
+    given = normalize_text(author.first_name) if author.first_name else ""
+    initials = normalize_text(author.initials) if author.initials else ""
+    letters = []
+    for part in _GIVEN_PART_SPLIT_RE.split(given):
+        for ch in part:
+            if ch.isalpha():
+                letters.append(ch)
+                break
+    return last, given, initials, letters or [ch for ch in initials if ch.isalpha()]
+
+
+def _surname_variants(last: str, given: str, initials: str, letters: list[str]) -> set[str]:
+    """The variants that hold the whole surname: full-name orders,
+    initials-plus-surname and surname-plus-initial. The surname is a
+    space-, comma- or period-delimited part of each, so each one's
+    edge-stripped tokens hold the surname's edge-stripped tokens in a
+    row."""
+    given_forms: set[str] = set()
+    # a given name or initials without a letter or digit ("-", ".") count as none
+    if _ALNUM_RE.search(given):
+        given_forms.add(given)
+        if "-" in given:
+            given_forms.add(given.replace("-", ""))
+            given_forms.add(given.replace("-", " "))
+    elif _ALNUM_RE.search(initials):
+        # a given name without a letter or digit has no letter, so
+        # ``letters`` are the letters of the initials
+        given_forms.add(initials)
+        if letters:
+            given_forms.add("".join(letters))
+    variants: set[str] = set()
+    for form in given_forms:
+        variants.add(f"{form} {last}")
+        variants.add(f"{last} {form}")
+        variants.add(f"{last}, {form}")
+    if letters:
+        variants.add("".join(f"{ch}." for ch in letters) + f" {last}")
+        if len(letters) > 1:
+            variants.add(".-".join(letters) + f". {last}")
+        variants.add(f"{last}. {letters[0]}")
+    return variants
+
+
+def _initials_variants(last: str, letters: list[str]) -> set[str]:
+    """The variants made of initials alone: the surname's first letter
+    followed by the given initials ("cl", "c.l."), and the bare given
+    initials of a multi-part given name ("zc", "z.c.", "z.-c.")."""
+    if not letters:
+        return set()
+    surname_first = [last[0]] + letters
+    variants = {"".join(surname_first), "".join(f"{ch}." for ch in surname_first)}
+    if len(letters) > 1:
+        # "Zhi-Chao" is also credited as "ZC", "Z.C." or "Z.-C."
+        variants.add("".join(letters))
+        variants.add("".join(f"{ch}." for ch in letters))
+        variants.add(".-".join(letters) + ".")
+    return variants
+
+
 def generate_name_variants(author: Authorship) -> frozenset[str]:
     """Expand one authorship into the surface forms matched in sentences.
 
@@ -270,56 +345,8 @@ def generate_name_variants(author: Authorship) -> frozenset[str]:
     variant holds a letter or digit of the given name or the initials,
     and none strips to the bare surname.
     """
-    last = normalize_text(author.last_name)
-    given = normalize_text(author.first_name) if author.first_name else ""
-    initials = normalize_text(author.initials) if author.initials else ""
-    initial_letters = [ch for ch in initials if ch.isalpha()]
-    variants: set[str] = set()
-
-    given_forms: set[str] = set()
-    # a given name or initials without a letter or digit ("-", ".") count as none
-    if _ALNUM_RE.search(given):
-        given_forms.add(given)
-        if "-" in given:
-            given_forms.add(given.replace("-", ""))
-            given_forms.add(given.replace("-", " "))
-    elif _ALNUM_RE.search(initials):
-        given_forms.add(initials)
-        if initial_letters:
-            given_forms.add("".join(initial_letters))
-
-    for form in given_forms:
-        variants.add(f"{form} {last}")
-        variants.add(f"{last} {form}")
-        variants.add(f"{last}, {form}")
-
-    # the first letter of each given-name part ("Zhi-Chao" -> z, c;
-    # "(J.)" -> j); a part without a letter gives none, and a given name
-    # without any falls back to the letters of the initials
-    letters = []
-    for part in _GIVEN_PART_SPLIT_RE.split(given):
-        for ch in part:
-            if ch.isalpha():
-                letters.append(ch)
-                break
-    letters = letters or initial_letters
-    if letters:
-        dotted = "".join(f"{ch}." for ch in letters)
-        variants.add(f"{dotted} {last}")
-        if len(letters) > 1:
-            hyphen_dotted = ".-".join(letters) + "."
-            variants.add(f"{hyphen_dotted} {last}")
-            # bare given-initial tokens of multi-part given names: "Zhi-Chao"
-            # is also credited as "ZC", "Z.C." or "Z.-C."
-            variants.add("".join(letters))
-            variants.add(dotted)
-            variants.add(hyphen_dotted)
-        variants.add(f"{last}. {letters[0]}")
-        surname_first = [last[0]] + letters
-        variants.add("".join(surname_first))
-        variants.add("".join(f"{ch}." for ch in surname_first))
-
-    return frozenset(variants)
+    last, given, initials, letters = _name_parts(author)
+    return frozenset(_surname_variants(last, given, initials, letters) | _initials_variants(last, letters))
 
 
 #: Variants at or below this stripped length only match whole tokens.
@@ -363,7 +390,8 @@ def match_funded_authors(
     At most one entry per author, sorted by position. The evidence string
     is the longest matching name variant; a name match outranks a
     positional match for the same author. The span is that of the first
-    sentence the evidence occurs in.
+    sentence the evidence occurs in. Forms that cannot occur in the joined
+    stripped sentences are skipped (see the module docstring).
     """
     if not sentences:
         return []
@@ -372,11 +400,17 @@ def match_funded_authors(
         # each sentence is seen once, so it bypasses the normalize_text memo
         tokens = match_tokens(sentence.text)
         views.append((sentence.span, " ".join(tokens), frozenset(tokens)))
+    # every form that occurs is a substring of a sentence's stripped text
+    texts = "\n".join(text for _, text, _ in views)
     funded = []
     for author in record.authors:
+        last, given, initials, letters = _name_parts(author)
+        forms = _initials_variants(last, letters)
+        if " ".join(match_tokens(last)) in texts:
+            forms |= _surname_variants(last, given, initials, letters)
         kind = MatchKind.NAME
-        hit = _best_hit(generate_name_variants(author), views)
-        if hit is None:
+        hit = _best_hit(forms, views)
+        if hit is None and "author" in texts:
             kind = MatchKind.ORDINAL
             hit = _best_hit(ordinal_phrases(author.position), views)
         if hit is not None:

@@ -19,12 +19,19 @@ authorships gets one feature row per member, and for each linking set
 its rows are grouped by the values they share. Inside a group a pair
 reaches the threshold exactly when its full first names do not
 conflict, so first names and SPLIT overrides alone decide its edges.
-In :func:`cluster_corpus` a co-author is known by the index of its
-block in the one blocking pass, so each block key is computed once per
-run. The feature rows are built in one pass over the records: funder
-keys once per record, first-name and org keys once per distinct value,
-every absent value the one shared empty set. The pairwise scorer that
-clustering agrees with is kept in the tests as its reference.
+In :func:`cluster_corpus` each authorship gets a dense integer id in
+``(pub_id, position)`` order: the records are sorted by ``pub_id`` once,
+and the ids follow. The union-find, the feature rows and the overrides
+are lists and sets of ids, so no key tuple is hashed again after the
+ids are given, and a component's smallest id is its smallest key. A
+co-author is known by the index of its block in the one blocking pass,
+so each block key is computed once per run; a row holds its co-authors
+as a tuple of distinct block indices. The feature rows are built in one
+pass over the records: funder keys once per record, first-name and org
+keys once per distinct value, every absent value the one shared empty
+set. They are dropped before the clusters are built. The pairwise
+scorer that clustering agrees with is kept in the tests as its
+reference.
 """
 from __future__ import annotations
 
@@ -32,8 +39,9 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Authorship, PublicationRecord, config_lines, config_pairs
 from .textnorm import normalize_text
@@ -179,34 +187,40 @@ def _org_key(org_name: str) -> frozenset[str]:
 
 
 class _FeatureRow(NamedTuple):
-    """What scoring reads of one authorship: one set per feature, in
-    ``FEATURES`` order. ``email`` and ``first_name`` hold at most one
-    value."""
+    """What scoring reads of one authorship: one collection per feature,
+    in ``FEATURES`` order. ``email`` and ``first_name`` hold at most one
+    value; ``coauthor`` is a tuple of distinct block indices."""
 
     email: frozenset[str]
     affiliation: frozenset[str]
-    coauthor: frozenset[int]
+    coauthor: tuple[int, ...]
     funder: frozenset[str]
     first_name: frozenset[str]
 
 
 def _feature_rows(
-    corpus: Iterable[PublicationRecord], block_of: Mapping[AuthorshipKey, int], linked: Sequence[bool]
-) -> dict[AuthorshipKey, _FeatureRow]:
-    """The row of every authorship whose block index ``linked`` marks, from
-    one pass over the records. A co-author is known by its block index,
-    which two authorships share exactly when they share a block key.
-    Funder keys are made once per record; first-name and org keys once per
-    distinct value."""
+    records: Iterable[PublicationRecord], block_of: Sequence[int], linked: Sequence[bool]
+) -> list[_FeatureRow | None]:
+    """The row of every authorship whose block index ``linked`` marks, by
+    authorship id, from one pass over ``records`` in id order; None for
+    the rest. A co-author is known by its block index, which two
+    authorships share exactly when they share a block key. Funder keys are
+    made once per record; first-name and org keys once per distinct
+    value."""
     first_names: dict[str | None, frozenset[str]] = {}
     orgs: dict[str, frozenset[str]] = {}
-    rows: dict[AuthorshipKey, _FeatureRow] = {}
-    for record in corpus:
-        pub_id, authors = record.pub_id, record.authors
-        ids = [block_of[(pub_id, a.position)] for a in authors]
+    rows: list[_FeatureRow | None] = [None] * len(block_of)
+    start = 0
+    for record in records:
+        authors = record.authors
+        # a record's authorships have consecutive ids
+        in_block = tuple(block_of[start:start + len(authors)])
+        # grouping by value must list a row once, so a co-author block
+        # two co-authors share is kept once
+        distinct = len(set(in_block)) == len(in_block)
         funder: frozenset[str] | None = None
         for i, author in enumerate(authors):
-            if not linked[ids[i]]:
+            if not linked[in_block[i]]:
                 continue
             if funder is None:
                 funder = frozenset([normalize_text(f) for f in record.funding_orgs])
@@ -220,10 +234,12 @@ def _feature_rows(
                     org = orgs[aff.org_name] = _org_key(aff.org_name)
                 affiliation = affiliation | org if affiliation else org
             email = (author.email or "").strip().lower()
-            rows[(pub_id, author.position)] = _FeatureRow(
-                frozenset((email,)) if email else _NONE,
-                affiliation, frozenset(ids[:i] + ids[i + 1:]), funder, first,
+            coauthor = in_block[:i] + in_block[i + 1:]
+            rows[start + i] = _FeatureRow(
+                frozenset((email,)) if email else _NONE, affiliation,
+                coauthor if distinct else tuple(dict.fromkeys(coauthor)), funder, first,
             )
+        start += len(authors)
     return rows
 
 
@@ -296,7 +312,9 @@ def _linked_groups(rows: Sequence[_FeatureRow], steps: Sequence[_Step]) -> Itera
         for group in refined[parent]:
             if len(group) == 2:
                 a, b = group
-                if not rows[a][field].isdisjoint(rows[b][field]):
+                # frozenset() of a frozenset is that set; of the co-author
+                # tuple, a set to test the other tuple against
+                if not frozenset(rows[a][field]).isdisjoint(rows[b][field]):
                     groups.append(group)
                 continue
             by_value: dict[object, list[int]] = {}
@@ -314,21 +332,25 @@ def _linked_groups(rows: Sequence[_FeatureRow], steps: Sequence[_Step]) -> Itera
 
 
 class _UnionFind:
-    def __init__(self, items: Iterable[AuthorshipKey]):
-        self.parent = {item: item for item in items}
+    """Union-find over the authorship ids ``0 .. size - 1``."""
 
-    def find(self, item: AuthorshipKey) -> AuthorshipKey:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, item: int) -> int:
+        parent = self.parent
         root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:
+            parent[item], item = root, parent[item]
         return root
 
-    def union(self, a: AuthorshipKey, b: AuthorshipKey) -> None:
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            # anchor on the smaller key for deterministic roots
+            # anchor on the smaller id, the smaller key, so each root is
+            # the first member of its component
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
@@ -342,32 +364,33 @@ def most_frequent(values: Iterable[str]) -> str:
 
 
 def _make_clusters(
-    keys: Iterable[AuthorshipKey], uf: _UnionFind, index: CorpusIndex
+    keys: Sequence[AuthorshipKey], uf: _UnionFind, index: CorpusIndex
 ) -> list[ResearcherCluster]:
-    """One cluster per union-find component. ``keys`` come sorted, so each
+    """One cluster per union-find component. Ids follow key order, so each
     component's members, and the components by their first member, come
-    out in order without another sort."""
-    groups: dict[AuthorshipKey, list[AuthorshipKey]] = {}
-    for key in keys:
-        groups.setdefault(uf.find(key), []).append(key)
+    out in order without a sort."""
+    groups: dict[int, list[int]] = {}
+    for i in range(len(keys)):
+        groups.setdefault(uf.find(i), []).append(i)
     authorships = index.authorships
     clusters = []
-    for ordered in groups.values():
-        anchor = ordered[0]
-        names = [authorships[key].full_name for key in ordered]
+    for ids in groups.values():
+        members = [keys[i] for i in ids]
+        anchor = members[0]
+        names = [authorships[key].full_name for key in members]
         first = names[0]
         clusters.append(ResearcherCluster(
             f"{anchor[0]}#{anchor[1]}",
-            frozenset(ordered),
+            frozenset(members),
             first if names.count(first) == len(names) else most_frequent(names),
         ))
     return clusters
 
 
 def _union_linked(
-    keys: Sequence[AuthorshipKey],
+    ids: Sequence[int],
     rows: Sequence[_FeatureRow],
-    splits: dict[AuthorshipKey, set[AuthorshipKey]],
+    splits: dict[int, set[int]],
     uf: _UnionFind,
 ) -> None:
     """Union one linking group: authorships sharing every value of a
@@ -380,8 +403,8 @@ def _union_linked(
     name, and one component per full first name otherwise; each component
     is joined along a chain.
     """
-    split = [i for i, key in enumerate(keys) if key in splits and not splits[key].isdisjoint(keys)]
-    free = [i for i in range(len(keys)) if i not in split]
+    split = [i for i, id_ in enumerate(ids) if id_ in splits and not splits[id_].isdisjoint(ids)]
+    free = [i for i in range(len(ids)) if i not in split]
     components: Iterable[list[int]] = [free]
     if all(rows[i].first_name for i in free):
         by_name: dict[str, list[int]] = {}
@@ -390,11 +413,60 @@ def _union_linked(
         components = by_name.values()
     for component in components:
         for i, j in zip(component, component[1:]):
-            uf.union(keys[i], keys[j])
+            uf.union(ids[i], ids[j])
     for n, i in enumerate(split):
         for j in free + split[n + 1:]:
-            if keys[j] not in splits[keys[i]] and not _first_names_conflict(rows[i], rows[j]):
-                uf.union(keys[i], keys[j])
+            if ids[j] not in splits[ids[i]] and not _first_names_conflict(rows[i], rows[j]):
+                uf.union(ids[i], ids[j])
+
+
+def _link_authorships(
+    records: Sequence[PublicationRecord],
+    keys: Sequence[AuthorshipKey],
+    weights: ScoringWeights,
+    overrides: Iterable[ManualOverride],
+) -> _UnionFind:
+    """The union-find over the ids of ``keys`` (``keys[i]`` has id ``i``),
+    joined along a spanning forest of the threshold graph less the SPLIT
+    pairs, and along the MERGE pairs. The feature rows live only while it
+    runs. An override naming an authorship outside ``keys`` is ignored."""
+    id_of = {key: i for i, key in enumerate(keys)}
+    # blocks are sorted by key, so a block's index stands for its key and
+    # its members come in id order
+    blocks = [[id_of[key] for key in block] for block in block_authorships(records)]
+    splits: dict[int, set[int]] = {}
+    merges = []
+    for o in overrides:
+        a, b = id_of.get(o.a), id_of.get(o.b)
+        if a is None or b is None:
+            continue
+        if o.action == "MERGE":
+            merges.append((a, b))
+        else:
+            splits.setdefault(a, set()).add(b)
+            splits.setdefault(b, set()).add(a)
+    block_of = [0] * len(keys)
+    for b, block in enumerate(blocks):
+        for i in block:
+            block_of[i] = b
+    rows = _feature_rows(records, block_of, [len(block) > 1 for block in blocks])
+    uf = _UnionFind(len(keys))
+    steps = _refinements(_linking_sets(weights))
+    for block in blocks:
+        if len(block) < 2:
+            continue
+        block_rows = [rows[i] for i in block]
+        for group in _linked_groups(block_rows, steps):
+            if len(group) == 2:
+                # most groups: one edge, unless SPLIT or first names veto it
+                a, b = block[group[0]], block[group[1]]
+                if b not in splits.get(a, ()) and not _first_names_conflict(rows[a], rows[b]):
+                    uf.union(a, b)
+                continue
+            _union_linked([block[i] for i in group], [block_rows[i] for i in group], splits, uf)
+    for a, b in merges:
+        uf.union(a, b)
+    return uf
 
 
 def cluster_corpus(
@@ -414,31 +486,9 @@ def cluster_corpus(
     blocking mistakes.
     """
     index = index or CorpusIndex(corpus)
-    overrides = list(overrides or [])
-    splits: dict[AuthorshipKey, set[AuthorshipKey]] = {}
-    for o in overrides:
-        if o.action == "SPLIT":
-            splits.setdefault(o.a, set()).add(o.b)
-            splits.setdefault(o.b, set()).add(o.a)
-    blocks = block_authorships(corpus)
-    # blocks are sorted by key, so a block's index stands for its key
-    block_of = {key: i for i, block in enumerate(blocks) for key in block}
-    rows = _feature_rows(corpus, block_of, [len(block) > 1 for block in blocks])
-    uf = _UnionFind(block_of)
-    steps = _refinements(_linking_sets(weights))
-    for block in blocks:
-        if len(block) < 2:
-            continue
-        block_rows = [rows[key] for key in block]
-        for group in _linked_groups(block_rows, steps):
-            if len(group) == 2:
-                # most groups: one edge, unless SPLIT or first names veto it
-                a, b = block[group[0]], block[group[1]]
-                if b not in splits.get(a, ()) and not _first_names_conflict(rows[a], rows[b]):
-                    uf.union(a, b)
-                continue
-            _union_linked([block[i] for i in group], [block_rows[i] for i in group], splits, uf)
-    for o in overrides:
-        if o.action == "MERGE" and o.a in uf.parent and o.b in uf.parent:
-            uf.union(o.a, o.b)
-    return _make_clusters(sorted(block_of), uf, index)
+    # authorship ids follow (pub_id, position) order: the records sorted by
+    # pub_id, each record's authors in position order, as parsing checks
+    records = sorted(corpus, key=attrgetter("pub_id"))
+    keys = [(record.pub_id, author.position) for record in records for author in record.authors]
+    uf = _link_authorships(records, keys, weights, overrides or ())
+    return _make_clusters(keys, uf, index)

@@ -18,7 +18,7 @@ from fundmob.ackminer import (
     mine_record,
     ordinal_phrases,
 )
-from fundmob.textnorm import contains_bounded, normalize_text
+from fundmob.textnorm import contains_bounded, match_tokens, normalize_text
 
 from fundmob.corpus import Authorship, PublicationRecord, parse_corpus
 from fundmob.periods import record_acknowledges_funder
@@ -1127,3 +1127,84 @@ class TestMatcherOracle:
             "o", (author,), ack="We thank Chen Wei and the China Scholarship Council."
         )
         assert mine_record(record, lexicon)[1] == []
+
+
+# -- the gates that skip forms no funding sentence can hold -------------------
+#
+# The matcher builds an author's surname-holding variants only when the
+# author's edge-stripped surname occurs in the record's stripped funding
+# sentences, and tries the positional phrases only when "author" occurs in
+# them. Both gates rest on the property below.
+
+# letters with and without accents, combining marks, a spacing accent that
+# decomposes to a space and a mark, hyphens, edge punctuation and spaces
+_GATE_ALPHABET = _NAME_ALPHABET + "\u0301\u0308\u00b4\u0130\u01f0-\u2010\u00a0"
+_gate_names = st.text(alphabet=st.one_of(st.sampled_from(_GATE_ALPHABET), st.characters()), max_size=12)
+
+
+def _stripped(text: str) -> str:
+    return " ".join(match_tokens(text))
+
+
+@given(_gate_names.filter(normalize_text), st.one_of(st.none(), _gate_names),
+       st.one_of(st.none(), _gate_names))
+def test_every_surname_variant_holds_the_stripped_surname(last, first, initials):
+    author = Authorship(position=1, full_name="", last_name=last, first_name=first, initials=initials)
+    parts = ackminer._name_parts(author)
+    with_surname = ackminer._surname_variants(*parts)
+    assert with_surname | ackminer._initials_variants(parts[0], parts[3]) == generate_name_variants(author)
+    surname = _stripped(normalize_text(last))
+    for variant in with_surname:
+        assert surname in _stripped(variant)
+
+
+def _gated_record(authors, ack):
+    return make_record("g", tuple(authors), ack=ack)
+
+
+def _mined_as_the_reference(record, lexicon):
+    sentences, matches = mine_record(record, lexicon)
+    assert sentences
+    assert matches == reference_match_funded_authors(record, sentences)
+    return matches
+
+
+class TestMatcherGates:
+    @pytest.mark.parametrize("author, text, evidence", [
+        (make_author(1, "Wang", first="Zhi-Chao"), "Z.C. thanks", "z.c."),
+        (make_author(1, "Wang", first="Wei"), "WW thanks", "ww"),
+    ])
+    def test_initials_only_form_matches_without_the_surname(self, lexicon, author, text, evidence):
+        record = _gated_record([author], f"{text} the China Scholarship Council.")
+        assert "wang" not in record.acknowledgment_text.lower()
+        matches = _mined_as_the_reference(record, lexicon)
+        assert [(m.author_position, m.evidence, m.match_kind) for m in matches] == [
+            (1, evidence, MatchKind.NAME)
+        ]
+
+    @pytest.fixture
+    def ordinals_asked(self, monkeypatch):
+        asked = []
+        real = ackminer.ordinal_phrases
+        monkeypatch.setattr(ackminer, "ordinal_phrases", lambda n: asked.append(n) or real(n))
+        return asked
+
+    def test_ordinal_phrases_are_skipped_without_author(self, lexicon, ordinals_asked):
+        record = _gated_record(
+            [make_author(1, "Smith", first="John"), make_author(2, "Jones", first="Ann")],
+            "We thank the China Scholarship Council. The first author thanks Dr. Li.",
+        )
+        assert _mined_as_the_reference(record, lexicon) == []
+        assert ordinals_asked == []
+
+    def test_ordinal_phrases_are_tried_when_author_occurs(self, lexicon, ordinals_asked):
+        authors = [make_author(1, "Smith", first="John"), make_author(2, "Jones", first="Ann")]
+        record = _gated_record(authors, "The second AUTHOR thanks the China Scholarship Council.")
+        matches = _mined_as_the_reference(record, lexicon)
+        assert [(m.author_position, m.evidence, m.match_kind) for m in matches] == [
+            (2, "the second author", MatchKind.ORDINAL)
+        ]
+        # "author" inside a longer word opens the gate, and nothing matches
+        record = _gated_record(authors, "The first authors' group thanks the China Scholarship Council.")
+        assert _mined_as_the_reference(record, lexicon) == []
+        assert ordinals_asked == [1, 2, 1, 2]

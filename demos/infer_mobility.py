@@ -65,7 +65,7 @@ records = [
 ]
 cluster = ResearcherCluster(
     cluster_id="chen",
-    members=frozenset((r.pub_id, 1) for r in records),
+    members=tuple(sorted((r.pub_id, 1) for r in records)),
     display_name="Chen, Long",
 )
 lexicon = FunderLexicon(("China Scholarship Council",))

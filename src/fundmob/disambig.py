@@ -23,7 +23,9 @@ In :func:`cluster_corpus` each authorship gets a dense integer id in
 ``(pub_id, position)`` order: the records are sorted by ``pub_id`` once,
 and the ids follow. The union-find, the feature rows and the overrides
 are lists and sets of ids, so no key tuple is hashed again after the
-ids are given, and a component's smallest id is its smallest key. A
+ids are given, and a component's smallest id is its smallest key: a
+cluster's ``members`` is a key-ordered tuple, and clusters come in the
+order of their first members. A
 co-author is known by the index of its block in the one blocking pass,
 so each block key is computed once per run; a row holds its co-authors
 as a tuple of distinct block indices. The feature rows are built in one
@@ -36,6 +38,7 @@ reference.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -45,6 +48,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Authorship, PublicationRecord, config_lines, config_pairs
 from .textnorm import normalize_text
+
+logger = logging.getLogger(__name__)
 
 AuthorshipKey = tuple[str, int]
 
@@ -124,22 +129,21 @@ def load_overrides(path: str | Path) -> list[ManualOverride]:
 @dataclass(slots=True)
 class ResearcherCluster:
     cluster_id: str
-    members: frozenset[AuthorshipKey]
+    members: tuple[AuthorshipKey, ...]  # in key order
     display_name: str
 
 
 class CorpusIndex:
-    """Fast lookup from keys to records and authorships."""
+    """The records by ``pub_id``. Authorship ``(pub_id, p)`` is
+    ``records[pub_id].authors[p - 1]``: parsing checks that a record's
+    author positions run 1, 2, ... in order."""
 
     def __init__(self, records: Iterable[PublicationRecord]):
         self.records: dict[str, PublicationRecord] = {}
-        self.authorships: dict[AuthorshipKey, Authorship] = {}
         for record in records:
             if record.pub_id in self.records:
                 raise ValueError(f"duplicate pub_id: {record.pub_id}")
             self.records[record.pub_id] = record
-            for author in record.authors:
-                self.authorships[(record.pub_id, author.position)] = author
 
 
 def _surname_key(author: Authorship) -> str:
@@ -364,24 +368,24 @@ def most_frequent(values: Iterable[str]) -> str:
 
 
 def _make_clusters(
-    keys: Sequence[AuthorshipKey], uf: _UnionFind, index: CorpusIndex
+    records: Sequence[PublicationRecord], keys: Sequence[AuthorshipKey], uf: _UnionFind
 ) -> list[ResearcherCluster]:
-    """One cluster per union-find component. Ids follow key order, so each
-    component's members, and the components by their first member, come
-    out in order without a sort."""
+    """One cluster per union-find component, its display name read from
+    ``records`` in id order. Ids follow key order, so each component's
+    members, and the components by their first member, come out in order
+    without a sort."""
     groups: dict[int, list[int]] = {}
     for i in range(len(keys)):
         groups.setdefault(uf.find(i), []).append(i)
-    authorships = index.authorships
+    full_names = [author.full_name for record in records for author in record.authors]
     clusters = []
     for ids in groups.values():
-        members = [keys[i] for i in ids]
-        anchor = members[0]
-        names = [authorships[key].full_name for key in members]
+        anchor = keys[ids[0]]
+        names = [full_names[i] for i in ids]
         first = names[0]
         clusters.append(ResearcherCluster(
             f"{anchor[0]}#{anchor[1]}",
-            frozenset(members),
+            tuple([keys[i] for i in ids]),
             first if names.count(first) == len(names) else most_frequent(names),
         ))
     return clusters
@@ -429,7 +433,8 @@ def _link_authorships(
     """The union-find over the ids of ``keys`` (``keys[i]`` has id ``i``),
     joined along a spanning forest of the threshold graph less the SPLIT
     pairs, and along the MERGE pairs. The feature rows live only while it
-    runs. An override naming an authorship outside ``keys`` is ignored."""
+    runs. An override naming an authorship outside ``keys`` is ignored,
+    with one warning each, in override order."""
     id_of = {key: i for i, key in enumerate(keys)}
     # blocks are sorted by key, so a block's index stands for its key and
     # its members come in id order
@@ -439,6 +444,8 @@ def _link_authorships(
     for o in overrides:
         a, b = id_of.get(o.a), id_of.get(o.b)
         if a is None or b is None:
+            logger.warning("%s override of %s %d and %s %d names no authorship of the corpus; "
+                           "ignored", o.action, *o.a, *o.b)
             continue
         if o.action == "MERGE":
             merges.append((a, b))
@@ -473,7 +480,6 @@ def cluster_corpus(
     corpus: Sequence[PublicationRecord],
     weights: ScoringWeights,
     overrides: Iterable[ManualOverride] | None = None,
-    index: CorpusIndex | None = None,
 ) -> list[ResearcherCluster]:
     """Cluster every authorship of the corpus: single-linkage clusters of
     each block, the connected components of the graph whose edges are the
@@ -483,12 +489,14 @@ def cluster_corpus(
     authorships can still end up together through transitive links.
     Evidence links authorships only within blocks, but MERGE overrides
     join across blocks, mirroring a manual-cleaning pass that may repair
-    blocking mistakes.
+    blocking mistakes. Raises ValueError on a duplicate ``pub_id``.
     """
-    index = index or CorpusIndex(corpus)
     # authorship ids follow (pub_id, position) order: the records sorted by
     # pub_id, each record's authors in position order, as parsing checks
     records = sorted(corpus, key=attrgetter("pub_id"))
+    for before, after in itertools.pairwise(records):
+        if before.pub_id == after.pub_id:
+            raise ValueError(f"duplicate pub_id: {after.pub_id}")
     keys = [(record.pub_id, author.position) for record in records for author in record.authors]
     uf = _link_authorships(records, keys, weights, overrides or ())
-    return _make_clusters(keys, uf, index)
+    return _make_clusters(records, keys, uf)

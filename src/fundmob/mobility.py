@@ -85,7 +85,8 @@ class SurnameList:
 
 def modal_surname(cluster: ResearcherCluster, index: CorpusIndex) -> str:
     """Most frequent normalized surname; ties break lexicographically."""
-    return most_frequent(normalize_text(index.authorships[key].last_name) for key in cluster.members)
+    records = index.records
+    return most_frequent(normalize_text(records[p].authors[n - 1].last_name) for p, n in cluster.members)
 
 
 def is_mainland_chinese_scholar(

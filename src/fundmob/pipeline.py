@@ -185,18 +185,9 @@ def _run_stages(config: PipelineConfig) -> dict:
         funded_authorships.extend(matches)
     identified_keys = {(f.pub_id, f.author_position) for f in funded_authorships}
 
-    clusters = disambig.cluster_corpus(docs, weights, overrides, index=index)
-    cluster_of: dict[disambig.AuthorshipKey, str] = {}
-    for cluster in clusters:
-        for key in cluster.members:
-            cluster_of[key] = cluster.cluster_id
-    for o in overrides or ():
-        if o.a not in cluster_of or o.b not in cluster_of:
-            logger.warning(
-                "%s override of %s %d and %s %d names no authorship of the corpus; ignored",
-                o.action, *o.a, *o.b,
-            )
-    funded_clusters = [c for c in clusters if not c.members.isdisjoint(identified_keys)]
+    clusters = disambig.cluster_corpus(docs, weights, overrides)
+    funded_clusters = [c for c in clusters if not identified_keys.isdisjoint(c.members)]
+    cluster_of = {key: c.cluster_id for c in funded_clusters for key in c.members}
 
     labeling = periods.label_corpus(funded_clusters, funded_ids, index)
     during_by_cluster: dict[str, set[str]] = {}
@@ -248,7 +239,7 @@ def _run_stages(config: PipelineConfig) -> dict:
             "records_in": len(parsed.records),
             "parse_errors": len(parsed.errors),
             "records_after_doc_filter": len(docs),
-            "authorships_total": len(index.authorships),
+            "authorships_total": sum(len(record.authors) for record in docs),
             "funded_records": len(funded_ids),
             "funding_sentences": sentence_count,
             "identified_authorships": len(funded_authorships),
@@ -289,7 +280,7 @@ def _write_artifacts(
             [
                 f.pub_id,
                 f.author_position,
-                index.authorships[(f.pub_id, f.author_position)].full_name,
+                index.records[f.pub_id].authors[f.author_position - 1].full_name,
                 cluster_of[(f.pub_id, f.author_position)],
                 f.match_kind.value,
                 f.evidence,
@@ -306,7 +297,7 @@ def _write_artifacts(
         [
             [c.cluster_id, c.display_name, pub_id, position]
             for c in clusters
-            for pub_id, position in sorted(c.members)
+            for pub_id, position in c.members
         ],
     )
 

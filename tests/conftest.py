@@ -6,6 +6,7 @@ import json
 import sys
 from datetime import date
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -82,6 +83,13 @@ def make_record(
         authors=authors,
         field_weights=tuple(FieldWeight(f, w) for f, w in weights),
     )
+
+
+def authorship_table(records: Iterable[PublicationRecord]) -> dict[tuple[str, int], Authorship]:
+    """Each authorship of ``records`` by its key ``(pub_id, position)``,
+    as the reference oracles look authorships up."""
+    return {(record.pub_id, author.position): author
+            for record in records for author in record.authors}
 
 
 def record_as_dict(record: PublicationRecord) -> dict:

@@ -23,7 +23,7 @@ from fundmob.disambig import (
 )
 from fundmob.textnorm import normalize_text
 
-from .conftest import DATA_DIR, load_bench_gen, make_author, make_record
+from .conftest import DATA_DIR, authorship_table, load_bench_gen, make_author, make_record
 
 WEIGHTS = ScoringWeights(
     email=10, affiliation=2, coauthor=4, funder=1, first_name=2, threshold=5
@@ -72,7 +72,7 @@ class TestBlocking:
         blocks = block_authorships(records)
         flat = [key for block in blocks for key in block]
         assert sorted(flat) == sorted({("a", 1), ("a", 2), ("b", 1)})
-        keys = [block_key(CorpusIndex(records).authorships[block[0]]) for block in blocks]
+        keys = [block_key(authorship_table(records)[block[0]]) for block in blocks]
         assert keys == sorted(keys)
 
 
@@ -189,8 +189,8 @@ def _coauthor_keys(record, position):
 
 
 def reference_score_pair(index, a, b, weights):
-    author_a, author_b = index.authorships[a], index.authorships[b]
     record_a, record_b = index.records[a[0]], index.records[b[0]]
+    author_a, author_b = authorship_table([record_a])[a], authorship_table([record_b])[b]
 
     first_a, first_b = _full_first_name(author_a), _full_first_name(author_b)
     if first_a and first_b and first_a != first_b:
@@ -214,7 +214,8 @@ def reference_score_pair(index, a, b, weights):
 
 
 def _components(nodes, edges):
-    """Connected components of an undirected graph (BFS)."""
+    """Connected components of an undirected graph (BFS), each a sorted
+    tuple, as a cluster's members are."""
     adjacency = {node: set() for node in nodes}
     for a, b in edges:
         adjacency[a].add(b)
@@ -233,7 +234,7 @@ def _components(nodes, edges):
             component.add(current)
             frontier.extend(adjacency[current] - component)
         seen |= component
-        components.add(frozenset(component))
+        components.add(tuple(sorted(component)))
     return components
 
 
@@ -276,9 +277,9 @@ def cluster_block(keys, index, weights, overrides=None):
     key, from :func:`cluster_corpus` over their records, taken in the
     order ``keys`` names them."""
     records = [index.records[pub_id] for pub_id in dict.fromkeys(pub_id for pub_id, _ in keys)]
-    assert len({block_key(index.authorships[key]) for key in keys}) == 1
+    assert len({block_key(authorship_table(records)[key]) for key in keys}) == 1
     wanted = set(keys)
-    return [c for c in cluster_corpus(records, weights, overrides) if c.members & wanted]
+    return [c for c in cluster_corpus(records, weights, overrides) if not wanted.isdisjoint(c.members)]
 
 
 def components_oracle(keys, index, weights, overrides=()):
@@ -299,7 +300,7 @@ class TestClusterBlock:
         records = [make_record("a", (make_author(1, "Chen", first="Long"),))]
         clusters = cluster_block([("a", 1)], CorpusIndex(records), WEIGHTS)
         assert len(clusters) == 1
-        assert clusters[0].members == frozenset({("a", 1)})
+        assert clusters[0].members == (("a", 1),)
         assert clusters[0].cluster_id == "a#1"
 
     def test_chain_is_single_linkage(self):
@@ -328,7 +329,7 @@ class TestClusterBlock:
         assert reference_score_pair(index, ("b", 1), ("c", 1), WEIGHTS) >= WEIGHTS.threshold
         assert reference_score_pair(index, ("a", 1), ("c", 1), WEIGHTS) < WEIGHTS.threshold
         clusters = cluster_block(keys, index, WEIGHTS)
-        assert [c.members for c in clusters] == [frozenset(keys)]
+        assert [c.members for c in clusters] == [tuple(keys)]
 
     def test_random_blocks_match_components_oracle(self):
         rng = random.Random(7)
@@ -340,8 +341,8 @@ class TestClusterBlock:
             # partition
             union = set()
             for c in clusters:
-                assert not (union & c.members)
-                union |= c.members
+                assert union.isdisjoint(c.members)
+                union.update(c.members)
             assert union == set(keys)
 
     def test_permutation_invariance(self):
@@ -366,7 +367,7 @@ class TestClusterBlock:
             )
             high = cluster_block(keys, index, high_weights)
             for cluster in high:
-                assert any(cluster.members <= parent.members for parent in low)
+                assert any(set(cluster.members) <= set(parent.members) for parent in low)
 
     def test_coauthors_are_compared_by_block_across_spellings(self):
         # "Hu, Jun" and "HU, J." share a block, so g0 and g1 share a
@@ -393,8 +394,8 @@ class TestClusterBlock:
         lin = [("g0", 1), ("g1", 1), ("g2", 1)]
         block = {c.members for c in cluster_block(lin, index, WEIGHTS)}
         assert block == components_oracle(lin, index, WEIGHTS)
-        assert block == {frozenset(lin[:2]), frozenset(lin[2:])}
-        everyone = list(index.authorships)
+        assert block == {tuple(lin[:2]), tuple(lin[2:])}
+        everyone = list(authorship_table(records))
         corpus = {c.members for c in cluster_corpus(records, WEIGHTS)}
         assert corpus == components_oracle(everyone, index, WEIGHTS)
         assert block <= corpus
@@ -579,7 +580,7 @@ class TestLinkingSets:
         assert disambig._linking_sets(weights) == []
         records, _ = random_block(random.Random(3), 12)
         clusters = cluster_corpus(records, weights)
-        assert len(clusters) == len(CorpusIndex(records).authorships)
+        assert len(clusters) == len(authorship_table(records))
 
     @pytest.mark.parametrize("name", FEATURES)
     @pytest.mark.parametrize("threshold", [0.5, 2, 5, 9])
@@ -625,9 +626,9 @@ def test_pair_scoring_exactly_the_threshold_is_scored(monkeypatch, patch_sum):
     index = CorpusIndex(records)
     assert reference_score_pair(index, ("a", 1), ("b", 1), weights) == weights.threshold
     clusters = cluster_corpus(records, weights)
-    assert [c.members for c in clusters] == [frozenset({("a", 1), ("b", 1)})]
+    assert [c.members for c in clusters] == [(("a", 1), ("b", 1))]
     assert {c.members for c in clusters} == components_oracle(
-        list(index.authorships), index, weights
+        list(authorship_table(records)), index, weights
     )
 
 
@@ -654,7 +655,7 @@ class TestLinkedBlocks:
         assert len(clusters) == 50
         index = CorpusIndex(records)
         assert {c.members for c in clusters} == components_oracle(
-            list(index.authorships), index, WEIGHTS
+            list(authorship_table(records)), index, WEIGHTS
         )
 
     def test_funder_and_first_name_link_when_they_reach_threshold(self):
@@ -665,7 +666,7 @@ class TestLinkedBlocks:
         assert len(clusters) < 50
         index = CorpusIndex(records)
         assert {c.members for c in clusters} == components_oracle(
-            list(index.authorships), index, weights
+            list(authorship_table(records)), index, weights
         )
 
 
@@ -780,8 +781,9 @@ def test_cluster_corpus_equals_all_pairs_reference(scenario, weights):
     SPLIT pairs, plus MERGE pairs."""
     records, overrides = scenario
     index = CorpusIndex(records)
+    authorships = authorship_table(records)
     blocks: dict = {}
-    for key, author in index.authorships.items():
+    for key, author in authorships.items():
         blocks.setdefault(block_key(author), []).append(key)
     splits = {frozenset((o.a, o.b)) for o in overrides if o.action == "SPLIT"}
     edges = [
@@ -793,7 +795,7 @@ def test_cluster_corpus_equals_all_pairs_reference(scenario, weights):
     ]
     edges += [(o.a, o.b) for o in overrides if o.action == "MERGE"]
     clusters = cluster_corpus(records, weights, overrides)
-    assert {c.members for c in clusters} == _components(list(index.authorships), edges)
+    assert {c.members for c in clusters} == _components(list(authorships), edges)
 
 
 def _all_pairs_components(records, overrides, weights):
@@ -801,8 +803,9 @@ def _all_pairs_components(records, overrides, weights):
     the threshold under reference_score_pair, minus SPLIT pairs, plus MERGE
     pairs."""
     index = CorpusIndex(records)
+    authorships = authorship_table(records)
     blocks: dict = {}
-    for key, author in index.authorships.items():
+    for key, author in authorships.items():
         blocks.setdefault(block_key(author), []).append(key)
     splits = {frozenset((o.a, o.b)) for o in overrides if o.action == "SPLIT"}
     edges = [
@@ -813,7 +816,7 @@ def _all_pairs_components(records, overrides, weights):
         and reference_score_pair(index, a, b, weights) >= weights.threshold
     ]
     edges += [(o.a, o.b) for o in overrides if o.action == "MERGE"]
-    return _components(list(index.authorships), edges)
+    return _components(list(authorships), edges)
 
 
 @st.composite
@@ -879,7 +882,7 @@ class TestAuthorshipIdOrder:
             rng.shuffle(records)
             assert cluster_corpus(records, WEIGHTS) == clusters
 
-    def test_overrides_naming_absent_authorships_are_ignored(self):
+    def test_overrides_naming_absent_authorships_are_ignored(self, caplog):
         records = _p_records({9: "Wei", 10: "Wen", 2: "Wei"})
         stray = [
             ManualOverride(("P9", 1), ("P3", 1), "MERGE"),
@@ -887,9 +890,20 @@ class TestAuthorshipIdOrder:
             ManualOverride(("P2", 1), ("P1", 1), "SPLIT"),
             ManualOverride(("X", 1), ("Y", 1), "SPLIT"),
         ]
-        clusters = cluster_corpus(records, WEIGHTS, stray)
+        with caplog.at_level("WARNING", logger="fundmob"):
+            clusters = cluster_corpus(records, WEIGHTS, stray)
+        assert caplog.messages == [
+            f"{o.action} override of {o.a[0]} {o.a[1]} and {o.b[0]} {o.b[1]} "
+            "names no authorship of the corpus; ignored"
+            for o in stray
+        ]
         assert clusters == cluster_corpus(records, WEIGHTS)
         assert {c.members for c in clusters} == _all_pairs_components(records, [], WEIGHTS)
+
+    def test_duplicate_pub_id_is_rejected(self):
+        records = _p_records({9: "Wei", 10: "Wen", 2: "Wei"})
+        with pytest.raises(ValueError, match="duplicate pub_id: P9"):
+            cluster_corpus(records + records[:1], WEIGHTS)
 
     @pytest.mark.parametrize("action", ["MERGE", "SPLIT"])
     def test_override_naming_one_authorship_on_both_sides(self, action):
@@ -929,6 +943,12 @@ def test_shuffled_records_cluster_in_key_order(scenario, weights):
     clusters = cluster_corpus(records, weights, overrides)
     assert {c.members for c in clusters} == _all_pairs_components(records, overrides, weights)
     _check_key_order(clusters)
+    # members strictly increase and clusters come in anchor order, so
+    # clusters.tsv lists every authorship in key order without a sort
+    assert all(type(c.members) is tuple for c in clusters)
+    assert all(a < b for c in clusters for a, b in itertools.pairwise(c.members))
+    anchors = [c.members[0] for c in clusters]
+    assert all(a < b for a, b in itertools.pairwise(anchors))
     ordered = sorted(records, key=lambda r: r.pub_id)
     assert clusters == cluster_corpus(ordered, weights, overrides)
     stray = [ManualOverride(("P0", 1), o.b, o.action) for o in overrides]
@@ -980,8 +1000,9 @@ def test_normalizations_per_authorship_do_not_grow_with_the_corpus(monkeypatch):
 def test_clustering_memory_per_authorship_is_bounded(monkeypatch):
     """The traced peak of one ``cluster_corpus`` call, per authorship, on
     the benchmark's cn-skewed corpus at seed 3 (7,560 authorships): about
-    610 bytes, as the feature rows hold co-authors as tuples and are
-    dropped before the clusters are built. A row table that holds
+    460 bytes, as the feature rows hold co-authors as tuples and are
+    dropped before the clusters are built, no authorship table is built,
+    and each cluster's members are a tuple. A row table that holds
     frozensets or lives on through cluster building breaks the bound.
     Resident memory cannot show this: a process never gives its
     high-water mark back."""
@@ -998,4 +1019,4 @@ def test_clustering_memory_per_authorship_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert clusters == expected
     assert authorships == 7560
-    assert peak / authorships < 800
+    assert peak / authorships < 600

@@ -27,7 +27,7 @@ SURNAMES = SurnameList(frozenset({"chen", "wang", "li", "zhao", "sun"}))
 
 
 def cluster_for(cid, members):
-    return ResearcherCluster(cluster_id=cid, members=frozenset(members),
+    return ResearcherCluster(cluster_id=cid, members=tuple(sorted(members)),
                              display_name=cid)
 
 

@@ -23,7 +23,7 @@ CSC = ("China Scholarship Council",)
 
 def cluster_for(cid, members):
     return ResearcherCluster(
-        cluster_id=cid, members=frozenset(members), display_name=cid
+        cluster_id=cid, members=tuple(sorted(members)), display_name=cid
     )
 
 

@@ -19,21 +19,19 @@ authorships gets one feature row per member, and for each linking set
 its rows are grouped by the values they share. Inside a group a pair
 reaches the threshold exactly when its full first names do not
 conflict, so first names and SPLIT overrides alone decide its edges.
+
 In :func:`cluster_corpus` each authorship gets a dense integer id in
 ``(pub_id, position)`` order: the records are sorted by ``pub_id`` once,
 and the ids follow. The union-find, the feature rows and the overrides
-are lists and sets of ids, so no key tuple is hashed again after the
-ids are given, and a component's smallest id is its smallest key: a
-cluster's ``members`` is a key-ordered tuple, and clusters come in the
-order of their first members. A
-co-author is known by the index of its block in the one blocking pass,
-so each block key is computed once per run; a row holds its co-authors
-as a tuple of distinct block indices. The feature rows are built in one
-pass over the records: funder keys once per record, first-name and org
-keys once per distinct value, every absent value the one shared empty
-set. They are dropped before the clusters are built. The pairwise
-scorer that clustering agrees with is kept in the tests as its
-reference.
+work on ids; key tuples are built only for the clusters, after the rows
+are dropped. A component's smallest id is its smallest key, so a
+cluster's ``members`` is a key-ordered tuple and clusters come in the
+order of their first members. A co-author is known by the index of its
+block in the one blocking pass, so each block key is computed once per
+run. A row holds each feature as a tuple of distinct values: funder keys
+made once per record, email, first-name and org keys once per distinct
+value, co-authors as block indices. The pairwise scorer that clustering
+agrees with is kept in the tests as its reference.
 """
 from __future__ import annotations
 
@@ -176,30 +174,30 @@ def block_authorships(
     return [sorted(blocks[key]) for key in sorted(blocks)]
 
 
-#: the value set of a feature an authorship has no value of
-_NONE: frozenset = frozenset()
+#: the values of a feature an authorship has no value of
+_NONE: tuple = ()
 
 
-def _full_first_name(first_name: str | None) -> frozenset[str]:
+def _full_first_name(first_name: str | None) -> tuple[str, ...]:
     """The flattened given name if it has two or more letters."""
     flattened = "".join(ch for ch in normalize_text(first_name or "") if ch.isalpha())
-    return frozenset((flattened,)) if len(flattened) >= 2 else _NONE
+    return (flattened,) if len(flattened) >= 2 else _NONE
 
 
-def _org_key(org_name: str) -> frozenset[str]:
-    return frozenset((normalize_text(org_name),)) if org_name.strip() else _NONE
+def _org_key(org_name: str) -> tuple[str, ...]:
+    return (normalize_text(org_name),) if org_name.strip() else _NONE
 
 
 class _FeatureRow(NamedTuple):
-    """What scoring reads of one authorship: one collection per feature,
-    in ``FEATURES`` order. ``email`` and ``first_name`` hold at most one
-    value; ``coauthor`` is a tuple of distinct block indices."""
+    """What scoring reads of one authorship: a tuple of distinct values
+    per feature, in ``FEATURES`` order. ``email`` and ``first_name`` hold
+    at most one value; ``coauthor`` holds block indices."""
 
-    email: frozenset[str]
-    affiliation: frozenset[str]
+    email: tuple[str, ...]
+    affiliation: tuple[str, ...]
     coauthor: tuple[int, ...]
-    funder: frozenset[str]
-    first_name: frozenset[str]
+    funder: tuple[str, ...]
+    first_name: tuple[str, ...]
 
 
 def _feature_rows(
@@ -209,25 +207,27 @@ def _feature_rows(
     authorship id, from one pass over ``records`` in id order; None for
     the rest. A co-author is known by its block index, which two
     authorships share exactly when they share a block key. Funder keys are
-    made once per record; first-name and org keys once per distinct
+    made once per record; email, first-name and org keys once per distinct
     value."""
-    first_names: dict[str | None, frozenset[str]] = {}
-    orgs: dict[str, frozenset[str]] = {}
+    emails: dict[str | None, tuple[str, ...]] = {}
+    first_names: dict[str | None, tuple[str, ...]] = {}
+    orgs: dict[str, tuple[str, ...]] = {}
     rows: list[_FeatureRow | None] = [None] * len(block_of)
     start = 0
     for record in records:
         authors = record.authors
         # a record's authorships have consecutive ids
         in_block = tuple(block_of[start:start + len(authors)])
-        # grouping by value must list a row once, so a co-author block
-        # two co-authors share is kept once
+        # grouping by value must list a row once, so each feature keeps a
+        # value once: a co-author block two co-authors share, an org or a
+        # funder named twice
         distinct = len(set(in_block)) == len(in_block)
-        funder: frozenset[str] | None = None
+        funder: tuple[str, ...] | None = None
         for i, author in enumerate(authors):
             if not linked[in_block[i]]:
                 continue
             if funder is None:
-                funder = frozenset([normalize_text(f) for f in record.funding_orgs])
+                funder = tuple(dict.fromkeys([normalize_text(f) for f in record.funding_orgs]))
             first = first_names.get(author.first_name)
             if first is None:
                 first = first_names[author.first_name] = _full_first_name(author.first_name)
@@ -236,11 +236,16 @@ def _feature_rows(
                 org = orgs.get(aff.org_name)
                 if org is None:
                     org = orgs[aff.org_name] = _org_key(aff.org_name)
-                affiliation = affiliation | org if affiliation else org
-            email = (author.email or "").strip().lower()
+                # () + org is org itself, so a one-org row shares the key
+                if org and org[0] not in affiliation:
+                    affiliation += org
+            email = emails.get(author.email)
+            if email is None:
+                lowered = (author.email or "").strip().lower()
+                email = emails[author.email] = (lowered,) if lowered else _NONE
             coauthor = in_block[:i] + in_block[i + 1:]
             rows[start + i] = _FeatureRow(
-                frozenset((email,)) if email else _NONE, affiliation,
+                email, affiliation,
                 coauthor if distinct else tuple(dict.fromkeys(coauthor)), funder, first,
             )
         start += len(authors)
@@ -316,8 +321,6 @@ def _linked_groups(rows: Sequence[_FeatureRow], steps: Sequence[_Step]) -> Itera
         for group in refined[parent]:
             if len(group) == 2:
                 a, b = group
-                # frozenset() of a frozenset is that set; of the co-author
-                # tuple, a set to test the other tuple against
                 if not frozenset(rows[a][field]).isdisjoint(rows[b][field]):
                     groups.append(group)
                 continue
@@ -367,19 +370,18 @@ def most_frequent(values: Iterable[str]) -> str:
     return min(value for value, count in counts.items() if count == best)
 
 
-def _make_clusters(
-    records: Sequence[PublicationRecord], keys: Sequence[AuthorshipKey], uf: _UnionFind
-) -> list[ResearcherCluster]:
-    """One cluster per union-find component, its display name read from
-    ``records`` in id order. Ids follow key order, so each component's
-    members, and the components by their first member, come out in order
-    without a sort."""
-    groups: dict[int, list[int]] = {}
-    for i in range(len(keys)):
-        groups.setdefault(uf.find(i), []).append(i)
+def _make_clusters(records: Sequence[PublicationRecord], uf: _UnionFind) -> list[ResearcherCluster]:
+    """One cluster per union-find component, its keys and display name
+    read from ``records`` in id order. Ids follow key order, and each
+    root is its component's first id."""
+    keys = [(record.pub_id, author.position) for record in records for author in record.authors]
     full_names = [author.full_name for record in records for author in record.authors]
+    root_of = [uf.find(i) for i in range(len(keys))].__getitem__
     clusters = []
-    for ids in groups.values():
+    # a stable sort by root keeps each component's ids in order, and puts
+    # the components in the order of their roots, their first ids
+    for _, group in itertools.groupby(sorted(range(len(keys)), key=root_of), root_of):
+        ids = list(group)
         anchor = keys[ids[0]]
         names = [full_names[i] for i in ids]
         first = names[0]
@@ -426,38 +428,42 @@ def _union_linked(
 
 def _link_authorships(
     records: Sequence[PublicationRecord],
-    keys: Sequence[AuthorshipKey],
     weights: ScoringWeights,
     overrides: Iterable[ManualOverride],
 ) -> _UnionFind:
-    """The union-find over the ids of ``keys`` (``keys[i]`` has id ``i``),
-    joined along a spanning forest of the threshold graph less the SPLIT
-    pairs, and along the MERGE pairs. The feature rows live only while it
-    runs. An override naming an authorship outside ``keys`` is ignored,
-    with one warning each, in override order."""
-    id_of = {key: i for i, key in enumerate(keys)}
+    """The union-find over the authorship ids of ``records``, joined along
+    a spanning forest of the threshold graph less the SPLIT pairs, and
+    along the MERGE pairs. The feature rows live only while it runs. An
+    override naming an authorship outside ``records`` is ignored, with
+    one warning each, in override order."""
+    # authorship (pub_id, p) has id ids_of[pub_id][p - 1]
+    ids_of: dict[str, range] = {}
+    size = 0
+    for record in records:
+        ids_of[record.pub_id] = range(size, size + len(record.authors))
+        size += len(record.authors)
     # blocks are sorted by key, so a block's index stands for its key and
     # its members come in id order
-    blocks = [[id_of[key] for key in block] for block in block_authorships(records)]
+    blocks = [[ids_of[p][n - 1] for p, n in block] for block in block_authorships(records)]
     splits: dict[int, set[int]] = {}
     merges = []
     for o in overrides:
-        a, b = id_of.get(o.a), id_of.get(o.b)
-        if a is None or b is None:
+        if not all(0 < n <= len(ids_of.get(p, ())) for p, n in (o.a, o.b)):
             logger.warning("%s override of %s %d and %s %d names no authorship of the corpus; "
                            "ignored", o.action, *o.a, *o.b)
             continue
+        a, b = (ids_of[p][n - 1] for p, n in (o.a, o.b))
         if o.action == "MERGE":
             merges.append((a, b))
         else:
             splits.setdefault(a, set()).add(b)
             splits.setdefault(b, set()).add(a)
-    block_of = [0] * len(keys)
+    block_of = [0] * size
     for b, block in enumerate(blocks):
         for i in block:
             block_of[i] = b
     rows = _feature_rows(records, block_of, [len(block) > 1 for block in blocks])
-    uf = _UnionFind(len(keys))
+    uf = _UnionFind(size)
     steps = _refinements(_linking_sets(weights))
     for block in blocks:
         if len(block) < 2:
@@ -497,6 +503,5 @@ def cluster_corpus(
     for before, after in itertools.pairwise(records):
         if before.pub_id == after.pub_id:
             raise ValueError(f"duplicate pub_id: {after.pub_id}")
-    keys = [(record.pub_id, author.position) for record in records for author in record.authors]
-    uf = _link_authorships(records, keys, weights, overrides or ())
-    return _make_clusters(records, keys, uf)
+    uf = _link_authorships(records, weights, overrides or ())
+    return _make_clusters(records, uf)

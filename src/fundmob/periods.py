@@ -124,6 +124,9 @@ class LabelingResult:
     record_labels: dict[str, Label]
     #: resolved date of every labeled publication
     dates: dict[str, PubDate]
+    #: each scholar's funded pub ids, the pubs of its During pairs: a
+    #: funded paper is During for every scholar and no other paper is
+    during: dict[str, set[str]]
 
 
 def label_corpus(
@@ -139,7 +142,8 @@ def label_corpus(
     is resolved once.
     """
     scholar_pubs = {c.cluster_id: {key[0] for key in c.members} for c in clusters}
-    scholars = [c for c in clusters if scholar_pubs[c.cluster_id] & funded_ids]
+    scholars = [c for c in clusters if not scholar_pubs[c.cluster_id].isdisjoint(funded_ids)]
+    during = {c.cluster_id: scholar_pubs[c.cluster_id] & funded_ids for c in scholars}
     labeled = set().union(*(scholar_pubs[c.cluster_id] for c in scholars))
     dates = {pub_id: resolve_pub_date(index.records[pub_id]) for pub_id in labeled}
     windows = {c.cluster_id: compute_window(c, dates, funded_ids) for c in scholars}
@@ -156,4 +160,4 @@ def label_corpus(
         label = reconcile_multi_scholar(per_record[pub_id].values())
         pairs.extend(PeriodLabel(pub_id, cid, label) for cid in sorted(per_record[pub_id]))
         record_labels[pub_id] = label
-    return LabelingResult(pairs, windows, record_labels, dates)
+    return LabelingResult(pairs, windows, record_labels, dates, during)

@@ -1,9 +1,11 @@
 """End-to-end pipeline: corpus file in, report artifacts out.
 
-Every artifact is deterministic for a given (input, configuration) pair:
-rows are sorted, JSON keys are sorted, and the run manifest captures
-content hashes and stage counts rather than environment details, so two
-runs produce byte-identical output directories.
+Each table is written when the stage that makes its rows ends, and the
+run manifest last, so a manifest marks a complete run. Every artifact is
+deterministic for a given (input, configuration) pair: rows are sorted,
+JSON keys are sorted, and the manifest captures content hashes and stage
+counts rather than environment details, so two runs produce
+byte-identical output directories.
 """
 from __future__ import annotations
 
@@ -99,17 +101,11 @@ def _load_config_files(config: PipelineConfig) -> list[object]:
 
 
 def _sha256(path: Path | None) -> str | None:
-    """The config file's SHA-256, read through one 1 MiB buffer, so the
-    memory it takes does not grow with the file. The corpus is hashed
-    while it is parsed."""
+    """The config file's SHA-256, read whole as its loader reads it. The
+    corpus is hashed while it is parsed."""
     if path is None:
         return None
-    digest = hashlib.sha256()
-    buffer = memoryview(bytearray(1 << 20))
-    with path.open("rb", buffering=0) as handle:
-        while size := handle.readinto(buffer):
-            digest.update(buffer[:size])
-    return digest.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _fmt(value: object) -> str:
@@ -156,7 +152,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 def _run_stages(config: PipelineConfig) -> dict:
     aliases, lexicon, surnames, field_map, weights, overrides = _load_config_files(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    out = config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    # a manifest marks a complete run, so a stale one goes before any table
+    (out / "manifest.json").unlink(missing_ok=True)
 
     parsed = corpus.load_corpus(config.input, aliases, field_map)
     for issue in parsed.errors:
@@ -188,12 +187,50 @@ def _run_stages(config: PipelineConfig) -> dict:
     clusters = disambig.cluster_corpus(docs, weights, overrides)
     funded_clusters = [c for c in clusters if not identified_keys.isdisjoint(c.members)]
     cluster_of = {key: c.cluster_id for c in funded_clusters for key in c.members}
+    _write_table(
+        out / "funded_scholars.tsv",
+        ["pub_id", "author_position", "full_name", "cluster_id",
+         "match_kind", "evidence", "sentence_start", "sentence_end"],
+        [
+            [
+                f.pub_id,
+                f.author_position,
+                index.records[f.pub_id].authors[f.author_position - 1].full_name,
+                cluster_of[(f.pub_id, f.author_position)],
+                f.match_kind.value,
+                f.evidence,
+                f.sentence_span[0],
+                f.sentence_span[1],
+            ]
+            for f in sorted(funded_authorships, key=lambda f: (f.pub_id, f.author_position))
+        ],
+    )
+    _write_table(
+        out / "clusters.tsv",
+        ["cluster_id", "display_name", "pub_id", "author_position"],
+        [
+            [c.cluster_id, c.display_name, pub_id, position]
+            for c in clusters
+            for pub_id, position in c.members
+        ],
+    )
 
     labeling = periods.label_corpus(funded_clusters, funded_ids, index)
-    during_by_cluster: dict[str, set[str]] = {}
-    for pair in labeling.pairs:
-        if pair.label is periods.Label.DURING:
-            during_by_cluster.setdefault(pair.cluster_id, set()).add(pair.pub_id)
+    _write_table(
+        out / "period_labels.tsv",
+        ["pub_id", "cluster_id", "label", "window_start", "window_end", "date_source"],
+        [
+            [
+                pair.pub_id,
+                pair.cluster_id,
+                pair.label.value,
+                labeling.windows[pair.cluster_id].first_funded_date.isoformat(),
+                labeling.windows[pair.cluster_id].last_funded_date.isoformat(),
+                labeling.dates[pair.pub_id].source.value,
+            ]
+            for pair in labeling.pairs
+        ],
+    )
 
     chinese_clusters = [
         c for c in funded_clusters
@@ -201,16 +238,40 @@ def _run_stages(config: PipelineConfig) -> dict:
     ]
     assignments = sorted(
         (
-            mobility.assign_mobility(
-                c, index, during_by_cluster.get(c.cluster_id, set())
-            )
+            mobility.assign_mobility(c, index, labeling.during[c.cluster_id])
             for c in chinese_clusters
         ),
         key=lambda a: a.cluster_id,
     )
     flows = mobility.aggregate_flows(assignments)
     top_dest = mobility.top_destinations_by_field(
-        assignments, index, during_by_cluster, k=config.top_k
+        assignments, index, labeling.during, k=config.top_k
+    )
+    _write_table(
+        out / "mobility_assignments.tsv",
+        ["cluster_id", "outcome", "rule_fired", "destination"],
+        [
+            [a.cluster_id, a.outcome.value, a.rule_fired.value, a.destination or ""]
+            for a in assignments
+        ],
+    )
+    _write_table(
+        out / "mobility_flows.tsv",
+        ["kind", "destination_or_reason", "scholars"],
+        [["Destination", code, n] for code, n in flows.destinations]
+        + [["Unidentified", reason, n] for reason, n in flows.unidentified],
+    )
+    _write_table(
+        out / "top_destinations.tsv",
+        ["field", "rank", "destination", "fractional_scholars"],
+        [
+            [field, rank, code, count]
+            for field, ranking in top_dest.per_field.items()
+            for rank, (code, count) in enumerate(ranking, start=1)
+        ],
+        footer_comments=[
+            f"destination scholars without field weights: {top_dest.excluded_scholars}"
+        ],
     )
 
     identified_record_ids = {f.pub_id for f in funded_authorships}
@@ -220,11 +281,44 @@ def _run_stages(config: PipelineConfig) -> dict:
     temporal = indicators.temporal_distribution(
         funded_records, lambda r: r.doc_type.value
     )
-
-    _write_artifacts(
-        config, index, cluster_of, clusters, funded_authorships, labeling,
-        assignments, flows, top_dest, ppic, field_dist, temporal,
+    # indicators.json nests these same rows
+    ppic_columns = ["period", "field", "numerator", "denominator", "proportion"]
+    ppic_rows = [
+        [period, field, cell.numerator, cell.denominator, cell.value]
+        for (period, field), cell in sorted(ppic.cells.items())
+    ]
+    _write_table(
+        out / "pp_ic.tsv", ppic_columns, ppic_rows,
+        footer_comments=[f"records with no known country: {ppic.zero_country_records}"],
     )
+    field_columns = ["field", "identified", "unidentified", "total"]
+    field_rows = [
+        [field, share.identified, share.unidentified, share.total]
+        for field, share in field_dist.items()
+    ]
+    _write_table(out / "field_distribution.tsv", field_columns, field_rows)
+    _write_table(
+        out / "temporal.tsv",
+        ["year", "tag", "count"],
+        [
+            [year, tag, count]
+            for year, row in temporal.items()
+            for tag, count in sorted(row.items())
+        ],
+    )
+    # _write_json sorts the keys at every level
+    pp_ic: dict[str, dict[str, dict]] = {}
+    for period, field, *values in ppic_rows:
+        pp_ic.setdefault(period, {})[field] = dict(zip(ppic_columns[2:], values))
+    report = {
+        "pp_ic": pp_ic,
+        "pp_ic_coverage": {"records_with_no_known_country": ppic.zero_country_records},
+        "field_distribution": {
+            field: dict(zip(field_columns[1:], values)) for field, *values in field_rows
+        },
+        "temporal": {str(year): row for year, row in temporal.items()},
+    }
+    _write_json(out / "indicators.json", report)
 
     rules = Counter(a.rule_fired for a in assignments)
     labels = Counter(p.label for p in labeling.pairs)
@@ -252,138 +346,5 @@ def _run_stages(config: PipelineConfig) -> dict:
             "scholar_paper_pairs": len(labeling.pairs),
         },
     }
-    _write_json(config.out_dir / "manifest.json", manifest)
+    _write_json(out / "manifest.json", manifest)
     return manifest
-
-
-def _write_artifacts(
-    config: PipelineConfig,
-    index: disambig.CorpusIndex,
-    cluster_of: dict[disambig.AuthorshipKey, str],
-    clusters: Sequence[disambig.ResearcherCluster],
-    funded_authorships: Sequence[ackminer.FundedAuthorship],
-    labeling: periods.LabelingResult,
-    assignments: Sequence[mobility.MobilityAssignment],
-    flows: mobility.FlowTable,
-    top_dest: mobility.FieldDestinations,
-    ppic: indicators.PpIcReport,
-    field_dist: dict[str, indicators.FieldShare],
-    temporal: dict[int, dict[str, int]],
-) -> None:
-    out = config.out_dir
-
-    _write_table(
-        out / "funded_scholars.tsv",
-        ["pub_id", "author_position", "full_name", "cluster_id",
-         "match_kind", "evidence", "sentence_start", "sentence_end"],
-        [
-            [
-                f.pub_id,
-                f.author_position,
-                index.records[f.pub_id].authors[f.author_position - 1].full_name,
-                cluster_of[(f.pub_id, f.author_position)],
-                f.match_kind.value,
-                f.evidence,
-                f.sentence_span[0],
-                f.sentence_span[1],
-            ]
-            for f in sorted(funded_authorships, key=lambda f: (f.pub_id, f.author_position))
-        ],
-    )
-
-    _write_table(
-        out / "clusters.tsv",
-        ["cluster_id", "display_name", "pub_id", "author_position"],
-        [
-            [c.cluster_id, c.display_name, pub_id, position]
-            for c in clusters
-            for pub_id, position in c.members
-        ],
-    )
-
-    _write_table(
-        out / "mobility_assignments.tsv",
-        ["cluster_id", "outcome", "rule_fired", "destination"],
-        [
-            [a.cluster_id, a.outcome.value, a.rule_fired.value, a.destination or ""]
-            for a in assignments
-        ],
-    )
-
-    _write_table(
-        out / "mobility_flows.tsv",
-        ["kind", "destination_or_reason", "scholars"],
-        [["Destination", code, n] for code, n in flows.destinations]
-        + [["Unidentified", reason, n] for reason, n in flows.unidentified],
-    )
-
-    _write_table(
-        out / "top_destinations.tsv",
-        ["field", "rank", "destination", "fractional_scholars"],
-        [
-            [field, rank, code, count]
-            for field, ranking in top_dest.per_field.items()
-            for rank, (code, count) in enumerate(ranking, start=1)
-        ],
-        footer_comments=[
-            f"destination scholars without field weights: {top_dest.excluded_scholars}"
-        ],
-    )
-
-    _write_table(
-        out / "period_labels.tsv",
-        ["pub_id", "cluster_id", "label", "window_start", "window_end", "date_source"],
-        [
-            [
-                pair.pub_id,
-                pair.cluster_id,
-                pair.label.value,
-                labeling.windows[pair.cluster_id].first_funded_date.isoformat(),
-                labeling.windows[pair.cluster_id].last_funded_date.isoformat(),
-                labeling.dates[pair.pub_id].source.value,
-            ]
-            for pair in labeling.pairs
-        ],
-    )
-
-    # indicators.json nests these same rows
-    ppic_columns = ["period", "field", "numerator", "denominator", "proportion"]
-    ppic_rows = [
-        [period, field, cell.numerator, cell.denominator, cell.value]
-        for (period, field), cell in sorted(ppic.cells.items())
-    ]
-    _write_table(
-        out / "pp_ic.tsv", ppic_columns, ppic_rows,
-        footer_comments=[f"records with no known country: {ppic.zero_country_records}"],
-    )
-
-    field_columns = ["field", "identified", "unidentified", "total"]
-    field_rows = [
-        [field, share.identified, share.unidentified, share.total]
-        for field, share in field_dist.items()
-    ]
-    _write_table(out / "field_distribution.tsv", field_columns, field_rows)
-
-    _write_table(
-        out / "temporal.tsv",
-        ["year", "tag", "count"],
-        [
-            [year, tag, count]
-            for year, row in temporal.items()
-            for tag, count in sorted(row.items())
-        ],
-    )
-
-    # _write_json sorts the keys at every level
-    pp_ic: dict[str, dict[str, dict]] = {}
-    for period, field, *values in ppic_rows:
-        pp_ic.setdefault(period, {})[field] = dict(zip(ppic_columns[2:], values))
-    report = {
-        "pp_ic": pp_ic,
-        "pp_ic_coverage": {"records_with_no_known_country": ppic.zero_country_records},
-        "field_distribution": {
-            field: dict(zip(field_columns[1:], values)) for field, *values in field_rows
-        },
-        "temporal": {str(year): row for year, row in temporal.items()},
-    }
-    _write_json(out / "indicators.json", report)

@@ -292,6 +292,28 @@ def test_random_scenarios_match_transcription(lexicon):
         assert got == transcribed_labels(papers)
 
 
+def during_from_pairs(result):
+    """Each scholar's During pub ids, gathered from the labeled pairs:
+    the derivation ``LabelingResult.during`` replaces, kept as its oracle."""
+    during = {}
+    for pair in result.pairs:
+        if pair.label is Label.DURING:
+            during.setdefault(pair.cluster_id, set()).add(pair.pub_id)
+    return during
+
+
+def test_during_is_each_scholars_funded_pubs(lexicon):
+    rng = random.Random(31)
+    for _ in range(100):
+        papers, records, clusters = random_scenario(rng)
+        funded = funded_pub_ids(records, lexicon)
+        result = label_corpus(clusters, funded, CorpusIndex(records))
+        assert result.during == during_from_pairs(result)
+        for c in clusters:
+            funded_pubs = {pub_id for pub_id, _ in c.members} & funded
+            assert result.during.get(c.cluster_id, set()) == funded_pubs
+
+
 def test_partition_and_window_bounds(lexicon):
     rng = random.Random(29)
     for _ in range(50):

@@ -9,7 +9,6 @@ import os
 import pkgutil
 import re
 import stat
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Callable
@@ -17,9 +16,11 @@ from typing import Callable
 import pytest
 
 import fundmob
-from fundmob import ackminer, corpus, disambig, mobility, periods
+from fundmob import ackminer, corpus, disambig, indicators, mobility, periods
 from fundmob.cli import main
-from fundmob.pipeline import ConfigError, PipelineConfig, _fmt, _sha256, run_pipeline
+from fundmob.pipeline import (
+    _CONFIG_FILES, ConfigError, PipelineConfig, _fmt, _sha256, run_pipeline,
+)
 
 from .conftest import DATA_DIR, load_bench_gen
 
@@ -372,18 +373,14 @@ def test_demo_artifact_is_byte_identical(demo_output, name):
     assert digest == DEMO_DIGESTS[name]
 
 
-def test_hashing_a_file_takes_memory_independent_of_its_size(tmp_path):
-    path = tmp_path / "big.bin"
-    path.write_bytes(bytes(range(256)) * (8 << 12))   # 8 MiB
-    expected = hashlib.sha256(path.read_bytes()).hexdigest()
-    tracemalloc.start()
-    try:
-        digest = _sha256(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert digest == expected
-    assert peak < 2_000_000
+def test_config_sha256_is_the_hash_of_each_config_file(data_dir, tmp_path):
+    config = demo_config(data_dir, tmp_path / "out")
+    hashes = run_pipeline(config)["config"]
+    for field, _, _ in _CONFIG_FILES:
+        path = getattr(config, field)
+        expected = None if path is None else hashlib.sha256(path.read_bytes()).hexdigest()
+        assert hashes[f"{field}_sha256"] == expected
+    assert _sha256(None) is None
 
 
 @pytest.mark.parametrize("prefix, suffix", [
@@ -587,6 +584,24 @@ def test_every_library_use_name_in_the_readme_resolves():
         if not hasattr(importlib.import_module(f"fundmob.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_a_run_that_raises_leaves_no_manifest(data_dir, tmp_path, monkeypatch):
+    """The manifest marks a complete run: a stale one is gone before the
+    first table is written, and a run that raises writes none."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}\n", encoding="utf-8")
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("indicators failed")
+
+    monkeypatch.setattr(indicators, "pp_ic", failing)
+    with pytest.raises(RuntimeError, match="indicators failed"):
+        run_pipeline(demo_config(data_dir, out))
+    assert not (out / "manifest.json").exists()
+    # the tables of the stages before the failure were written
+    assert (out / "mobility_flows.tsv").is_file()
 
 
 def test_every_traced_span_is_reached_from_run_pipeline(data_dir, tmp_path):

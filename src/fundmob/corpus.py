@@ -105,7 +105,7 @@ class ParseIssue:
     line_no: int
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
+    def __str__(self) -> str:
         return f"line {self.line_no}: {self.message}"
 
 
@@ -401,13 +401,13 @@ def _record_from_dict(
         if obj.get(key) is not None and not isinstance(obj[key], str):
             raise RecordError(f"{key} is not a string")
     doi_created = obj.get("doi_created_date")
-    if doi_created:
+    if doi_created is not None:
         doi_created = _parse_date(doi_created, "doi_created_date")
     ack = obj.get("acknowledgment_text")
     if ack is not None and not isinstance(ack, str):
         raise RecordError("acknowledgment_text is not a string")
     return PublicationRecord(
-        pub_id, pub_year, doc_type, doi_created or None, ack or None,
+        pub_id, pub_year, doc_type, doi_created, ack or None,
         tuple(funding_orgs), tuple(authors), tuple(field_weights),
     )
 

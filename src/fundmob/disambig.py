@@ -22,16 +22,19 @@ conflict, so first names and SPLIT overrides alone decide its edges.
 
 In :func:`cluster_corpus` each authorship gets a dense integer id in
 ``(pub_id, position)`` order: the records are sorted by ``pub_id`` once,
-and the ids follow. The union-find, the feature rows and the overrides
-work on ids; key tuples are built only for the clusters, after the rows
-are dropped. A component's smallest id is its smallest key, so a
-cluster's ``members`` is a key-ordered tuple and clusters come in the
-order of their first members. A co-author is known by the index of its
-block in the one blocking pass, so each block key is computed once per
-run. A row holds each feature as a tuple of distinct values: funder keys
-made once per record, email, first-name and org keys once per distinct
-value, co-authors as block indices. The pairwise scorer that clustering
-agrees with is kept in the tests as its reference.
+and the ids follow; a duplicate ``pub_id`` is caught where the ids are
+assigned. :func:`block_authorships` numbers the authorships the same way
+and hands each block over as its ascending ids. The union-find, the
+feature rows and the overrides work on ids; only :func:`_make_clusters`
+builds key tuples, after the rows are dropped. A component's smallest id
+is its smallest key, so a cluster's ``members`` is a key-ordered tuple
+and clusters come in the order of their first members. A co-author is
+known by the index of its block in the one blocking pass, so each block
+key is computed once per run. A row holds each feature as a tuple of
+distinct values: funder keys made once per record, email, first-name and
+org keys once per distinct value, co-authors as block indices. The
+pairwise scorer that clustering agrees with is kept in the tests as its
+reference.
 """
 from __future__ import annotations
 
@@ -144,34 +147,26 @@ class CorpusIndex:
             self.records[record.pub_id] = record
 
 
-def _surname_key(author: Authorship) -> str:
-    return normalize_text(author.last_name).replace(" ", "").replace("-", "")
-
-
-def _first_initial(author: Authorship) -> str:
+def block_key(author: Authorship) -> tuple[str, str]:
+    surname = normalize_text(author.last_name).replace(" ", "").replace("-", "")
     for source in (author.first_name, author.initials):
         if source:
             for ch in normalize_text(source):
                 if ch.isalpha():
-                    return ch
-    return ""
+                    return (surname, ch)
+    return (surname, "")
 
 
-def block_key(author: Authorship) -> tuple[str, str]:
-    return (_surname_key(author), _first_initial(author))
-
-
-def block_authorships(
-    corpus: Sequence[PublicationRecord],
-) -> list[list[AuthorshipKey]]:
-    """Partition all authorships by (surname, first initial), sorted."""
-    blocks: dict[tuple[str, str], list[AuthorshipKey]] = {}
-    for record in corpus:
-        for author in record.authors:
-            blocks.setdefault(block_key(author), []).append(
-                (record.pub_id, author.position)
-            )
-    return [sorted(blocks[key]) for key in sorted(blocks)]
+def block_authorships(corpus: Iterable[PublicationRecord]) -> list[list[int]]:
+    """Partition all authorships by :func:`block_key`, blocks in key order,
+    each block the ascending ids of its authorships. Id ``i`` is the i-th
+    authorship of ``corpus``: records as given, each record's authors in
+    position order."""
+    blocks: dict[tuple[str, str], list[int]] = {}
+    authors = (author for record in corpus for author in record.authors)
+    for i, author in enumerate(authors):
+        blocks.setdefault(block_key(author), []).append(i)
+    return [blocks[key] for key in sorted(blocks)]
 
 
 #: the values of a feature an authorship has no value of
@@ -436,15 +431,16 @@ def _link_authorships(
     along the MERGE pairs. The feature rows live only while it runs. An
     override naming an authorship outside ``records`` is ignored, with
     one warning each, in override order."""
-    # authorship (pub_id, p) has id ids_of[pub_id][p - 1]
+    # authorship (pub_id, p) has id ids_of[pub_id][p - 1], as in blocking
     ids_of: dict[str, range] = {}
     size = 0
     for record in records:
+        if record.pub_id in ids_of:
+            raise ValueError(f"duplicate pub_id: {record.pub_id}")
         ids_of[record.pub_id] = range(size, size + len(record.authors))
         size += len(record.authors)
-    # blocks are sorted by key, so a block's index stands for its key and
-    # its members come in id order
-    blocks = [[ids_of[p][n - 1] for p, n in block] for block in block_authorships(records)]
+    # blocks come in key order, so a block's index stands for its key
+    blocks = block_authorships(records)
     splits: dict[int, set[int]] = {}
     merges = []
     for o in overrides:
@@ -500,8 +496,5 @@ def cluster_corpus(
     # authorship ids follow (pub_id, position) order: the records sorted by
     # pub_id, each record's authors in position order, as parsing checks
     records = sorted(corpus, key=attrgetter("pub_id"))
-    for before, after in itertools.pairwise(records):
-        if before.pub_id == after.pub_id:
-            raise ValueError(f"duplicate pub_id: {after.pub_id}")
     uf = _link_authorships(records, weights, overrides or ())
     return _make_clusters(records, uf)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from . import ackminer, corpus, disambig, indicators, mobility, periods
+from . import ackminer, corpus, disambig, indicators, mobility, periods, textnorm
 
 logger = logging.getLogger("fundmob")
 
@@ -140,12 +140,15 @@ def _write_json(path: Path, payload: object) -> None:
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write all artifacts; returns the manifest.
     Pauses the cyclic garbage collector (a run makes no reference cycles
-    per record) and restores the caller's setting, also on error."""
+    per record) and restores the caller's setting, also on error. Empties
+    the ``normalize_text`` memo when the run ends, also on error, so no
+    string of one run outlives it."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         return _run_stages(config)
     finally:
+        textnorm.normalize_text.cache_clear()
         if collecting:
             gc.enable()
 

@@ -9,13 +9,14 @@ so "(c.l.)," in a sentence and the variant "c.l." meet as "c.l".
 
 ``normalize_text`` is memoized: every stage normalizes the same names,
 org names and funders, and each distinct string is normalized once per
-process. The memo is unbounded on purpose. It holds one normalized copy
-of each distinct input string, and a run already holds every record
-those strings come from in memory. Funding sentences are the exception:
-each is seen once, so ``match_tokens`` tokenizes them without the memo.
-``strip_accents`` returns ASCII text as it is, since NFKD
-changes no ASCII character and none is a combining mark; most names and
-acknowledgments take that path.
+run. The memo is per run: ``run_pipeline`` empties it when the run ends,
+also on error. Within a run it is unbounded on purpose. It holds one
+normalized copy of each distinct input string, and a run already holds
+every record those strings come from in memory. Funding sentences are
+the exception: each is seen once, so ``match_tokens`` tokenizes them
+without the memo. ``strip_accents`` returns ASCII text as it is, since
+NFKD changes no ASCII character and none is a combining mark; most
+names and acknowledgments take that path.
 """
 from __future__ import annotations
 

@@ -197,7 +197,7 @@ def reference_record_from_dict(obj: object, aliases: CountryAliases | None = Non
         pub_id=pub_id,
         pub_year=pub_year,
         doc_type=doc_type,
-        doi_created_date=_parse_date(doi_created, "doi_created_date") if doi_created else None,
+        doi_created_date=_parse_date(doi_created, "doi_created_date") if doi_created is not None else None,
         acknowledgment_text=_parse_str(obj, "acknowledgment_text") or None,
         funding_orgs=tuple(funding_orgs),
         authors=authors,

@@ -326,6 +326,18 @@ class TestParseCorpus:
         assert [e.line_no for e in result.errors] == [2]
         assert "doi_created_date" in result.errors[0].message
 
+    # JSON values Python reads as false are no date either; only null is absent
+    @pytest.mark.parametrize("value", [False, 0, 0.0, "", [], {}],
+                             ids=["false", "zero", "zero-float", "empty-string", "empty-list", "empty-object"])
+    def test_a_falsy_doi_created_date_is_a_parse_issue(self, value):
+        result = parse_corpus([
+            line(doi_created_date=None), line(pub_id="W2", doi_created_date=value),
+        ])
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert result.records[0].doi_created_date is None
+        assert [e.line_no for e in result.errors] == [2]
+        assert "doi_created_date" in result.errors[0].message
+
     @pytest.mark.parametrize("email, stored", [
         (" ", None), ("\t\n", None), ("", None), (None, None),
         ("  Long.Chen@x.org ", "Long.Chen@x.org"),

@@ -37,8 +37,9 @@ class TestBlocking:
             make_record("a", (make_author(1, "Chen", first="Long"),)),
             make_record("b", (make_author(1, "Chen", initials="L."),)),
         ]
+        keys = list(authorship_table(records))
         blocks = block_authorships(records)
-        assert blocks == [[("a", 1), ("b", 1)]]
+        assert [[keys[i] for i in block] for block in blocks] == [[("a", 1), ("b", 1)]]
 
     def test_different_surnames_split(self):
         records = [
@@ -70,11 +71,81 @@ class TestBlocking:
                               make_author(2, "Hu", first="Jun"))),
             make_record("b", (make_author(1, "Chen", first="Lei"),)),
         ]
+        table = authorship_table(records)
+        keys = list(table)
         blocks = block_authorships(records)
-        flat = [key for block in blocks for key in block]
+        flat = [keys[i] for block in blocks for i in block]
         assert sorted(flat) == sorted({("a", 1), ("a", 2), ("b", 1)})
-        keys = [block_key(authorship_table(records)[block[0]]) for block in blocks]
-        assert keys == sorted(keys)
+        block_keys = [block_key(table[keys[block[0]]]) for block in blocks]
+        assert block_keys == sorted(block_keys)
+
+
+def _reference_surname_key(author):
+    return normalize_text(author.last_name).replace(" ", "").replace("-", "")
+
+
+def _reference_first_initial(author):
+    for source in (author.first_name, author.initials):
+        if source:
+            for ch in normalize_text(source):
+                if ch.isalpha():
+                    return ch
+    return ""
+
+
+def reference_block_key(author):
+    """The block key composed of two helpers, the surname key and the
+    first initial: the reference block_key is checked against."""
+    return (_reference_surname_key(author), _reference_first_initial(author))
+
+
+def reference_blocks(records):
+    """The key-based reference partition: the keys of all authorships by
+    reference block key, blocks in key order, each block's keys sorted."""
+    blocks: dict = {}
+    for key, author in authorship_table(records).items():
+        blocks.setdefault(reference_block_key(author), []).append(key)
+    return [sorted(blocks[k]) for k in sorted(blocks)]
+
+
+#: letters that decompose or case-fold to more than one letter, a bare
+#: combining mark, a letter with no case, a space, a hyphen and a dot;
+#: and names with no letter, which leave the initial to the initials
+_names = (st.text(alphabet="aAbé\u0301ßİﬁØ李 -.", max_size=6)
+          | st.text(alphabet=" -.\u0301", max_size=3))
+#: a tighter alphabet, so that drawn names often share a block
+_short_names = st.text(alphabet="aAé\u0301李 -", max_size=3)
+
+
+@given(st.builds(make_author, st.just(1), _names,
+                 first=st.none() | _names, initials=st.none() | _names))
+def test_block_key_is_the_two_helper_reference(author):
+    assert block_key(author) == reference_block_key(author)
+
+
+@st.composite
+def shuffled_blocking_corpora(draw):
+    """Records whose authors have short, often colliding names, in any
+    order, so ids do not follow key order."""
+    records = []
+    for n in range(draw(st.integers(0, 8))):
+        authors = tuple(
+            make_author(position, draw(_short_names), first=draw(st.none() | _short_names),
+                        initials=draw(st.none() | _short_names))
+            for position in range(1, draw(st.integers(1, 4)) + 1)
+        )
+        records.append(make_record(f"r{n}", authors))
+    return draw(st.permutations(records))
+
+
+@given(shuffled_blocking_corpora())
+def test_blocks_are_the_ids_of_the_reference_partition(records):
+    # id i is the i-th authorship of the records as given
+    keys = list(authorship_table(records))
+    blocks = block_authorships(records)
+    assert sorted(i for block in blocks for i in block) == list(range(len(keys)))
+    assert all(a < b for block in blocks for a, b in itertools.pairwise(block))
+    assert [sorted(keys[i] for i in block) for block in blocks] == reference_blocks(records)
 
 
 def pair_fixture(author_a, author_b, funding_a=(), funding_b=()):
@@ -389,7 +460,8 @@ class TestClusterBlock:
             )),
         ]
         index = CorpusIndex(records)
-        assert block_authorships(records) == [
+        keys = list(authorship_table(records))
+        assert [[keys[i] for i in block] for block in block_authorships(records)] == [
             [("g0", 2), ("g1", 2)], [("g0", 1), ("g1", 1), ("g2", 1)], [("g2", 2)],
         ]
         lin = [("g0", 1), ("g1", 1), ("g2", 1)]

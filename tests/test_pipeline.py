@@ -17,6 +17,7 @@ import pytest
 
 import fundmob
 from fundmob import ackminer, corpus, disambig, indicators, mobility, periods
+from fundmob.textnorm import normalize_text
 from fundmob.cli import main
 from fundmob.pipeline import (
     _CONFIG_FILES, ConfigError, PipelineConfig, _fmt, _sha256, run_pipeline,
@@ -602,6 +603,30 @@ def test_a_run_that_raises_leaves_no_manifest(data_dir, tmp_path, monkeypatch):
     assert not (out / "manifest.json").exists()
     # the tables of the stages before the failure were written
     assert (out / "mobility_flows.tsv").is_file()
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["completes", "raises"])
+def test_a_run_leaves_the_normalize_memo_empty(data_dir, tmp_path, monkeypatch, raises):
+    """The memo is per run: no string a run normalized outlives it."""
+    seen = []
+    original = indicators.pp_ic
+
+    def recording(*args, **kwargs):
+        # the stages before indicators have filled the memo
+        seen.append(normalize_text.cache_info().currsize)
+        if raises:
+            raise RuntimeError("indicators failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(indicators, "pp_ic", recording)
+    normalize_text("a string normalized before the run")
+    if raises:
+        with pytest.raises(RuntimeError, match="indicators failed"):
+            run_pipeline(demo_config(data_dir, tmp_path / "out"))
+    else:
+        run_pipeline(demo_config(data_dir, tmp_path / "out"))
+    assert seen[0] > 1
+    assert normalize_text.cache_info().currsize == 0
 
 
 def test_every_traced_span_is_reached_from_run_pipeline(data_dir, tmp_path):

@@ -19,17 +19,28 @@ bounds. Sentences before the next mention cannot hold one, so a text
 without a mention classifies no boundary, and no character is read more
 than a bounded number of times.
 
+The funder scan is case-folded when the acknowledgment and every
+lexicon variant are ASCII: the text is lower-cased once per extraction
+and searched case-sensitively with the lower-cased variants, in the
+same order. ASCII lower-casing keeps every offset and every word
+character, so the spans are those of the case-insensitive pattern. Any
+other text, and every text under a lexicon with a non-ASCII variant, is
+searched with the ``re.IGNORECASE`` pattern, which also folds non-ASCII
+letters such as "ſ" onto ASCII ones. ``find_mention`` returns its match
+over the original text either way.
+
 Variant strings are stored normalized (case-folded, diacritics stripped)
 with dotted-initial forms kept as explicit entries. Each funding sentence
-is tokenized once, without the ``normalize_text`` memo: it is seen once,
-so a memo entry would only hold memory. Variants and sentences
-are compared with token-edge punctuation stripped from both, so "Chen. L",
-"C.L." and "Chen L" all resolve; a variant made only of edge punctuation
-never matches. Variants of three characters or fewer ("cl", "bw") only
-match whole tokens, which suppresses substring false positives inside
-ordinary words. Each author's variants are walked once, longest first,
-and the first that occurs in a funding sentence is the evidence; the
-long ones pass a substring test before the word-edge check.
+is tokenized once, without the ``normalize_text`` or ``stripped_form``
+memo: it is seen once, so a memo entry would only hold memory. Variants
+and sentences are compared with token-edge punctuation stripped from
+both, so "Chen. L", "C.L." and "Chen L" all resolve; a variant made only
+of edge punctuation never matches. Variants of three characters or fewer
+("cl", "bw") only match whole tokens, which suppresses substring false
+positives inside ordinary words. Each author's variants are walked
+once, longest first, and the first that occurs in a funding sentence is
+the evidence; the long ones pass a substring test before the word-edge
+check.
 
 A form occurs only as a substring of a sentence's stripped text, so the
 record's stripped sentences are joined once and two gates skip the forms
@@ -39,7 +50,10 @@ stripped form holds the stripped surname, since stripping works token by
 token and the surname is a whole-token part of the variant. The
 positional phrases are tried only when "author", which each of them
 holds, is in it. The variants made of initials alone ("z.c.", "ww") are
-always tried.
+always tried. Forms and surnames are stripped through the per-run
+``stripped_form`` memo, each form only when the walk reaches it, and a
+stripped form that is not in the joined text is not looked for in the
+sentences one by one.
 """
 from __future__ import annotations
 
@@ -49,10 +63,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .corpus import Authorship, PublicationRecord, config_lines
-from .textnorm import contains_bounded, match_tokens, normalize_text
+from .textnorm import contains_bounded, match_tokens, normalize_text, stripped_form
 
 
 @dataclass(frozen=True)
@@ -89,29 +103,66 @@ class FunderLexicon:
         return frozenset(normalize_text(v) for v in self.variants)
 
     @cached_property
+    def _ordered(self) -> tuple[str, ...]:
+        # longest first, so overlapping alternatives prefer the long match
+        return tuple(sorted(self.variants, key=lambda v: (-len(v), v)))
+
+    @cached_property
     def _pattern(self) -> re.Pattern[str]:
-        # longest first, so overlapping alternatives prefer the long match;
-        # no capture group and no lookbehind, so re can scan for the
-        # variants' prefixes; find_mention checks the left edge instead.
-        # [^\W_] is str.isalnum, the word-character rule of contains_bounded
-        ordered = sorted(self.variants, key=lambda v: (-len(v), v))
-        body = "|".join(r"\s+".join(map(re.escape, v.split())) for v in ordered)
-        return re.compile(rf"(?:{body})(?![^\W_])", re.IGNORECASE)
+        return _mention_pattern(self._ordered, re.IGNORECASE)
+
+    @cached_property
+    def _folded_pattern(self) -> re.Pattern[str] | None:
+        """The case-sensitive pattern of the lower-cased variants, in the
+        same order; None when a variant is not ASCII."""
+        if not all(v.isascii() for v in self._ordered):
+            return None
+        return _mention_pattern(tuple(v.lower() for v in self._ordered), 0)
+
+    def _scanner(self, text: str) -> Callable[[int, int], re.Match[str] | None]:
+        """A search of ``text`` for the leftmost word-bounded mention in
+        ``text[pos:endpos]``, with the span ``find_mention`` finds. ASCII
+        text under an all-ASCII lexicon is lower-cased once, here, and
+        the match is over that copy (see the module docstring)."""
+        folded = self._folded_pattern
+        if folded is not None and text.isascii():
+            search, text = folded.search, text.lower()
+        else:
+            search = self._pattern.search
+
+        def find(pos: int, endpos: int) -> re.Match[str] | None:
+            while (m := search(text, pos, endpos)) is not None:
+                start = m.start()
+                if start == 0 or not text[start - 1].isalnum():
+                    return m
+                pos = start + 1
+            return None
+
+        return find
 
     def find_mention(self, text: str, pos: int = 0, endpos: int | None = None) -> re.Match[str] | None:
         """The leftmost case-insensitive, word-bounded variant occurrence
         in ``text[pos:endpos]``, the longest variant at that position, or
         None. The character before ``pos`` is read as part of the text;
-        ``endpos`` acts as the end of the text.
+        ``endpos`` acts as the end of the text. The match is over ``text``.
         """
-        search = self._pattern.search
         end = len(text) if endpos is None else endpos
-        while (m := search(text, pos, end)) is not None:
-            start = m.start()
-            if start == 0 or not text[start - 1].isalnum():
-                return m
-            pos = start + 1
-        return None
+        m = self._scanner(text)(pos, end)
+        if m is None or m.string is text:
+            return m
+        # the case-folded scan matched a lower-cased copy; the same
+        # variant matches at the same place in the text itself
+        return self._pattern.match(text, m.start(), end)
+
+
+def _mention_pattern(variants: tuple[str, ...], flags: int) -> re.Pattern[str]:
+    """One alternation of ``variants`` in their order, any whitespace run
+    between their words, with no letter or digit right after them."""
+    # no capture group and no lookbehind, so re can scan for the variants'
+    # prefixes; the scanner checks the left edge instead.
+    # [^\W_] is str.isalnum, the word-character rule of contains_bounded
+    body = "|".join(r"\s+".join(map(re.escape, v.split())) for v in variants)
+    return re.compile(rf"(?:{body})(?![^\W_])", flags)
 
 
 @dataclass(slots=True)
@@ -211,10 +262,10 @@ def extract_funding_sentences(
     """
     if not ack_text:
         return []
-    find = lexicon.find_mention
+    find = lexicon._scanner(ack_text)
     sentences = []
     start = 0
-    while (mention := find(ack_text, start)) is not None:
+    while (mention := find(start, len(ack_text))) is not None:
         limit = mention.start()
         while (m := _LAST_BOUNDARY_RE.match(ack_text, start, limit)) is not None:
             if _is_sentence_break(ack_text, m.start(1), m.end(1), m.end()):
@@ -241,7 +292,7 @@ def extract_funding_sentences(
         # sentence starts at 0 or after whitespace and ends before
         # whitespace or at the text end, so searching in place sees what
         # searching the slice sees
-        if mention.end() <= end or find(ack_text, start, end) is not None:
+        if mention.end() <= end or find(start, end) is not None:
             sentences.append(FundingSentence(ack_text[start:end], (start, end)))
         start = next_start
     return sentences
@@ -309,7 +360,7 @@ def _surname_variants(last: str, given: str, initials: str, letters: list[str]) 
         variants.add(f"{last} {form}")
         variants.add(f"{last}, {form}")
     if letters:
-        variants.add("".join(f"{ch}." for ch in letters) + f" {last}")
+        variants.add(".".join(letters) + f". {last}")
         if len(letters) > 1:
             variants.add(".-".join(letters) + f". {last}")
         variants.add(f"{last}. {letters[0]}")
@@ -323,11 +374,11 @@ def _initials_variants(last: str, letters: list[str]) -> set[str]:
     if not letters:
         return set()
     surname_first = [last[0]] + letters
-    variants = {"".join(surname_first), "".join(f"{ch}." for ch in surname_first)}
+    variants = {"".join(surname_first), ".".join(surname_first) + "."}
     if len(letters) > 1:
         # "Zhi-Chao" is also credited as "ZC", "Z.C." or "Z.-C."
         variants.add("".join(letters))
-        variants.add("".join(f"{ch}." for ch in letters))
+        variants.add(".".join(letters) + ".")
         variants.add(".-".join(letters) + ".")
     return variants
 
@@ -354,29 +405,36 @@ SHORT_VARIANT_LIMIT = 3
 
 
 def _best_hit(
-    forms: Iterable[str], views: list[tuple[tuple[int, int], str, frozenset[str]]]
+    forms: Iterable[str], views: list[tuple[tuple[int, int], str]], joined: str
 ) -> tuple[str, tuple[int, int]] | None:
     """The longest of ``forms`` that occurs in a sentence, the greatest on
     ties, with the span of the first sentence it occurs in; None when none
-    occurs. ``views`` holds each sentence's span, its normalized and
-    edge-stripped text, and that text's tokens, in span order.
+    occurs. ``views`` holds each sentence's span and its normalized and
+    edge-stripped text with a space added at each end, in span order;
+    ``joined`` is those texts joined by newlines.
 
-    A form occurs where its edge-stripped form does: as a whole token
-    when short, else word-bounded. The forms are walked longest first, so
-    the first that occurs is the answer. A form made only of edge
-    punctuation strips to "", which is short and never a token, so it
-    never occurs.
+    A form occurs where its edge-stripped form does: as a whole token,
+    between two spaces, when short, else word-bounded. The forms are
+    walked longest first, so the first that occurs is the answer, and
+    each is stripped only when the walk reaches it. A form that is not a
+    substring of ``joined`` occurs in no sentence. A form made only of
+    edge punctuation strips to "", which is short and no token, so it
+    never occurs; nor does a short form with a space in it.
     """
     # both sorts are stable, so this is the order of (len, form), descending
     for form in sorted(sorted(forms, reverse=True), key=len, reverse=True):
-        stripped = " ".join(match_tokens(form))
+        stripped = stripped_form(form)
         short = len(stripped) <= SHORT_VARIANT_LIMIT
-        for span, text, tokens in views:
+        if short:
+            if not stripped or " " in stripped:
+                continue
+            stripped = f" {stripped} "
+        if stripped not in joined:
+            continue
+        for span, text in views:
             # the C-level substring test rules out most long forms before
             # the word-edge check
-            if stripped in tokens if short else (
-                stripped in text and contains_bounded(stripped, text)
-            ):
+            if stripped in text and (short or contains_bounded(stripped, text)):
                 return form, span
     return None
 
@@ -395,24 +453,25 @@ def match_funded_authors(
     """
     if not sentences:
         return []
-    views = []
-    for sentence in sorted(sentences, key=lambda s: s.span):
-        # each sentence is seen once, so it bypasses the normalize_text memo
-        tokens = match_tokens(sentence.text)
-        views.append((sentence.span, " ".join(tokens), frozenset(tokens)))
+    # each sentence is seen once, so it bypasses the stripped_form memo
+    views = [
+        (sentence.span, f" {' '.join(match_tokens(sentence.text))} ")
+        for sentence in sorted(sentences, key=lambda s: s.span)
+    ]
     # every form that occurs is a substring of a sentence's stripped text
-    texts = "\n".join(text for _, text, _ in views)
+    texts = "\n".join(text for _, text in views)
+    ordinals = "author" in texts
     funded = []
     for author in record.authors:
         last, given, initials, letters = _name_parts(author)
         forms = _initials_variants(last, letters)
-        if " ".join(match_tokens(last)) in texts:
+        if stripped_form(last) in texts:
             forms |= _surname_variants(last, given, initials, letters)
         kind = MatchKind.NAME
-        hit = _best_hit(forms, views)
-        if hit is None and "author" in texts:
+        hit = _best_hit(forms, views, texts)
+        if hit is None and ordinals:
             kind = MatchKind.ORDINAL
-            hit = _best_hit(ordinal_phrases(author.position), views)
+            hit = _best_hit(ordinal_phrases(author.position), views, texts)
         if hit is not None:
             evidence, span = hit
             funded.append(FundedAuthorship(record.pub_id, author.position, evidence, span, kind))

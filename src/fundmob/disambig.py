@@ -358,8 +358,13 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def most_frequent(values: Iterable[str]) -> str:
-    """The most frequent of ``values``, the smallest on ties."""
+def most_frequent(values: Sequence[str]) -> str:
+    """The most frequent of ``values``, the smallest on ties. Most
+    clusters hold one name, so a list of equal values is answered by one
+    count, without a Counter."""
+    first = values[0]
+    if values.count(first) == len(values):
+        return first
     counts = Counter(values)
     best = max(counts.values())
     return min(value for value, count in counts.items() if count == best)
@@ -378,12 +383,10 @@ def _make_clusters(records: Sequence[PublicationRecord], uf: _UnionFind) -> list
     for _, group in itertools.groupby(sorted(range(len(keys)), key=root_of), root_of):
         ids = list(group)
         anchor = keys[ids[0]]
-        names = [full_names[i] for i in ids]
-        first = names[0]
         clusters.append(ResearcherCluster(
             f"{anchor[0]}#{anchor[1]}",
             tuple([keys[i] for i in ids]),
-            first if names.count(first) == len(names) else most_frequent(names),
+            most_frequent([full_names[i] for i in ids]),
         ))
     return clusters
 

@@ -44,12 +44,15 @@ _RULE_OUTCOMES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MobilityAssignment:
     """The rule that fired for one scholar, and the destination it found.
 
     The outcome follows from the rule alone; ``destination`` is set
     exactly when that outcome is Destination, and is never mainland China.
+    One is made per scholar, so it is a plain slotted dataclass: a frozen
+    one sets every field through ``object.__setattr__``. No stage changes
+    it once made.
     """
 
     cluster_id: str
@@ -86,7 +89,7 @@ class SurnameList:
 def modal_surname(cluster: ResearcherCluster, index: CorpusIndex) -> str:
     """Most frequent normalized surname; ties break lexicographically."""
     records = index.records
-    return most_frequent(normalize_text(records[p].authors[n - 1].last_name) for p, n in cluster.members)
+    return most_frequent([normalize_text(records[p].authors[n - 1].last_name) for p, n in cluster.members])
 
 
 def is_mainland_chinese_scholar(

@@ -3,7 +3,7 @@ import time
 from dataclasses import dataclass, field
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fundmob import ackminer
 from fundmob.ackminer import (
@@ -18,7 +18,7 @@ from fundmob.ackminer import (
     mine_record,
     ordinal_phrases,
 )
-from fundmob.textnorm import contains_bounded, match_tokens, normalize_text
+from fundmob.textnorm import contains_bounded, match_tokens, normalize_text, stripped_form
 
 from fundmob.corpus import Authorship, PublicationRecord, parse_corpus
 from fundmob.periods import record_acknowledges_funder
@@ -351,9 +351,10 @@ class TestMatchFundedAuthors:
         record = worked_example_record()
         assert mine_record(record, lexicon) == mine_record(record, lexicon)
 
-    def test_funding_sentences_stay_out_of_the_memo(self, lexicon):
+    def test_funding_sentences_stay_out_of_the_memo(self, lexicon, monkeypatch):
         # each funding sentence is seen once, so a memo entry for it would
-        # only hold memory; the names are normalized once per run anyway
+        # only hold memory; the names are normalized and stripped once per
+        # run anyway
         record = make_record(
             "memo",
             (make_author(1, "Zhang", first="Wen-Jie"), make_author(2, "Okafor", initials="C.N.")),
@@ -365,10 +366,19 @@ class TestMatchFundedAuthors:
                 if name:
                     normalize_text(name)
         before = normalize_text.cache_info().currsize
+        stripped_form.cache_clear()
+        asked = []
+        monkeypatch.setattr(ackminer, "stripped_form", lambda text: asked.append(text) or stripped_form(text))
         sentences, matches = mine_record(record, lexicon)
         assert len(sentences) == 1
         assert [m.author_position for m in matches] == [1, 2]
         assert normalize_text.cache_info().currsize == before
+        # every entry of the stripped-form memo is a name form the matcher
+        # asked for, and no funding sentence is one of them
+        assert asked
+        assert stripped_form.cache_info().currsize == len(set(asked))
+        assert not {s.text for s in sentences} & set(asked)
+        assert all("council" not in form for form in asked)
 
 
 _SURNAMES = ["Chen", "Wang", "Li", "Zhao", "Sun", "Gomez", "Smith", "Tanaka"]
@@ -608,6 +618,30 @@ def lexicon_texts(draw):
     return lexicon, "".join(pieces)
 
 
+# ASCII pieces to glue onto the variants for the case-folded scan: letters
+# and digits of either case, "_", whitespace runs and punctuation
+_ASCII_GLUE = st.sampled_from([
+    "a", "Z", "s", "S", "9", "_", " ", "  ", "\t", "\n", " \t\n", ".", ",", "(", ")",
+    "-", "'", "!", ". The ", "xCSC",
+])
+
+
+@st.composite
+def ascii_lexicon_texts(draw):
+    """A lexicon of _ORACLE_LEXICONS and a short ASCII text gluing its
+    variants, in mixed case and with whitespace runs between their words,
+    to other ASCII pieces; short, since every pair of bounds is tried."""
+    lexicon = draw(st.sampled_from(_ORACLE_LEXICONS))
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            first, *rest = draw(st.sampled_from(lexicon.variants)).split()
+            pieces.append(draw(_CASES)(first + "".join(draw(_GAPS) + word for word in rest)))
+        else:
+            pieces.append(draw(_ASCII_GLUE))
+    return lexicon, "".join(pieces)
+
+
 class TestFunderScanOracle:
     @given(lexicon_texts())
     def test_detect_funder_mention_equals_reference(self, drawn):
@@ -628,6 +662,39 @@ class TestFunderScanOracle:
     def test_funding_sentences_equal_reference_across_lexicons(self, drawn):
         lexicon, text = drawn
         assert extract_funding_sentences(text, lexicon) == reference_funding_sentences(text, lexicon)
+
+    @settings(deadline=None)
+    @given(ascii_lexicon_texts())
+    def test_case_folded_scan_equals_reference_for_every_bounds(self, drawn):
+        # an ASCII text under an ASCII lexicon takes the case-folded scan
+        lexicon, text = drawn
+        assert text.isascii() and all(v.isascii() for v in lexicon.variants)
+        _, reference = _reference_mention_pattern(lexicon)
+        # extraction reads the spans of the scan over the lower-cased copy
+        scan = lexicon._scanner(text)
+        for pos in range(len(text) + 1):
+            for endpos in range(pos, len(text) + 1):
+                got = lexicon.find_mention(text, pos, endpos)
+                want = reference.search(text, pos, endpos)
+                assert (got and (got.span(), got.group())) == (want and (want.span(), want.group()))
+                scanned = scan(pos, endpos)
+                assert (scanned and scanned.span()) == (want and want.span())
+
+    @pytest.mark.parametrize("variants, text, span", [
+        # non-ASCII text: re.IGNORECASE folds the long s onto "s", which
+        # lower-casing does not do
+        (None, "the CSC ſcholarship", (4, 19)),
+        # an ASCII text under a lexicon with a non-ASCII variant
+        (("CSC ſcholarship", "China Scholarship Council"), "the csc SCHOLARSHIP", (4, 19)),
+        (("CSC ſcholarship", "China Scholarship Council"), "by the CHINA scholarship  council.", (7, 33)),
+    ])
+    def test_other_texts_and_lexicons_take_the_ignorecase_pattern(self, lexicon, variants, text, span):
+        lexicon = lexicon if variants is None else FunderLexicon(variants)
+        m = lexicon.find_mention(text)
+        assert m is not None and m.span() == span and m.string is text
+        _, reference = _reference_mention_pattern(lexicon)
+        want = reference.search(text)
+        assert (m.span(), m.group()) == (want.span(), want.group())
 
     def test_variant_across_a_sentence_end_is_not_a_funding_sentence(self):
         lexicon = _ORACLE_LEXICONS[2]
@@ -1117,8 +1184,8 @@ class TestMatcherOracle:
         )
         assert mine_record(record, lexicon)[1] == []
         # the matcher skips such a form all the same
-        views = [((0, 12), "we thank", frozenset({"we", "thank"}))]
-        assert ackminer._best_hit({"(("}, views) is None
+        views = [((0, 12), " we thank ")]
+        assert ackminer._best_hit({"(("}, views, " we thank ") is None
 
     @pytest.mark.parametrize("first, initials", [("(J.)", None), (".", None), ("-", None), (None, ".")])
     def test_punctuation_given_name_does_not_credit_another_chen(self, lexicon, first, initials):

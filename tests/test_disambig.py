@@ -490,6 +490,17 @@ class TestMostFrequent:
         assert most_frequent(["li", "lee", "li", "lee", "chen"]) == "lee"
         assert most_frequent(["Chen, Long", "Chen, L."]) == "Chen, L."
 
+    def test_one_value(self):
+        assert most_frequent(["wang"]) == "wang"
+
+    def test_all_values_equal(self):
+        assert most_frequent(["Li, Wei"] * 4) == "Li, Wei"
+
+    def test_tie_goes_to_the_smallest_value_even_when_first_is_larger(self):
+        # the first value is not the answer unless every value equals it
+        assert most_frequent(["zhao", "zhao", "an", "an"]) == "an"
+        assert most_frequent(["zhao", "an"]) == "an"
+
 
 @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
 def test_reference_score_pair_symmetry(size, seed):

@@ -19,28 +19,31 @@ bounds. Sentences before the next mention cannot hold one, so a text
 without a mention classifies no boundary, and no character is read more
 than a bounded number of times.
 
-The funder scan is case-folded when the acknowledgment and every
-lexicon variant are ASCII: the text is lower-cased once per extraction
-and searched case-sensitively with the lower-cased variants, in the
-same order. ASCII lower-casing keeps every offset and every word
-character, so the spans are those of the case-insensitive pattern. Any
-other text, and every text under a lexicon with a non-ASCII variant, is
-searched with the ``re.IGNORECASE`` pattern, which also folds non-ASCII
-letters such as "ſ" onto ASCII ones. ``find_mention`` returns its match
-over the original text either way.
+The funder scan is case-folded under a lexicon of ASCII variants: the
+text is lower-cased once per extraction and searched case-sensitively
+with the lower-cased variants, in the same order. Lower-casing keeps
+every offset, every whitespace and every word character, and the copy
+meets an ASCII variant where the text meets it case-insensitively, but
+for three letters that ``re.IGNORECASE`` folds onto ASCII ones and
+``str.lower`` does not: "İ", which lower-cases to two characters, "ı"
+and "ſ". A text holding one of them, and every text under a lexicon
+with a non-ASCII variant, is searched with the ``re.IGNORECASE``
+pattern. Curly quotes, dashes and accented names keep a text on the
+case-folded scan. ``find_mention`` searches the text itself with the
+``re.IGNORECASE`` pattern, so a caller walking the mentions one call at
+a time lower-cases nothing.
 
 Variant strings are stored normalized (case-folded, diacritics stripped)
 with dotted-initial forms kept as explicit entries. Each funding sentence
-is tokenized once, without the ``normalize_text`` or ``stripped_form``
-memo: it is seen once, so a memo entry would only hold memory. Variants
-and sentences are compared with token-edge punctuation stripped from
-both, so "Chen. L", "C.L." and "Chen L" all resolve; a variant made only
-of edge punctuation never matches. Variants of three characters or fewer
-("cl", "bw") only match whole tokens, which suppresses substring false
-positives inside ordinary words. Each author's variants are walked
-once, longest first, and the first that occurs in a funding sentence is
-the evidence; the long ones pass a substring test before the word-edge
-check.
+is tokenized once, without the ``normalize_text`` memo: it is seen once,
+so a memo entry would only hold memory. Variants and sentences
+are compared with token-edge punctuation stripped from both, so "Chen. L",
+"C.L." and "Chen L" all resolve; a variant made only of edge punctuation
+never matches. Variants of three characters or fewer ("cl", "bw") only
+match whole tokens, which suppresses substring false positives inside
+ordinary words. Each author's variants are walked once, longest first,
+and the first that occurs in a funding sentence is the evidence; the
+long ones pass a substring test before the word-edge check.
 
 A form occurs only as a substring of a sentence's stripped text, so the
 record's stripped sentences are joined once and two gates skip the forms
@@ -50,8 +53,7 @@ stripped form holds the stripped surname, since stripping works token by
 token and the surname is a whole-token part of the variant. The
 positional phrases are tried only when "author", which each of them
 holds, is in it. The variants made of initials alone ("z.c.", "ww") are
-always tried. Forms and surnames are stripped through the per-run
-``stripped_form`` memo, each form only when the walk reaches it, and a
+always tried. Each form is stripped only when the walk reaches it, and a
 stripped form that is not in the joined text is not looked for in the
 sentences one by one.
 """
@@ -61,12 +63,12 @@ import re
 import string
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import Authorship, PublicationRecord, config_lines
-from .textnorm import contains_bounded, match_tokens, normalize_text, stripped_form
+from .textnorm import contains_bounded, match_tokens, normalize_text
 
 
 @dataclass(frozen=True)
@@ -121,45 +123,50 @@ class FunderLexicon:
 
     def _scanner(self, text: str) -> Callable[[int, int], re.Match[str] | None]:
         """A search of ``text`` for the leftmost word-bounded mention in
-        ``text[pos:endpos]``, with the span ``find_mention`` finds. ASCII
-        text under an all-ASCII lexicon is lower-cased once, here, and
-        the match is over that copy (see the module docstring)."""
+        ``text[pos:endpos]``, with the span ``find_mention`` finds. Unless
+        the case-insensitive pattern is needed (see the module docstring),
+        the text is lower-cased once, here, and the match is over that
+        copy."""
         folded = self._folded_pattern
-        if folded is not None and text.isascii():
-            search, text = folded.search, text.lower()
-        else:
-            search = self._pattern.search
-
-        def find(pos: int, endpos: int) -> re.Match[str] | None:
-            while (m := search(text, pos, endpos)) is not None:
-                start = m.start()
-                if start == 0 or not text[start - 1].isalnum():
-                    return m
-                pos = start + 1
-            return None
-
-        return find
+        if folded is not None and (text.isascii() or not any(ch in text for ch in _UNFOLDABLE)):
+            return partial(_first_mention, folded.search, text.lower())
+        return partial(_first_mention, self._pattern.search, text)
 
     def find_mention(self, text: str, pos: int = 0, endpos: int | None = None) -> re.Match[str] | None:
         """The leftmost case-insensitive, word-bounded variant occurrence
         in ``text[pos:endpos]``, the longest variant at that position, or
         None. The character before ``pos`` is read as part of the text;
-        ``endpos`` acts as the end of the text. The match is over ``text``.
+        ``endpos`` acts as the end of the text.
         """
         end = len(text) if endpos is None else endpos
-        m = self._scanner(text)(pos, end)
-        if m is None or m.string is text:
+        return _first_mention(self._pattern.search, text, pos, end)
+
+
+# The letters re.IGNORECASE matches to an ASCII letter that str.lower does
+# not map to that letter: "İ" lower-cases to "i" and a combining dot, and
+# "ı" and "ſ" lower-case to themselves. The tests check every other code
+# point reads the same to both scans.
+_UNFOLDABLE = ("\u0130", "\u0131", "\u017f")
+
+
+def _first_mention(
+    search: Callable[[str, int, int], re.Match[str] | None], text: str, pos: int, endpos: int
+) -> re.Match[str] | None:
+    """The first match of ``search`` in ``text[pos:endpos]`` with no
+    letter or digit right before it."""
+    while (m := search(text, pos, endpos)) is not None:
+        start = m.start()
+        if start == 0 or not text[start - 1].isalnum():
             return m
-        # the case-folded scan matched a lower-cased copy; the same
-        # variant matches at the same place in the text itself
-        return self._pattern.match(text, m.start(), end)
+        pos = start + 1
+    return None
 
 
 def _mention_pattern(variants: tuple[str, ...], flags: int) -> re.Pattern[str]:
     """One alternation of ``variants`` in their order, any whitespace run
     between their words, with no letter or digit right after them."""
     # no capture group and no lookbehind, so re can scan for the variants'
-    # prefixes; the scanner checks the left edge instead.
+    # prefixes; _first_mention checks the left edge instead.
     # [^\W_] is str.isalnum, the word-character rule of contains_bounded
     body = "|".join(r"\s+".join(map(re.escape, v.split())) for v in variants)
     return re.compile(rf"(?:{body})(?![^\W_])", flags)
@@ -423,7 +430,7 @@ def _best_hit(
     """
     # both sorts are stable, so this is the order of (len, form), descending
     for form in sorted(sorted(forms, reverse=True), key=len, reverse=True):
-        stripped = stripped_form(form)
+        stripped = " ".join(match_tokens(form))
         short = len(stripped) <= SHORT_VARIANT_LIMIT
         if short:
             if not stripped or " " in stripped:
@@ -453,7 +460,7 @@ def match_funded_authors(
     """
     if not sentences:
         return []
-    # each sentence is seen once, so it bypasses the stripped_form memo
+    # each sentence is seen once, so it bypasses the normalize_text memo
     views = [
         (sentence.span, f" {' '.join(match_tokens(sentence.text))} ")
         for sentence in sorted(sentences, key=lambda s: s.span)
@@ -465,7 +472,7 @@ def match_funded_authors(
     for author in record.authors:
         last, given, initials, letters = _name_parts(author)
         forms = _initials_variants(last, letters)
-        if stripped_form(last) in texts:
+        if " ".join(match_tokens(last)) in texts:
             forms |= _surname_variants(last, given, initials, letters)
         kind = MatchKind.NAME
         hit = _best_hit(forms, views, texts)

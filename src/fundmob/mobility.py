@@ -44,15 +44,12 @@ _RULE_OUTCOMES = {
 }
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class MobilityAssignment:
     """The rule that fired for one scholar, and the destination it found.
 
     The outcome follows from the rule alone; ``destination`` is set
     exactly when that outcome is Destination, and is never mainland China.
-    One is made per scholar, so it is a plain slotted dataclass: a frozen
-    one sets every field through ``object.__setattr__``. No stage changes
-    it once made.
     """
 
     cluster_id: str

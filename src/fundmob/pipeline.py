@@ -141,16 +141,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write all artifacts; returns the manifest.
     Pauses the cyclic garbage collector (a run makes no reference cycles
     per record) and restores the caller's setting, also on error. Empties
-    both per-run memos, ``normalize_text`` and ``stripped_form``, when the
-    run ends, also on error, so no string of one run outlives it; the
-    ``stripped_form`` memo is emptied as soon as mining ends, too."""
+    the ``normalize_text`` memo when the run ends, also on error, so no
+    string of one run outlives it."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         return _run_stages(config)
     finally:
         textnorm.normalize_text.cache_clear()
-        textnorm.stripped_form.cache_clear()
         if collecting:
             gc.enable()
 
@@ -187,9 +185,6 @@ def _run_stages(config: PipelineConfig) -> dict:
         sentences, matches = ackminer.mine_record(record, lexicon)
         sentence_count += len(sentences)
         funded_authorships.extend(matches)
-    # no later stage strips a name form, so that memo goes before the
-    # stages that reach the run's peak memory
-    textnorm.stripped_form.cache_clear()
     identified_keys = {(f.pub_id, f.author_position) for f in funded_authorships}
 
     clusters = disambig.cluster_corpus(docs, weights, overrides)

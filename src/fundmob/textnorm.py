@@ -9,17 +9,14 @@ so "(c.l.)," in a sentence and the variant "c.l." meet as "c.l".
 
 ``normalize_text`` is memoized: every stage normalizes the same names,
 org names and funders, and each distinct string is normalized once per
-run. ``stripped_form``, the edge-stripped form a name variant or surname
-is matched in, is memoized the same way. Both memos are per run:
-``run_pipeline`` empties them when the run ends, also on error, and
-empties the ``stripped_form`` memo as soon as mining ends, since no later
-stage strips a form. Within a run they are unbounded on purpose. They hold one result for each
-distinct string they are given, and a run already holds every record
-those strings come from in memory. Funding sentences are the exception:
-each is seen once, so ``match_tokens`` tokenizes them without either
-memo. ``strip_accents`` returns ASCII text as it is, since NFKD changes
-no ASCII character and none is a combining mark; most names and
-acknowledgments take that path.
+run. The memo is per run: ``run_pipeline`` empties it when the run ends,
+also on error. Within a run it is unbounded on purpose. It holds one
+normalized copy of each distinct input string, and a run already holds
+every record those strings come from in memory. Funding sentences are
+the exception: each is seen once, so ``match_tokens`` tokenizes them
+without the memo. ``strip_accents`` returns ASCII text as it is, since
+NFKD changes no ASCII character and none is a combining mark; most
+names and acknowledgments take that path.
 """
 from __future__ import annotations
 
@@ -58,14 +55,6 @@ def match_tokens(text: str) -> list[str]:
         stripped for tok in strip_accents(text).casefold().split()
         if (stripped := tok.strip(_EDGE_PUNCT))
     ]
-
-
-@functools.cache
-def stripped_form(text: str) -> str:
-    """``match_tokens(text)`` joined by spaces: the form a name variant or
-    surname is compared in. Memoized per run like ``normalize_text``, since
-    the same names recur across records."""
-    return " ".join(match_tokens(text))
 
 
 def contains_bounded(needle: str, haystack: str) -> bool:

@@ -1,4 +1,5 @@
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from fundmob.ackminer import (
     mine_record,
     ordinal_phrases,
 )
-from fundmob.textnorm import contains_bounded, match_tokens, normalize_text, stripped_form
+from fundmob.textnorm import contains_bounded, match_tokens, normalize_text
 
 from fundmob.corpus import Authorship, PublicationRecord, parse_corpus
 from fundmob.periods import record_acknowledges_funder
@@ -351,10 +352,9 @@ class TestMatchFundedAuthors:
         record = worked_example_record()
         assert mine_record(record, lexicon) == mine_record(record, lexicon)
 
-    def test_funding_sentences_stay_out_of_the_memo(self, lexicon, monkeypatch):
+    def test_funding_sentences_stay_out_of_the_memo(self, lexicon):
         # each funding sentence is seen once, so a memo entry for it would
-        # only hold memory; the names are normalized and stripped once per
-        # run anyway
+        # only hold memory; the names are normalized once per run anyway
         record = make_record(
             "memo",
             (make_author(1, "Zhang", first="Wen-Jie"), make_author(2, "Okafor", initials="C.N.")),
@@ -366,19 +366,10 @@ class TestMatchFundedAuthors:
                 if name:
                     normalize_text(name)
         before = normalize_text.cache_info().currsize
-        stripped_form.cache_clear()
-        asked = []
-        monkeypatch.setattr(ackminer, "stripped_form", lambda text: asked.append(text) or stripped_form(text))
         sentences, matches = mine_record(record, lexicon)
         assert len(sentences) == 1
         assert [m.author_position for m in matches] == [1, 2]
         assert normalize_text.cache_info().currsize == before
-        # every entry of the stripped-form memo is a name form the matcher
-        # asked for, and no funding sentence is one of them
-        assert asked
-        assert stripped_form.cache_info().currsize == len(set(asked))
-        assert not {s.text for s in sentences} & set(asked)
-        assert all("council" not in form for form in asked)
 
 
 _SURNAMES = ["Chen", "Wang", "Li", "Zhao", "Sun", "Gomez", "Smith", "Tanaka"]
@@ -596,8 +587,14 @@ _ORACLE_LEXICONS = (
     FunderLexicon(("China Scholarship Council", "Scholarship Council. The", "CSC")),
 )
 # word characters to glue onto the variants (letters, digits, "_", accented
-# letters), whitespace runs, and the splitter's pieces around sentence ends
-_GLUE = st.one_of(_SPLIT_PIECES, st.sampled_from(["_", "9", "Z", " ", "\t", "\n\n", ". ", ". The ", ".  the "]))
+# letters), whitespace runs, the splitter's pieces around sentence ends,
+# and non-ASCII text: a curly quote, a dash, a no-break space, a final
+# sigma, the Kelvin sign, and the letters that keep a text off the
+# case-folded scan
+_NON_ASCII_GLUE = ["\u2019", "\u2013", "\u00a0", "\u0391\u03a3 ", "\u212a", "\u017f", "\u0131", "\u0130"]
+_GLUE = st.one_of(_SPLIT_PIECES, st.sampled_from(
+    ["_", "9", "Z", " ", "\t", "\n\n", ". ", ". The ", ".  the ", *_NON_ASCII_GLUE],
+))
 _GAPS = st.sampled_from([" ", "  ", "\t", "\n", "\n\n\n", " \t\n"])
 _CASES = st.sampled_from([str, str.upper, str.lower, str.swapcase, str.title])
 
@@ -618,19 +615,19 @@ def lexicon_texts(draw):
     return lexicon, "".join(pieces)
 
 
-# ASCII pieces to glue onto the variants for the case-folded scan: letters
-# and digits of either case, "_", whitespace runs and punctuation
-_ASCII_GLUE = st.sampled_from([
+# pieces to glue onto the variants for the funder scan: letters and digits
+# of either case, "_", whitespace runs, punctuation and non-ASCII text
+_SCAN_GLUE = st.sampled_from([
     "a", "Z", "s", "S", "9", "_", " ", "  ", "\t", "\n", " \t\n", ".", ",", "(", ")",
-    "-", "'", "!", ". The ", "xCSC",
+    "-", "'", "!", ". The ", "xCSC", "\u00c9", *_NON_ASCII_GLUE,
 ])
 
 
 @st.composite
-def ascii_lexicon_texts(draw):
-    """A lexicon of _ORACLE_LEXICONS and a short ASCII text gluing its
-    variants, in mixed case and with whitespace runs between their words,
-    to other ASCII pieces; short, since every pair of bounds is tried."""
+def scan_lexicon_texts(draw):
+    """A lexicon of _ORACLE_LEXICONS and a short text gluing its variants,
+    in mixed case and with whitespace runs between their words, to other
+    pieces; short, since every pair of bounds is tried."""
     lexicon = draw(st.sampled_from(_ORACLE_LEXICONS))
     pieces = []
     for _ in range(draw(st.integers(0, 6))):
@@ -638,7 +635,7 @@ def ascii_lexicon_texts(draw):
             first, *rest = draw(st.sampled_from(lexicon.variants)).split()
             pieces.append(draw(_CASES)(first + "".join(draw(_GAPS) + word for word in rest)))
         else:
-            pieces.append(draw(_ASCII_GLUE))
+            pieces.append(draw(_SCAN_GLUE))
     return lexicon, "".join(pieces)
 
 
@@ -664,11 +661,12 @@ class TestFunderScanOracle:
         assert extract_funding_sentences(text, lexicon) == reference_funding_sentences(text, lexicon)
 
     @settings(deadline=None)
-    @given(ascii_lexicon_texts())
+    @given(scan_lexicon_texts())
     def test_case_folded_scan_equals_reference_for_every_bounds(self, drawn):
-        # an ASCII text under an ASCII lexicon takes the case-folded scan
+        # every lexicon here is ASCII, so a text takes the case-folded scan
+        # unless it holds one of the unfoldable letters
         lexicon, text = drawn
-        assert text.isascii() and all(v.isascii() for v in lexicon.variants)
+        assert all(v.isascii() for v in lexicon.variants)
         _, reference = _reference_mention_pattern(lexicon)
         # extraction reads the spans of the scan over the lower-cased copy
         scan = lexicon._scanner(text)
@@ -681,20 +679,72 @@ class TestFunderScanOracle:
                 assert (scanned and scanned.span()) == (want and want.span())
 
     @pytest.mark.parametrize("variants, text, span", [
-        # non-ASCII text: re.IGNORECASE folds the long s onto "s", which
-        # lower-casing does not do
-        (None, "the CSC ſcholarship", (4, 19)),
+        # re.IGNORECASE folds the long s, the dotless i and the dotted
+        # capital I onto "s" and "i", which lower-casing does not do
+        (None, "the CSC \u017fcholarship", (4, 19)),
+        (None, "the Ch\u0131na Scholarship Council", (4, 29)),
+        (None, "the CH\u0130NA Scholarship Council", (4, 29)),
         # an ASCII text under a lexicon with a non-ASCII variant
-        (("CSC ſcholarship", "China Scholarship Council"), "the csc SCHOLARSHIP", (4, 19)),
-        (("CSC ſcholarship", "China Scholarship Council"), "by the CHINA scholarship  council.", (7, 33)),
+        (("CSC \u017fcholarship", "China Scholarship Council"), "the csc SCHOLARSHIP", (4, 19)),
+        (("CSC \u017fcholarship", "China Scholarship Council"), "by the CHINA scholarship  council.", (7, 33)),
     ])
     def test_other_texts_and_lexicons_take_the_ignorecase_pattern(self, lexicon, variants, text, span):
         lexicon = lexicon if variants is None else FunderLexicon(variants)
+        assert lexicon._scanner(text)(0, len(text)).string is text
         m = lexicon.find_mention(text)
         assert m is not None and m.span() == span and m.string is text
         _, reference = _reference_mention_pattern(lexicon)
         want = reference.search(text)
         assert (m.span(), m.group()) == (want.span(), want.group())
+
+    @pytest.mark.parametrize("text, span", [
+        ("the CSC scholarship\u2019s holder", (4, 19)),
+        ("Chen \u2013 CHINA Scholarship\u00a0Council", (7, 32)),
+        ("\u00c9COLE and the China Scholarship Council", (14, 39)),
+        # the Kelvin sign lower-cases to "k", which it matches anyway
+        ("the \u212a CSC scholarship", (6, 21)),
+    ])
+    def test_non_ascii_texts_take_the_case_folded_scan(self, lexicon, text, span):
+        scanned = lexicon._scanner(text)(0, len(text))
+        assert scanned.string == text.lower() and scanned.span() == span
+        m = lexicon.find_mention(text)
+        assert m.string is text and m.span() == span
+
+    def test_lower_casing_meets_what_ignorecase_meets_but_for_the_unfoldable_letters(self):
+        # For every code point: the case-folded scan reads the character's
+        # lower-cased form where the case-insensitive pattern reads the
+        # character, so that form must be one character, match the same
+        # ASCII pattern characters, and be whitespace, a word character
+        # and alphanumeric exactly when the character is.
+        ascii_chars = [chr(a) for a in range(128)]
+        # re matches a class case-insensitively as it matches each member
+        any_ascii = re.compile("[\x00-\x7f]", re.IGNORECASE)
+        space, word = re.compile(r"\s"), re.compile(r"[^\W_]")
+
+        def keeps(char, low):
+            if len(low) != 1:
+                return False
+            met = {a for a in ascii_chars if re.match(re.escape(a), char, re.IGNORECASE)}
+            return (
+                met == {a for a in ascii_chars if a.lower() == low}
+                and bool(space.match(char)) == bool(space.match(low))
+                and bool(word.match(char)) == bool(word.match(low))
+                and char.isalnum() == low.isalnum()
+            )
+
+        differ = set()
+        for code in range(sys.maxunicode + 1):
+            char = chr(code)
+            low = char.lower()
+            # a character that lower-cases to itself and meets no ASCII
+            # character is read the same on both paths
+            if (low != char or any_ascii.match(char)) and not keeps(char, low):
+                differ.add(char)
+        # each of them sends a text to the re.IGNORECASE pattern, and the
+        # fallback pins show that each one needs to
+        assert differ <= set(ackminer._UNFOLDABLE)
+        # str.lower maps a capital sigma at a word end to the final sigma
+        assert keeps("\u03a3", "\u03c2")
 
     def test_variant_across_a_sentence_end_is_not_a_funding_sentence(self):
         lexicon = _ORACLE_LEXICONS[2]

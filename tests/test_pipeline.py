@@ -17,7 +17,7 @@ import pytest
 
 import fundmob
 from fundmob import ackminer, corpus, disambig, indicators, mobility, periods
-from fundmob.textnorm import normalize_text, stripped_form
+from fundmob.textnorm import normalize_text
 from fundmob.cli import main
 from fundmob.pipeline import (
     _CONFIG_FILES, ConfigError, PipelineConfig, _fmt, _sha256, run_pipeline,
@@ -607,38 +607,26 @@ def test_a_run_that_raises_leaves_no_manifest(data_dir, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("raises", [False, True], ids=["completes", "raises"])
 def test_a_run_leaves_the_normalize_memo_empty(data_dir, tmp_path, monkeypatch, raises):
-    """Both memos are per run: no string a run normalized or stripped
-    outlives it, whether the run completes or raises while both memos
-    hold its strings. The stripped-form memo is emptied as soon as mining
-    ends, since no later stage strips a form."""
-    mined, indicated = [], []
-    mine, pp_ic = ackminer.mine_record, indicators.pp_ic
+    """The memo is per run: no string a run normalized outlives it."""
+    seen = []
+    original = indicators.pp_ic
 
-    def mining(*args, **kwargs):
-        result = mine(*args, **kwargs)
-        mined.append((normalize_text.cache_info().currsize, stripped_form.cache_info().currsize))
-        # the first record with a name form to strip fills both memos
-        if raises and mined[-1][1] > 1:
-            raise RuntimeError("mining failed")
-        return result
+    def recording(*args, **kwargs):
+        # the stages before indicators have filled the memo
+        seen.append(normalize_text.cache_info().currsize)
+        if raises:
+            raise RuntimeError("indicators failed")
+        return original(*args, **kwargs)
 
-    def indicating(*args, **kwargs):
-        indicated.append(stripped_form.cache_info().currsize)
-        return pp_ic(*args, **kwargs)
-
-    monkeypatch.setattr(ackminer, "mine_record", mining)
-    monkeypatch.setattr(indicators, "pp_ic", indicating)
+    monkeypatch.setattr(indicators, "pp_ic", recording)
     normalize_text("a string normalized before the run")
-    stripped_form("a string stripped before the run")
     if raises:
-        with pytest.raises(RuntimeError, match="mining failed"):
+        with pytest.raises(RuntimeError, match="indicators failed"):
             run_pipeline(demo_config(data_dir, tmp_path / "out"))
     else:
         run_pipeline(demo_config(data_dir, tmp_path / "out"))
-        assert indicated == [0]
-    assert mined[-1][0] > 1 and mined[-1][1] > 1
+    assert seen[0] > 1
     assert normalize_text.cache_info().currsize == 0
-    assert stripped_form.cache_info().currsize == 0
 
 
 def test_every_traced_span_is_reached_from_run_pipeline(data_dir, tmp_path):

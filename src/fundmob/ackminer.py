@@ -202,9 +202,14 @@ _ABBREVIATIONS = frozenset({
 
 _END_MARKS = ".!?"
 # a boundary is a whole run of sentence-end marks and the whitespace after
-# it; the lookbehind lets a match begin only where a run begins, so a long
-# run is read once, not once per mark
-_BOUNDARY_RE = re.compile(rf"(?<![{_END_MARKS}])([{_END_MARKS}]+)(\s+)")
+# it. The pattern opens with the mark class, so re can scan for a mark in
+# C instead of trying the general matcher at every character, as it must
+# when a pattern opens with a lookbehind. Once one mark is read, the
+# width-2 lookbehind rejects a match whose first mark follows another:
+# a match begins only where a run begins, so a long run is read once,
+# not once per mark, and the matches are those of the run-start form
+# (?<![.!?])([.!?]+)(\s+) for every text, pos and endpos
+_BOUNDARY_RE = re.compile(rf"([{_END_MARKS}](?<![{_END_MARKS}]{{2}})[{_END_MARKS}]*)(\s+)")
 # the last boundary in the searched range: re jumps to the range end and
 # backs up, so each search reads only what lies after the boundary it finds
 _LAST_BOUNDARY_RE = re.compile(r"(?s:.*)" + _BOUNDARY_RE.pattern)
@@ -224,7 +229,7 @@ def _is_sentence_break(text: str, punct_start: int, punct_end: int, rest_start: 
     if not (first.isupper() or first.isdigit()):
         return False
     # initials and abbreviations only involve periods; ! and ? always break
-    if set(text[punct_start:punct_end]) != {"."}:
+    if text.count(".", punct_start, punct_end) != punct_end - punct_start:
         return True
     # "Chen. L is ..." - a bare or dotted single capital after the period
     # is an initial belonging to the previous name, not a new sentence.

@@ -30,11 +30,11 @@ builds key tuples, after the rows are dropped. A component's smallest id
 is its smallest key, so a cluster's ``members`` is a key-ordered tuple
 and clusters come in the order of their first members. A co-author is
 known by the index of its block in the one blocking pass, so each block
-key is computed once per run. A row holds each feature as a tuple of
-distinct values: funder keys made once per record, email, first-name and
-org keys once per distinct value, co-authors as block indices. The
-pairwise scorer that clustering agrees with is kept in the tests as its
-reference.
+key is computed once per run. A row is a plain tuple in ``FEATURES``
+order, holding each feature as a tuple of distinct values: funder keys
+made once per record, email, first-name and org keys once per distinct
+value, co-authors as block indices. The pairwise scorer that clustering
+agrees with is kept in the tests as its reference.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Authorship, PublicationRecord, config_lines, config_pairs
 from .textnorm import normalize_text
@@ -183,31 +183,25 @@ def _org_key(org_name: str) -> tuple[str, ...]:
     return (normalize_text(org_name),) if org_name.strip() else _NONE
 
 
-class _FeatureRow(NamedTuple):
-    """What scoring reads of one authorship: a tuple of distinct values
-    per feature, in ``FEATURES`` order. ``email`` and ``first_name`` hold
-    at most one value; ``coauthor`` holds block indices."""
-
-    email: tuple[str, ...]
-    affiliation: tuple[str, ...]
-    coauthor: tuple[int, ...]
-    funder: tuple[str, ...]
-    first_name: tuple[str, ...]
+#: the index of the first name in a feature row
+_FIRST_NAME = FEATURES.index("first_name")
 
 
 def _feature_rows(
     records: Iterable[PublicationRecord], block_of: Sequence[int], linked: Sequence[bool]
-) -> list[_FeatureRow | None]:
+) -> list[tuple | None]:
     """The row of every authorship whose block index ``linked`` marks, by
     authorship id, from one pass over ``records`` in id order; None for
-    the rest. A co-author is known by its block index, which two
-    authorships share exactly when they share a block key. Funder keys are
-    made once per record; email, first-name and org keys once per distinct
-    value."""
+    the rest. A row is a plain tuple of each feature's distinct values,
+    in ``FEATURES`` order: the email and the first name hold at most one
+    value, the co-authors are block indices. A co-author is known by its
+    block index, which two authorships share exactly when they share a
+    block key. Funder keys are made once per record; email, first-name and
+    org keys once per distinct value."""
     emails: dict[str | None, tuple[str, ...]] = {}
     first_names: dict[str | None, tuple[str, ...]] = {}
     orgs: dict[str, tuple[str, ...]] = {}
-    rows: list[_FeatureRow | None] = [None] * len(block_of)
+    rows: list[tuple | None] = [None] * len(block_of)
     start = 0
     for record in records:
         authors = record.authors
@@ -239,7 +233,7 @@ def _feature_rows(
                 lowered = (author.email or "").strip().lower()
                 email = emails[author.email] = (lowered,) if lowered else _NONE
             coauthor = in_block[:i] + in_block[i + 1:]
-            rows[start + i] = _FeatureRow(
+            rows[start + i] = (
                 email, affiliation,
                 coauthor if distinct else tuple(dict.fromkeys(coauthor)), funder, first,
             )
@@ -247,8 +241,9 @@ def _feature_rows(
     return rows
 
 
-def _first_names_conflict(a: _FeatureRow, b: _FeatureRow) -> bool:
-    return bool(a.first_name and b.first_name and a.first_name != b.first_name)
+def _first_names_conflict(a: tuple, b: tuple) -> bool:
+    first_a, first_b = a[_FIRST_NAME], b[_FIRST_NAME]
+    return bool(first_a and first_b and first_a != first_b)
 
 
 def _weight_sum(weights: ScoringWeights, triggered: Iterable[bool]) -> float:
@@ -300,7 +295,7 @@ def _refinements(linking: Sequence[tuple[str, ...]]) -> list[_Step]:
     return steps
 
 
-def _linked_groups(rows: Sequence[_FeatureRow], steps: Sequence[_Step]) -> Iterator[list[int]]:
+def _linked_groups(rows: Sequence[tuple], steps: Sequence[_Step]) -> Iterator[list[int]]:
     """For each linking set, the indices of rows sharing one value of each
     of its features: one list, in row order, per combination of values
     that two or more rows share, and one for a pair however many values
@@ -334,7 +329,8 @@ def _linked_groups(rows: Sequence[_FeatureRow], steps: Sequence[_Step]) -> Itera
 
 
 class _UnionFind:
-    """Union-find over the authorship ids ``0 .. size - 1``."""
+    """Union-find over the authorship ids ``0 .. size - 1``. Each root is
+    its component's smallest id, and every ``parent[i] <= i``."""
 
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -376,7 +372,12 @@ def _make_clusters(records: Sequence[PublicationRecord], uf: _UnionFind) -> list
     root is its component's first id."""
     keys = [(record.pub_id, author.position) for record in records for author in record.authors]
     full_names = [author.full_name for record in records for author in record.authors]
-    root_of = [uf.find(i) for i in range(len(keys))].__getitem__
+    # every parent is a smaller id or the id itself, so in id order each
+    # parent's parent is already its root: one pass points every id there
+    parent = uf.parent
+    for i in range(len(parent)):
+        parent[i] = parent[parent[i]]
+    root_of = parent.__getitem__
     clusters = []
     # a stable sort by root keeps each component's ids in order, and puts
     # the components in the order of their roots, their first ids
@@ -393,7 +394,7 @@ def _make_clusters(records: Sequence[PublicationRecord], uf: _UnionFind) -> list
 
 def _union_linked(
     ids: Sequence[int],
-    rows: Sequence[_FeatureRow],
+    rows: Sequence[tuple],
     splits: dict[int, set[int]],
     uf: _UnionFind,
 ) -> None:
@@ -410,10 +411,10 @@ def _union_linked(
     split = [i for i, id_ in enumerate(ids) if id_ in splits and not splits[id_].isdisjoint(ids)]
     free = [i for i in range(len(ids)) if i not in split]
     components: Iterable[list[int]] = [free]
-    if all(rows[i].first_name for i in free):
+    if all(rows[i][_FIRST_NAME] for i in free):
         by_name: dict[str, list[int]] = {}
         for i in free:
-            by_name.setdefault(min(rows[i].first_name), []).append(i)
+            by_name.setdefault(min(rows[i][_FIRST_NAME]), []).append(i)
         components = by_name.values()
     for component in components:
         for i, j in zip(component, component[1:]):

@@ -99,24 +99,27 @@ def collect_countries(
     cluster: ResearcherCluster,
     index: CorpusIndex,
     during_pub_ids: set[str],
-) -> tuple[Counter[str], Counter[str]]:
+) -> tuple[dict[str, int], dict[str, int]]:
     """Own and co-author affiliation countries on the cluster's
-    during-sponsorship papers, from one pass over them.
+    during-sponsorship papers, each with its count, from one pass over
+    them.
 
     Own: the scholar's affiliations on those papers. Co-author: the
     affiliations of every other author on the same papers. Unknown
-    countries are dropped.
+    countries are dropped. The counts are plain dicts: a Counter's first
+    count of each country goes through a Python-level ``__missing__``.
     """
-    own: Counter[str] = Counter()
-    coauthor: Counter[str] = Counter()
+    own: dict[str, int] = {}
+    coauthor: dict[str, int] = {}
     for pub_id, position in cluster.members:
         if pub_id not in during_pub_ids:
             continue
         for author in index.records[pub_id].authors:
             counts = own if author.position == position else coauthor
             for aff in author.affiliations:
-                if aff.country != UNKNOWN_COUNTRY:
-                    counts[aff.country] += 1
+                country = aff.country
+                if country != UNKNOWN_COUNTRY:
+                    counts[country] = counts.get(country, 0) + 1
     return own, coauthor
 
 

@@ -575,6 +575,33 @@ class TestSplitterOracle:
         assert extract_funding_sentences(text, _LEXICON) == expected
 
 
+# The boundary pattern as it was written before it opened with the mark
+# class: a run of end marks that no end mark precedes, and the whitespace
+# after it. The package's form must match exactly what this one matches.
+_RUN_START_BOUNDARY_RE = re.compile(r"(?<![.!?])([.!?]+)(\s+)")
+_RUN_START_LAST_BOUNDARY_RE = re.compile(r"(?s:.*)" + _RUN_START_BOUNDARY_RE.pattern)
+# end marks, kinds of whitespace (a no-break space and a file separator
+# are whitespace to re too), letters, a digit and a non-ASCII letter
+_BOUNDARY_PIECES = st.sampled_from([".", "!", "?", " ", "\n", "\u00a0", "\x1c", "a", "Z", "7", "\u00e9"])
+
+
+def _match_spans(m):
+    return m and (m.span(), m.span(1), m.span(2))
+
+
+class TestBoundaryPatternOracle:
+    @settings(deadline=None)
+    @given(st.lists(_BOUNDARY_PIECES, max_size=12).map("".join))
+    def test_boundaries_equal_the_run_start_pattern_for_every_bounds(self, text):
+        for pos in range(len(text) + 1):
+            for endpos in range(len(text) + 1):
+                assert [(m.span(1), m.end()) for m in ackminer._BOUNDARY_RE.finditer(text, pos, endpos)] == [
+                    (m.span(1), m.end()) for m in _RUN_START_BOUNDARY_RE.finditer(text, pos, endpos)
+                ]
+                assert _match_spans(ackminer._LAST_BOUNDARY_RE.match(text, pos, endpos)) == _match_spans(
+                    _RUN_START_LAST_BOUNDARY_RE.match(text, pos, endpos))
+
+
 # -- the funder scan and extraction across lexicons -------------------------
 #
 # Three lexicons: the stock one; one whose short variant is a prefix of a

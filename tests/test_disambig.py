@@ -927,6 +927,18 @@ def test_block_splits_equal_all_pairs_reference(scenario, weights):
     assert {c.members for c in clusters} == _all_pairs_components(records, overrides, weights)
 
 
+@settings(max_examples=150, deadline=None)
+@given(corpora_with_overrides(), scoring_weights())
+def test_every_parent_is_a_smaller_id_after_linking(scenario, weights):
+    """_make_clusters finds every root in one pass in id order, which
+    holds only while no id's parent is a larger id: each union anchors
+    on the smaller root, and path compression points at a root. The
+    overrides MERGE across blocks and SPLIT within and across them."""
+    records, overrides = scenario
+    uf = disambig._link_authorships(sorted(records, key=lambda r: r.pub_id), weights, overrides)
+    assert all(parent <= i for i, parent in enumerate(uf.parent))
+
+
 # -- authorship ids in key order ----------------------------------------------
 
 

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fundmob.disambig import CorpusIndex, ResearcherCluster
 from fundmob.mobility import (
@@ -112,6 +113,55 @@ class TestCollectCountries:
         cluster = cluster_for("c", [("a", 1), ("b", 1)])
         own, _ = collect_countries(cluster, CorpusIndex(records), {"a"})
         assert set(own) == {"DE"}
+
+
+def reference_collect_countries(cluster, index, during_pub_ids):
+    """The Counter-based definition: one pass per authorship of the
+    cluster on a during paper, own countries from it, co-author countries
+    from every other author of the paper."""
+    own, coauthor = Counter(), Counter()
+    for pub_id, position in cluster.members:
+        if pub_id in during_pub_ids:
+            for author in index.records[pub_id].authors:
+                countries = [a.country for a in author.affiliations if a.country != "Unknown"]
+                (own if author.position == position else coauthor).update(countries)
+    return own, coauthor
+
+
+@st.composite
+def country_clusters(draw):
+    """Papers of one to four authors with zero to three countries each,
+    Unknown among them, a cluster of some of their authorships (two of one
+    paper at times), and a during set that leaves some papers out."""
+    countries = st.lists(st.sampled_from(["CN", "US", "DE", "Unknown"]), max_size=3)
+    records = [
+        make_record(f"p{i}", tuple(
+            make_author(n, "Chen", countries=tuple(draw(countries)))
+            for n in range(1, draw(st.integers(1, 4)) + 1)
+        ))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    keys = [(r.pub_id, a.position) for r in records for a in r.authors]
+    members = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    during = set(draw(st.lists(st.sampled_from([r.pub_id for r in records]))))
+    return cluster_for("c", members), CorpusIndex(records), during
+
+
+class TestCollectCountriesContract:
+    def test_counts_are_plain_dicts(self):
+        records = [make_record("a", (
+            make_author(1, "Chen", countries=("CN", "NL")),
+            make_author(2, "Smith", countries=("US",)),
+        ))]
+        own, coauthor = collect_countries(cluster_for("c", [("a", 1)]), CorpusIndex(records), {"a"})
+        assert type(own) is dict and type(coauthor) is dict
+        assert (own, coauthor) == ({"CN": 1, "NL": 1}, {"US": 1})
+
+    @given(country_clusters())
+    def test_counts_equal_the_counter_reference(self, drawn):
+        cluster, index, during = drawn
+        assert collect_countries(cluster, index, during) == reference_collect_countries(
+            cluster, index, during)
 
 
 class TestInferDestination:

@@ -13,7 +13,7 @@ from datetime import date
 
 from fundmob.corpus import Affiliation, Authorship, DocType, PublicationRecord
 from fundmob.ackminer import FunderLexicon
-from fundmob.disambig import CorpusIndex, ResearcherCluster
+from fundmob.disambig import ResearcherCluster
 from fundmob.mobility import aggregate_flows, infer_destination
 from fundmob.periods import funded_pub_ids, label_corpus
 
@@ -70,7 +70,8 @@ cluster = ResearcherCluster(
 )
 lexicon = FunderLexicon(("China Scholarship Council",))
 funded_ids = funded_pub_ids(records, lexicon)
-result = label_corpus([cluster], funded_ids, CorpusIndex(records))
+# label_corpus reads each paper by pub_id from any mapping
+result = label_corpus([cluster], funded_ids, {r.pub_id: r for r in records})
 window = result.windows["chen"]
 print(f"  window: {window.first_funded_date} .. {window.last_funded_date}")
 for pair in result.pairs:

@@ -13,8 +13,12 @@ Equivalent to the CLI invocation:
 Run from the repository root:
 
     python3 demos/run_demo_pipeline.py
+
+It exits 1 when the stage counts differ from the hand-derived trace in
+``data/demo/expected_trace.json``.
 """
 import json
+import sys
 from pathlib import Path
 
 from fundmob.pipeline import PipelineConfig, run_pipeline
@@ -46,3 +50,4 @@ print(f"\nhand-derived trace reproduced: {matches}")
 print(f"\nartifacts written to {OUT}/:")
 for path in sorted(OUT.iterdir()):
     print(f"  {path.name}")
+sys.exit(0 if matches else 1)

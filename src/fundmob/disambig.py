@@ -114,7 +114,8 @@ def load_overrides(path: str | Path) -> list[ManualOverride]:
     overrides = []
     for line_no, line in config_lines(path):
         parts = line.split("\t")
-        if len(parts) != 5 or parts[4].upper() not in ("MERGE", "SPLIT"):
+        # ASCII only: "ſplit".upper() is "SPLIT"
+        if len(parts) != 5 or not parts[4].isascii() or parts[4].upper() not in ("MERGE", "SPLIT"):
             raise ValueError(f"bad override on line {line_no}: {line!r}")
         try:
             # ASCII digits only: int() also reads "+2", "1_0" and "٣"
@@ -134,17 +135,17 @@ class ResearcherCluster:
     display_name: str
 
 
-class CorpusIndex:
-    """The records by ``pub_id``. Authorship ``(pub_id, p)`` is
-    ``records[pub_id].authors[p - 1]``: parsing checks that a record's
-    author positions run 1, 2, ... in order."""
+class CorpusIndex(dict[str, PublicationRecord]):
+    """The records by ``pub_id``, refusing a duplicate. Authorship
+    ``(pub_id, p)`` is ``index[pub_id].authors[p - 1]``: parsing checks
+    that a record's author positions run 1, 2, ... in order."""
 
     def __init__(self, records: Iterable[PublicationRecord]):
-        self.records: dict[str, PublicationRecord] = {}
+        super().__init__()
         for record in records:
-            if record.pub_id in self.records:
+            if record.pub_id in self:
                 raise ValueError(f"duplicate pub_id: {record.pub_id}")
-            self.records[record.pub_id] = record
+            self[record.pub_id] = record
 
 
 def block_key(author: Authorship) -> tuple[str, str]:

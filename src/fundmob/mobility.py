@@ -15,8 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import MAINLAND_CHINA, TOTAL_FIELD, UNKNOWN_COUNTRY, config_lines, config_pairs
-from .disambig import CorpusIndex, ResearcherCluster, most_frequent
+from .corpus import MAINLAND_CHINA, TOTAL_FIELD, UNKNOWN_COUNTRY, PublicationRecord, config_lines, config_pairs
+from .disambig import ResearcherCluster, most_frequent
 from .textnorm import normalize_text
 
 
@@ -83,21 +83,20 @@ class SurnameList:
         return normalize_text(surname) in self.surnames
 
 
-def modal_surname(cluster: ResearcherCluster, index: CorpusIndex) -> str:
+def modal_surname(cluster: ResearcherCluster, records: Mapping[str, PublicationRecord]) -> str:
     """Most frequent normalized surname; ties break lexicographically."""
-    records = index.records
     return most_frequent([normalize_text(records[p].authors[n - 1].last_name) for p, n in cluster.members])
 
 
 def is_mainland_chinese_scholar(
-    cluster: ResearcherCluster, surnames: SurnameList, index: CorpusIndex
+    cluster: ResearcherCluster, surnames: SurnameList, records: Mapping[str, PublicationRecord]
 ) -> bool:
-    return modal_surname(cluster, index) in surnames
+    return modal_surname(cluster, records) in surnames
 
 
 def collect_countries(
     cluster: ResearcherCluster,
-    index: CorpusIndex,
+    records: Mapping[str, PublicationRecord],
     during_pub_ids: set[str],
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Own and co-author affiliation countries on the cluster's
@@ -114,7 +113,7 @@ def collect_countries(
     for pub_id, position in cluster.members:
         if pub_id not in during_pub_ids:
             continue
-        for author in index.records[pub_id].authors:
+        for author in records[pub_id].authors:
             counts = own if author.position == position else coauthor
             for aff in author.affiliations:
                 country = aff.country
@@ -152,10 +151,10 @@ def infer_destination(
 
 def assign_mobility(
     cluster: ResearcherCluster,
-    index: CorpusIndex,
+    records: Mapping[str, PublicationRecord],
     during_pub_ids: set[str],
 ) -> MobilityAssignment:
-    own, coauthor = collect_countries(cluster, index, during_pub_ids)
+    own, coauthor = collect_countries(cluster, records, during_pub_ids)
     return infer_destination(own, coauthor, cluster_id=cluster.cluster_id)
 
 
@@ -200,7 +199,7 @@ class FieldDestinations:
     excluded_scholars: int
 
 
-def scholar_field_profile(during_pub_ids: set[str], index: CorpusIndex) -> dict[str, float]:
+def scholar_field_profile(during_pub_ids: set[str], records: Mapping[str, PublicationRecord]) -> dict[str, float]:
     """Unit-mass field profile from a scholar's during-sponsorship
     publications.
 
@@ -210,7 +209,7 @@ def scholar_field_profile(during_pub_ids: set[str], index: CorpusIndex) -> dict[
     """
     raw: dict[str, float] = {}
     for pub_id in sorted(during_pub_ids):
-        for fw in index.records[pub_id].field_weights:
+        for fw in records[pub_id].field_weights:
             raw[fw.field] = raw.get(fw.field, 0.0) + fw.weight
     total = sum(raw.values())
     if total <= 0:
@@ -220,7 +219,7 @@ def scholar_field_profile(during_pub_ids: set[str], index: CorpusIndex) -> dict[
 
 def top_destinations_by_field(
     assignments: Sequence[MobilityAssignment],
-    index: CorpusIndex,
+    records: Mapping[str, PublicationRecord],
     during_by_cluster: Mapping[str, set[str]],
     k: int,
 ) -> FieldDestinations:
@@ -235,7 +234,7 @@ def top_destinations_by_field(
         if assignment.outcome is not Outcome.DESTINATION:
             continue
         profile = scholar_field_profile(
-            during_by_cluster.get(assignment.cluster_id, set()), index
+            during_by_cluster.get(assignment.cluster_id, set()), records
         )
         if not profile:
             excluded += 1

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .ackminer import FunderLexicon
 from .corpus import PubDate, PublicationRecord, resolve_pub_date
-from .disambig import CorpusIndex, ResearcherCluster
+from .disambig import ResearcherCluster
 from .textnorm import normalize_text
 
 
@@ -132,20 +132,23 @@ class LabelingResult:
 def label_corpus(
     clusters: Sequence[ResearcherCluster],
     funded_ids: set[str],
-    index: CorpusIndex,
+    records: Mapping[str, PublicationRecord],
 ) -> LabelingResult:
     """Classify every publication of every funded scholar, given the
-    funder-acknowledging pub ids (:func:`funded_pub_ids`).
+    funder-acknowledging pub ids (:func:`funded_pub_ids`) and the records
+    by ``pub_id``.
 
-    Clusters without a funded publication are skipped: they are co-author
-    identities, not sponsored scholars. Each labeled publication's date
-    is resolved once.
+    Clusters without a funded publication are skipped. Every other
+    cluster is labeled, a co-author of a funded paper included, since it
+    holds that paper: the pipeline keeps co-authors out by passing only
+    the clusters that hold an identified authorship. Each labeled
+    publication's date is resolved once.
     """
     scholar_pubs = {c.cluster_id: {key[0] for key in c.members} for c in clusters}
     scholars = [c for c in clusters if not scholar_pubs[c.cluster_id].isdisjoint(funded_ids)]
     during = {c.cluster_id: scholar_pubs[c.cluster_id] & funded_ids for c in scholars}
     labeled = set().union(*(scholar_pubs[c.cluster_id] for c in scholars))
-    dates = {pub_id: resolve_pub_date(index.records[pub_id]) for pub_id in labeled}
+    dates = {pub_id: resolve_pub_date(records[pub_id]) for pub_id in labeled}
     windows = {c.cluster_id: compute_window(c, dates, funded_ids) for c in scholars}
 
     per_record: dict[str, dict[str, Label]] = {}

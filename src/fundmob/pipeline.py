@@ -93,8 +93,12 @@ def _load_config_files(config: PipelineConfig) -> list[object]:
             problems.append(f"output path is not a directory: {config.out_dir}")
         elif not os.access(probe, os.W_OK):
             problems.append(f"output directory is not writable: {config.out_dir}")
-    if config.top_k < 1:
+    if type(config.top_k) is not int:  # a bool is an int too
+        problems.append(f"top-k must be an integer, got {config.top_k!r}")
+    elif config.top_k < 1:
         problems.append(f"top-k must be positive, got {config.top_k}")
+    if not isinstance(config.whole_count, bool):
+        problems.append(f"whole-count must be a bool, got {config.whole_count!r}")
     if problems:
         raise ConfigError(problems)
     return loaded
@@ -170,7 +174,7 @@ def _run_stages(config: PipelineConfig) -> dict:
         logger.warning("field id %r is not in the field map and keeps its own name; "
                        "records holding it: %d", name, field_records[name])
     docs = corpus.filter_documents(parsed.records)
-    index = disambig.CorpusIndex(docs)
+    records = disambig.CorpusIndex(docs)
 
     funded_ids = periods.funded_pub_ids(docs, lexicon)
     if not funded_ids:
@@ -198,7 +202,7 @@ def _run_stages(config: PipelineConfig) -> dict:
             [
                 f.pub_id,
                 f.author_position,
-                index.records[f.pub_id].authors[f.author_position - 1].full_name,
+                records[f.pub_id].authors[f.author_position - 1].full_name,
                 cluster_of[(f.pub_id, f.author_position)],
                 f.match_kind.value,
                 f.evidence,
@@ -218,7 +222,7 @@ def _run_stages(config: PipelineConfig) -> dict:
         ],
     )
 
-    labeling = periods.label_corpus(funded_clusters, funded_ids, index)
+    labeling = periods.label_corpus(funded_clusters, funded_ids, records)
     _write_table(
         out / "period_labels.tsv",
         ["pub_id", "cluster_id", "label", "window_start", "window_end", "date_source"],
@@ -237,18 +241,18 @@ def _run_stages(config: PipelineConfig) -> dict:
 
     chinese_clusters = [
         c for c in funded_clusters
-        if mobility.is_mainland_chinese_scholar(c, surnames, index)
+        if mobility.is_mainland_chinese_scholar(c, surnames, records)
     ]
     assignments = sorted(
         (
-            mobility.assign_mobility(c, index, labeling.during[c.cluster_id])
+            mobility.assign_mobility(c, records, labeling.during[c.cluster_id])
             for c in chinese_clusters
         ),
         key=lambda a: a.cluster_id,
     )
     flows = mobility.aggregate_flows(assignments)
     top_dest = mobility.top_destinations_by_field(
-        assignments, index, labeling.during, k=config.top_k
+        assignments, records, labeling.during, k=config.top_k
     )
     _write_table(
         out / "mobility_assignments.tsv",
@@ -278,7 +282,7 @@ def _run_stages(config: PipelineConfig) -> dict:
     )
 
     identified_record_ids = {f.pub_id for f in funded_authorships}
-    labeled_records = [index.records[pub_id] for pub_id in labeling.record_labels]
+    labeled_records = [records[pub_id] for pub_id in labeling.record_labels]
     ppic = indicators.pp_ic(labeled_records, labeling.record_labels, config.whole_count)
     field_dist = indicators.field_distribution(funded_records, identified_record_ids)
     temporal = indicators.temporal_distribution(

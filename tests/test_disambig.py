@@ -261,7 +261,7 @@ def _coauthor_keys(record, position):
 
 
 def reference_score_pair(index, a, b, weights):
-    record_a, record_b = index.records[a[0]], index.records[b[0]]
+    record_a, record_b = index[a[0]], index[b[0]]
     author_a, author_b = authorship_table([record_a])[a], authorship_table([record_b])[b]
 
     first_a, first_b = _full_first_name(author_a), _full_first_name(author_b)
@@ -348,7 +348,7 @@ def cluster_block(keys, index, weights, overrides=None):
     """The clusters holding the authorships ``keys``, which share one block
     key, from :func:`cluster_corpus` over their records, taken in the
     order ``keys`` names them."""
-    records = [index.records[pub_id] for pub_id in dict.fromkeys(pub_id for pub_id, _ in keys)]
+    records = [index[pub_id] for pub_id in dict.fromkeys(pub_id for pub_id, _ in keys)]
     assert len({block_key(authorship_table(records)[key]) for key in keys}) == 1
     wanted = set(keys)
     return [c for c in cluster_corpus(records, weights, overrides) if not wanted.isdisjoint(c.members)]
@@ -622,6 +622,8 @@ class TestOverridesAndConfig:
         ("a\t\u0663\tb\t1\tSPLIT", "override position on line 2 is not an integer"),
         ("a\t 2\tb\t1\tMERGE", "override position on line 2 is not an integer"),
         ("a\t-1\tb\t1\tSPLIT", "override position on line 2 is not an integer"),
+        # str.upper() maps "ſ" (long s) to "S"
+        ("a\t1\tb\t1\t\u017fplit", "bad override on line 2"),
     ])
     def test_bad_override_line_rejected(self, tmp_path, line, message):
         path = tmp_path / "ov.tsv"
@@ -1000,6 +1002,14 @@ class TestAuthorshipIdOrder:
         records = _p_records({9: "Wei", 10: "Wen", 2: "Wei"})
         with pytest.raises(ValueError, match="duplicate pub_id: P9"):
             cluster_corpus(records + records[:1], WEIGHTS)
+
+    def test_corpus_index_is_the_records_dict_refusing_a_duplicate(self):
+        records = _p_records({9: "Wei", 10: "Wen", 2: "Wei"})
+        index = CorpusIndex(records)
+        assert isinstance(index, dict)
+        assert index == {record.pub_id: record for record in records}
+        with pytest.raises(ValueError, match="duplicate pub_id: P9"):
+            CorpusIndex(records + records[:1])
 
     @pytest.mark.parametrize("action", ["MERGE", "SPLIT"])
     def test_override_naming_one_authorship_on_both_sides(self, action):

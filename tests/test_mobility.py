@@ -122,7 +122,7 @@ def reference_collect_countries(cluster, index, during_pub_ids):
     own, coauthor = Counter(), Counter()
     for pub_id, position in cluster.members:
         if pub_id in during_pub_ids:
-            for author in index.records[pub_id].authors:
+            for author in index[pub_id].authors:
                 countries = [a.country for a in author.affiliations if a.country != "Unknown"]
                 (own if author.position == position else coauthor).update(countries)
     return own, coauthor

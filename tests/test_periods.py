@@ -327,7 +327,7 @@ def test_partition_and_window_bounds(lexicon):
             assert key not in seen
             seen.add(key)
             window = result.windows[pair.cluster_id]
-            pub_date = resolve_pub_date(index.records[pair.pub_id]).date
+            pub_date = resolve_pub_date(index[pair.pub_id]).date
             if pair.label is Label.BEFORE:
                 assert pub_date < window.first_funded_date
             elif pair.label is Label.AFTER:

@@ -95,6 +95,18 @@ class TestValidateConfig:
         config = demo_config(data_dir, tmp_path / "a" / "b" / "c")
         assert config_problems(config) == []
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("top_k", 2.5, "top-k must be an integer, got 2.5"),
+        ("top_k", "3", "top-k must be an integer, got '3'"),
+        ("top_k", True, "top-k must be an integer, got True"),
+        ("whole_count", "no", "whole-count must be a bool, got 'no'"),
+        ("whole_count", 1, "whole-count must be a bool, got 1"),
+    ])
+    def test_bad_option_type_is_config_error(self, data_dir, tmp_path, field, value, problem):
+        config = demo_config(data_dir, tmp_path / "out", **{field: value})
+        assert config_problems(config) == [problem]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_lexicon_raises_config_error(self, data_dir, tmp_path):
         config = demo_config(data_dir, tmp_path / "out",
                              lexicon=tmp_path / "nope.txt")
@@ -648,6 +660,39 @@ def test_every_traced_span_is_reached_from_run_pipeline(data_dir, tmp_path):
     assert all(tracing.resolve(fundmob, m, a) is f for (m, a), f in before.items())
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ARTIFACTS}
     assert digests == DEMO_DIGESTS
+
+
+def test_stages_read_records_from_a_plain_dict(data_dir):
+    # label_corpus and the mobility stages take any mapping of pub id to
+    # record; given a plain dict they match the same call given a CorpusIndex
+    docs = corpus.filter_documents(corpus.load_corpus(
+        data_dir / "demo" / "corpus.jsonl",
+        corpus.CountryAliases.load(data_dir / "country_aliases.tsv"),
+        mobility.load_field_map(data_dir / "field_map.tsv"),
+    ).records)
+    lexicon = ackminer.FunderLexicon.load(data_dir / "lexicon_csc.txt")
+    surnames = mobility.SurnameList.load(data_dir / "surnames_cn.txt")
+    clusters = disambig.cluster_corpus(docs, disambig.ScoringWeights.load(data_dir / "disambig_weights.cfg"))
+    funded_ids = periods.funded_pub_ids(docs, lexicon)
+    plain = {record.pub_id: record for record in docs}
+    index = disambig.CorpusIndex(docs)
+
+    def both(call):
+        result = call(plain)
+        assert result == call(index)
+        return result
+
+    labeling = both(lambda records: periods.label_corpus(clusters, funded_ids, records))
+    assignments = []
+    for c in clusters:
+        during = labeling.during.get(c.cluster_id, set())
+        both(lambda records: mobility.modal_surname(c, records))
+        both(lambda records: mobility.is_mainland_chinese_scholar(c, surnames, records))
+        both(lambda records: mobility.collect_countries(c, records, during))
+        both(lambda records: mobility.scholar_field_profile(during, records))
+        assignments.append(both(lambda records: mobility.assign_mobility(c, records, during)))
+    top = both(lambda records: mobility.top_destinations_by_field(assignments, records, labeling.during, 10))
+    assert labeling.pairs and top.per_field
 
 
 def test_overrides_flow_through_pipeline(data_dir, tmp_path):

@@ -34,9 +34,12 @@ print("\nacknowledgment text:")
 print(" ", ack)
 
 print("\nstep 1: funder mentions (matched text, character span)")
+# one search of the text; a match may read a lower-cased copy, but its
+# span indexes the text itself
+find = lexicon.mentions(ack)
 pos = 0
-while (mention := lexicon.find_mention(ack, pos)) is not None:
-    print(f"  {mention.group()!r} at {mention.span()}")
+while (mention := find(pos, len(ack))) is not None:
+    print(f"  {ack[mention.start():mention.end()]!r} at {mention.span()}")
     pos = mention.end()
 
 print("\nstep 2: funding sentences")

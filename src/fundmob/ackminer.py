@@ -29,9 +29,9 @@ for three letters that ``re.IGNORECASE`` folds onto ASCII ones and
 and "ſ". A text holding one of them, and every text under a lexicon
 with a non-ASCII variant, is searched with the ``re.IGNORECASE``
 pattern. Curly quotes, dashes and accented names keep a text on the
-case-folded scan. ``find_mention`` searches the text itself with the
-``re.IGNORECASE`` pattern, so a caller walking the mentions one call at
-a time lower-cases nothing.
+case-folded scan. Extraction, the funded flag and any caller walking the
+mentions search through ``FunderLexicon.mentions``, which lower-cases a
+text once, however many times its search is called.
 
 Variant strings are stored normalized (case-folded, diacritics stripped)
 with dotted-initial forms kept as explicit entries. Each funding sentence
@@ -63,7 +63,7 @@ import re
 import string
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -121,25 +121,29 @@ class FunderLexicon:
             return None
         return _mention_pattern(tuple(v.lower() for v in self._ordered), 0)
 
-    def _scanner(self, text: str) -> Callable[[int, int], re.Match[str] | None]:
-        """A search of ``text`` for the leftmost word-bounded mention in
-        ``text[pos:endpos]``, with the span ``find_mention`` finds. Unless
-        the case-insensitive pattern is needed (see the module docstring),
-        the text is lower-cased once, here, and the match is over that
-        copy."""
+    def mentions(self, text: str) -> Callable[[int, int], re.Match[str] | None]:
+        """A search of ``text``: ``find(pos, endpos)`` is the leftmost
+        word-bounded variant occurrence in ``text[pos:endpos]``, the
+        longest variant there, or None; the character before ``pos`` is
+        read as part of the text. Unless the case-insensitive pattern is
+        needed (see the module docstring), the text is lower-cased once,
+        here, and the match is over that copy; its span indexes ``text``."""
         folded = self._folded_pattern
         if folded is not None and (text.isascii() or not any(ch in text for ch in _UNFOLDABLE)):
-            return partial(_first_mention, folded.search, text.lower())
-        return partial(_first_mention, self._pattern.search, text)
+            search, text = folded.search, text.lower()
+        else:
+            search = self._pattern.search
 
-    def find_mention(self, text: str, pos: int = 0, endpos: int | None = None) -> re.Match[str] | None:
-        """The leftmost case-insensitive, word-bounded variant occurrence
-        in ``text[pos:endpos]``, the longest variant at that position, or
-        None. The character before ``pos`` is read as part of the text;
-        ``endpos`` acts as the end of the text.
-        """
-        end = len(text) if endpos is None else endpos
-        return _first_mention(self._pattern.search, text, pos, end)
+        def first(pos: int, endpos: int) -> re.Match[str] | None:
+            # the first match with no letter or digit right before it
+            while (m := search(text, pos, endpos)) is not None:
+                start = m.start()
+                if start == 0 or not text[start - 1].isalnum():
+                    return m
+                pos = start + 1
+            return None
+
+        return first
 
 
 # The letters re.IGNORECASE matches to an ASCII letter that str.lower does
@@ -149,24 +153,11 @@ class FunderLexicon:
 _UNFOLDABLE = ("\u0130", "\u0131", "\u017f")
 
 
-def _first_mention(
-    search: Callable[[str, int, int], re.Match[str] | None], text: str, pos: int, endpos: int
-) -> re.Match[str] | None:
-    """The first match of ``search`` in ``text[pos:endpos]`` with no
-    letter or digit right before it."""
-    while (m := search(text, pos, endpos)) is not None:
-        start = m.start()
-        if start == 0 or not text[start - 1].isalnum():
-            return m
-        pos = start + 1
-    return None
-
-
 def _mention_pattern(variants: tuple[str, ...], flags: int) -> re.Pattern[str]:
     """One alternation of ``variants`` in their order, any whitespace run
     between their words, with no letter or digit right after them."""
     # no capture group and no lookbehind, so re can scan for the variants'
-    # prefixes; _first_mention checks the left edge instead.
+    # prefixes; FunderLexicon.mentions checks the left edge instead.
     # [^\W_] is str.isalnum, the word-character rule of contains_bounded
     body = "|".join(r"\s+".join(map(re.escape, v.split())) for v in variants)
     return re.compile(rf"(?:{body})(?![^\W_])", flags)
@@ -274,7 +265,7 @@ def extract_funding_sentences(
     """
     if not ack_text:
         return []
-    find = lexicon._scanner(ack_text)
+    find = lexicon.mentions(ack_text)
     sentences = []
     start = 0
     while (mention := find(start, len(ack_text))) is not None:
@@ -352,7 +343,9 @@ def _surname_variants(last: str, given: str, initials: str, letters: list[str]) 
     initials-plus-surname and surname-plus-initial. The surname is a
     space-, comma- or period-delimited part of each, so each one's
     edge-stripped tokens hold the surname's edge-stripped tokens in a
-    row."""
+    row. A surname without a letter or digit ("(") gives none."""
+    if not _ALNUM_RE.search(last):
+        return set()
     given_forms: set[str] = set()
     # a given name or initials without a letter or digit ("-", ".") count as none
     if _ALNUM_RE.search(given):
@@ -381,12 +374,15 @@ def _surname_variants(last: str, given: str, initials: str, letters: list[str]) 
 
 def _initials_variants(last: str, letters: list[str]) -> set[str]:
     """The variants made of initials alone: the surname's first letter
-    followed by the given initials ("cl", "c.l."), and the bare given
+    followed by the given initials ("cl", "c.l."; "tg" for "'t Hooft,
+    Gerard"), none for a surname without a letter, and the bare given
     initials of a multi-part given name ("zc", "z.c.", "z.-c.")."""
     if not letters:
         return set()
-    surname_first = [last[0]] + letters
-    variants = {"".join(surname_first), ".".join(surname_first) + "."}
+    # the first letter, not the first character: "'g" would strip to "g"
+    initial = last[0] if last[0].isalpha() else next((ch for ch in last if ch.isalpha()), "")
+    surname_first = [initial] + letters
+    variants = {"".join(surname_first), ".".join(surname_first) + "."} if initial else set()
     if len(letters) > 1:
         # "Zhi-Chao" is also credited as "ZC", "Z.C." or "Z.-C."
         variants.add("".join(letters))
@@ -403,10 +399,13 @@ def generate_name_variants(author: Authorship) -> frozenset[str]:
     initials-plus-surname ("l. chen", "x.h. li", "z.-c. wang"), and the
     de-hyphenated and spaced spellings of hyphenated given names. The
     grammar is a documented superset of the common acknowledgment styles.
-    An initial is the first letter of a given-name part, and a given name
-    or initials without a letter or digit count as absent. So every
-    variant holds a letter or digit of the given name or the initials,
-    and none strips to the bare surname.
+    An initial is the first letter of a given-name part, the surname's
+    initial is its first letter, and a given name, initials or surname
+    without a letter or digit count as absent. So every variant holds a
+    letter or digit of the given name or the initials, and none strips to
+    the bare surname. Every variant but the bare initials of a multi-part
+    given name ("zc", "z.c.") holds a letter or digit of the surname as
+    well, so none strips to the given name or an initial alone.
     """
     last, given, initials, letters = _name_parts(author)
     return frozenset(_surname_variants(last, given, initials, letters) | _initials_variants(last, letters))

@@ -59,10 +59,8 @@ def record_acknowledges_funder(record: PublicationRecord, lexicon: FunderLexicon
     for org in record.funding_orgs:
         if normalize_text(org) in lexicon.variant_keys:
             return True
-    return bool(
-        record.acknowledgment_text
-        and lexicon.find_mention(record.acknowledgment_text) is not None
-    )
+    text = record.acknowledgment_text
+    return bool(text) and lexicon.mentions(text)(0, len(text)) is not None
 
 
 def funded_pub_ids(

@@ -74,7 +74,7 @@ class TestLexicon:
         path.write_bytes(b"\xef\xbb\xbfChina Scholarship Council\nCSC scholarship\n")
         lexicon = FunderLexicon.load(path)
         assert lexicon.variants == ("China Scholarship Council", "CSC scholarship")
-        assert lexicon.find_mention("by the China Scholarship Council.") is not None
+        assert find_mentions("by the China Scholarship Council.", lexicon) != []
 
     def test_variant_without_letter_or_digit_rejected(self, tmp_path):
         # "--" would match in "2019 -- 2020" and mark the record funded
@@ -90,11 +90,13 @@ class TestLexicon:
 
 def find_mentions(text, lexicon):
     """(matched text, span) of every mention, left to right, from successive
-    ``find_mention`` calls."""
+    calls of one ``mentions`` search; the matched text is sliced from
+    ``text``, since the match may read a lower-cased copy."""
+    find = lexicon.mentions(text)
     mentions = []
     pos = 0
-    while (m := lexicon.find_mention(text, pos)) is not None:
-        mentions.append((m.group(), m.span()))
+    while (m := find(pos, len(text))) is not None:
+        mentions.append((text[m.start():m.end()], m.span()))
         pos = m.end()
     return mentions
 
@@ -179,7 +181,7 @@ class TestSentenceSplitting:
             "scholarship also funded a research stay."
         )
         for sentence in extract_funding_sentences(text, lexicon):
-            assert lexicon.find_mention(sentence.text) is not None
+            assert find_mentions(sentence.text, lexicon) != []
 
 
 class TestNameVariants:
@@ -604,14 +606,16 @@ class TestBoundaryPatternOracle:
 
 # -- the funder scan and extraction across lexicons -------------------------
 #
-# Three lexicons: the stock one; one whose short variant is a prefix of a
-# longer one; and one with a variant that crosses a sentence end, so that a
-# mention found in the whole text can straddle two sentences.
+# Four lexicons: the stock one; one whose short variant is a prefix of a
+# longer one; one with a variant that crosses a sentence end, so that a
+# mention found in the whole text can straddle two sentences; and one with
+# non-ASCII variants, under which every text takes the re.IGNORECASE scan.
 
 _ORACLE_LEXICONS = (
     FunderLexicon.load(DATA_DIR / "lexicon_csc.txt"),
     FunderLexicon(("CSC", "CSC scholarship")),
     FunderLexicon(("China Scholarship Council", "Scholarship Council. The", "CSC")),
+    FunderLexicon(("CSC \u017fcholarship", "Fondation Fran\u00e7aise", "China Scholarship Council")),
 )
 # word characters to glue onto the variants (letters, digits, "_", accented
 # letters), whitespace runs, the splitter's pieces around sentence ends,
@@ -690,18 +694,15 @@ class TestFunderScanOracle:
     @settings(deadline=None)
     @given(scan_lexicon_texts())
     def test_case_folded_scan_equals_reference_for_every_bounds(self, drawn):
-        # every lexicon here is ASCII, so a text takes the case-folded scan
-        # unless it holds one of the unfoldable letters
+        # a text takes the case-folded scan under an ASCII lexicon unless it
+        # holds one of the unfoldable letters, and the re.IGNORECASE scan
+        # otherwise; both must find the reference's spans
         lexicon, text = drawn
-        assert all(v.isascii() for v in lexicon.variants)
         _, reference = _reference_mention_pattern(lexicon)
-        # extraction reads the spans of the scan over the lower-cased copy
-        scan = lexicon._scanner(text)
+        scan = lexicon.mentions(text)
         for pos in range(len(text) + 1):
             for endpos in range(pos, len(text) + 1):
-                got = lexicon.find_mention(text, pos, endpos)
                 want = reference.search(text, pos, endpos)
-                assert (got and (got.span(), got.group())) == (want and (want.span(), want.group()))
                 scanned = scan(pos, endpos)
                 assert (scanned and scanned.span()) == (want and want.span())
 
@@ -717,8 +718,7 @@ class TestFunderScanOracle:
     ])
     def test_other_texts_and_lexicons_take_the_ignorecase_pattern(self, lexicon, variants, text, span):
         lexicon = lexicon if variants is None else FunderLexicon(variants)
-        assert lexicon._scanner(text)(0, len(text)).string is text
-        m = lexicon.find_mention(text)
+        m = lexicon.mentions(text)(0, len(text))
         assert m is not None and m.span() == span and m.string is text
         _, reference = _reference_mention_pattern(lexicon)
         want = reference.search(text)
@@ -732,10 +732,17 @@ class TestFunderScanOracle:
         ("the \u212a CSC scholarship", (6, 21)),
     ])
     def test_non_ascii_texts_take_the_case_folded_scan(self, lexicon, text, span):
-        scanned = lexicon._scanner(text)(0, len(text))
+        scanned = lexicon.mentions(text)(0, len(text))
         assert scanned.string == text.lower() and scanned.span() == span
-        m = lexicon.find_mention(text)
-        assert m.string is text and m.span() == span
+
+    def test_the_ignorecase_pattern_compiles_only_when_a_text_needs_it(self):
+        lexicon = FunderLexicon.load(DATA_DIR / "lexicon_csc.txt")
+        record = make_record("f", (make_author(1, "Chen", first="Long"),), ack=WORKED_EXAMPLE)
+        assert record_acknowledges_funder(record, lexicon)
+        assert extract_funding_sentences(WORKED_EXAMPLE, lexicon)
+        assert "_pattern" not in vars(lexicon)
+        assert find_mentions("the CSC \u017fcholarship", lexicon) == [("CSC \u017fcholarship", (4, 19))]
+        assert "_pattern" in vars(lexicon)
 
     def test_lower_casing_meets_what_ignorecase_meets_but_for_the_unfoldable_letters(self):
         # For every code point: the case-folded scan reads the character's
@@ -997,12 +1004,16 @@ def test_renaming_an_unfunded_author_leaves_the_others_unchanged(authors, fundin
 # except for variants made only of edge punctuation ("((" from the given name
 # "(a) (b)"), which the verbatim pass let match a punctuation-only token.
 #
-# The variant grammar has one change since, marked by ``old_grammar``: an
+# The variant grammar has two changes since, marked by ``old_grammar``. An
 # initial is the first letter of a given-name part, not its first character,
 # and a given name or initials without a letter or digit count as absent.
 # The old grammar made "chen. (" from "(J.)", "chen. ." from "." and
 # "chen,  " from "-", which all strip to the bare surname. The new grammar
-# makes no variant of edge punctuation alone.
+# makes no variant of edge punctuation alone. And the surname counts only
+# through its letters: its initial is its first letter, not its first
+# character, and a surname without a letter or digit counts as absent. The
+# old grammar made "'.g." from "'t Hooft, Gerard" and "(, long" from
+# "(, Long", which strip to the bare initial and the bare given name.
 
 _REF_EDGE_PUNCT = ".,;:!?()[]{}\"'"
 
@@ -1042,6 +1053,7 @@ def reference_generate_name_variants(author: Authorship, old_grammar: bool = Fal
     """
     last = normalize_text(author.last_name)
     variants: set[str] = set()
+    has_surname = old_grammar or _holds_letter_or_digit(author.last_name)
 
     given_forms: set[str] = set()
     if author.first_name and (old_grammar or _holds_letter_or_digit(author.first_name)):
@@ -1058,26 +1070,32 @@ def reference_generate_name_variants(author: Authorship, old_grammar: bool = Fal
             given_forms.add(flattened)
 
     for given in given_forms:
-        variants.add(f"{given} {last}")
-        variants.add(f"{last} {given}")
-        variants.add(f"{last}, {given}")
+        if has_surname:
+            variants.add(f"{given} {last}")
+            variants.add(f"{last} {given}")
+            variants.add(f"{last}, {given}")
 
     initials = _reference_initial_letters(author, old_grammar)
     if initials:
         dotted = "".join(f"{ch}." for ch in initials)
-        variants.add(f"{dotted} {last}")
+        if has_surname:
+            variants.add(f"{dotted} {last}")
         if len(initials) > 1:
             hyphen_dotted = ".-".join(initials) + "."
-            variants.add(f"{hyphen_dotted} {last}")
+            if has_surname:
+                variants.add(f"{hyphen_dotted} {last}")
             # bare given-initial tokens of multi-part given names: "Zhi-Chao"
             # is also credited as "ZC", "Z.C." or "Z.-C."
             variants.add("".join(initials))
             variants.add(dotted)
             variants.add(hyphen_dotted)
-        variants.add(f"{last}. {initials[0]}")
-        surname_first = [last[0]] + initials
-        variants.add("".join(surname_first))
-        variants.add("".join(f"{ch}." for ch in surname_first))
+        if has_surname:
+            variants.add(f"{last}. {initials[0]}")
+        surname_letters = [last[0]] if old_grammar else [ch for ch in last if ch.isalpha()][:1]
+        if surname_letters:
+            surname_first = surname_letters + initials
+            variants.add("".join(surname_first))
+            variants.add("".join(f"{ch}." for ch in surname_first))
 
     return frozenset(variants)
 
@@ -1177,9 +1195,12 @@ def reference_token_forms(text: str) -> set[str]:
 
 
 def _grammars_may_differ(author: Authorship) -> bool:
-    """Whether the old grammar may give ``author`` other variants: a given
-    name holding no letter or with a part that starts with a non-letter,
-    or, without a given name, initials holding no letter or digit."""
+    """Whether the old grammar may give ``author`` other variants: a
+    surname that starts with a non-letter, a given name holding no letter
+    or with a part that starts with a non-letter, or, without a given name,
+    initials holding no letter or digit."""
+    if not normalize_text(author.last_name)[0].isalpha():
+        return True
     if author.first_name:
         given = normalize_text(author.first_name)
         parts = _reference_given_parts(author)
@@ -1271,6 +1292,37 @@ class TestMatcherOracle:
             "o", (author,), ack="We thank Chen Wei and the China Scholarship Council."
         )
         assert mine_record(record, lexicon)[1] == []
+
+    @pytest.mark.parametrize("last, first, old_variant, variants, ack", [
+        # the surname's first character made "'.g.", which strips to the
+        # bare initial "g" and so met the "G" of a grant number
+        ("'t Hooft", "Gerard", "'.g.", {"tg", "t.g.", "gerard 't hooft"},
+         "Supported by the China Scholarship Council (grant G 2015)."),
+        # a surname of edge punctuation made "(, long", which strips to
+        # the bare given name
+        ("(", "Long", "(, long", set(), "A long stay was funded by the China Scholarship Council."),
+    ])
+    def test_surname_counts_only_through_its_letters(self, lexicon, last, first, old_variant, variants, ack):
+        author = make_author(1, last, first=first)
+        assert old_variant in reference_generate_name_variants(author, old_grammar=True)
+        got = generate_name_variants(author)
+        assert old_variant not in got and variants <= got and bool(got) == bool(variants)
+        assert mine_record(make_record("o", (author,), ack=ack), lexicon)[1] == []
+
+    @given(oracle_authors())
+    def test_no_variant_strips_to_an_initial_or_the_given_name_alone(self, authors):
+        # every variant but the bare initials of a multi-part given name
+        # holds a letter or digit of the surname, and two letters or digits
+        # in all
+        for author in authors:
+            surname = {ch for ch in normalize_text(author.last_name) if ch.isalnum()}
+            letters = _reference_initial_letters(author)
+            bare = set()
+            if len(letters) > 1:
+                bare = {"".join(letters), ".".join(letters) + ".", ".-".join(letters) + "."}
+            for variant in generate_name_variants(author):
+                assert sum(ch.isalnum() for ch in strip_token_punct(variant)) >= 2
+                assert variant in bare or any(ch in surname for ch in variant)
 
 
 # -- the gates that skip forms no funding sentence can hold -------------------

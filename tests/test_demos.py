@@ -20,6 +20,8 @@ ROOT = DATA_DIR.parent
 
 @pytest.mark.parametrize("script, expected", [
     ("mine_acknowledgments.py", "  position 2: NameMatch via 'long chen'"),
+    # the mention walk: the matched text, sliced from the acknowledgment
+    ("mine_acknowledgments.py", "  'China Scholarship Council' at (103, 128)"),
     ("infer_mobility.py", "  gap: ExcludedWindowGap"),
 ])
 def test_demo_runs(script, expected):

@@ -586,16 +586,21 @@ def test_every_traced_attribute_resolves():
 
 def test_every_library_use_name_in_the_readme_resolves():
     # every `module.name` reference of README's "Library use" section must
-    # exist in the package
+    # exist in the package, and so must every `Class.name` reference to a
+    # class that fundmob exports
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     modules = {info.name for info in pkgutil.iter_modules(fundmob.__path__)}
-    named = {ref for ref in re.findall(r"`(\w+)\.(\w+)", section) if ref[0] in modules}
+    refs = re.findall(r"`(\w+)\.(\w+)", section)
+    named = {ref for ref in refs if ref[0] in modules}
     assert len(named) >= 15
     missing = [
         f"{module}.{attr}" for module, attr in sorted(named)
         if not hasattr(importlib.import_module(f"fundmob.{module}"), attr)
     ]
+    classes = {ref for ref in refs if isinstance(getattr(fundmob, ref[0], None), type)}
+    assert ("FunderLexicon", "mentions") in classes
+    missing += [f"{cls}.{attr}" for cls, attr in sorted(classes) if not hasattr(getattr(fundmob, cls), attr)]
     assert missing == []
 
 

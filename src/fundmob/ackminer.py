@@ -380,7 +380,7 @@ def _initials_variants(last: str, letters: list[str]) -> set[str]:
     if not letters:
         return set()
     # the first letter, not the first character: "'g" would strip to "g"
-    initial = last[0] if last[0].isalpha() else next((ch for ch in last if ch.isalpha()), "")
+    initial = last[:1] if last[:1].isalpha() else next((ch for ch in last if ch.isalpha()), "")
     surname_first = [initial] + letters
     variants = {"".join(surname_first), ".".join(surname_first) + "."} if initial else set()
     if len(letters) > 1:
@@ -456,7 +456,7 @@ def match_funded_authors(
     """Authors whose name variants or positional phrases occur in a
     funding sentence.
 
-    At most one entry per author, sorted by position. The evidence string
+    At most one entry per author, in position order. The evidence string
     is the longest matching name variant; a name match outranks a
     positional match for the same author. The span is that of the first
     sentence the evidence occurs in. Forms that cannot occur in the joined
@@ -486,7 +486,7 @@ def match_funded_authors(
         if hit is not None:
             evidence, span = hit
             funded.append(FundedAuthorship(record.pub_id, author.position, evidence, span, kind))
-    return sorted(funded, key=lambda f: f.author_position)
+    return funded
 
 
 def mine_record(

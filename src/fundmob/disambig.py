@@ -24,17 +24,18 @@ In :func:`cluster_corpus` each authorship gets a dense integer id in
 ``(pub_id, position)`` order: the records are sorted by ``pub_id`` once,
 and the ids follow; a duplicate ``pub_id`` is caught where the ids are
 assigned. :func:`block_authorships` numbers the authorships the same way
-and hands each block over as its ascending ids. The union-find, the
-feature rows and the overrides work on ids; only :func:`_make_clusters`
-builds key tuples, after the rows are dropped. A component's smallest id
-is its smallest key, so a cluster's ``members`` is a key-ordered tuple
-and clusters come in the order of their first members. A co-author is
-known by the index of its block in the one blocking pass, so each block
-key is computed once per run. A row is a plain tuple in ``FEATURES``
-order, holding each feature as a tuple of distinct values: funder keys
-made once per record, email, first-name and org keys once per distinct
-value, co-authors as block indices. The pairwise scorer that clustering
-agrees with is kept in the tests as its reference.
+and hands each block over as its ascending ids. The feature rows, the
+grouping, the overrides and the union-find work on ids: each group comes
+as ascending ids, and :func:`_union_linked` holds the one pair rule. Only
+:func:`_make_clusters` builds key tuples, after the rows are dropped. A
+component's smallest id is its smallest key, so a cluster's ``members``
+is a key-ordered tuple and clusters come in the order of their first
+members. A co-author is known by the index of its block in the one
+blocking pass, so each block key is computed once per run. A row is a
+plain tuple in ``FEATURES`` order, holding each feature as a tuple of
+distinct values: funder keys made once per record, email, first-name and
+org keys once per distinct value, co-authors as block indices. The tests
+keep the pairwise scorer that clustering agrees with, as its reference.
 """
 from __future__ import annotations
 
@@ -296,17 +297,17 @@ def _refinements(linking: Sequence[tuple[str, ...]]) -> list[_Step]:
     return steps
 
 
-def _linked_groups(rows: Sequence[tuple], steps: Sequence[_Step]) -> Iterator[list[int]]:
-    """For each linking set, the indices of rows sharing one value of each
-    of its features: one list, in row order, per combination of values
-    that two or more rows share, and one for a pair however many values
-    it shares.
+def _linked_groups(block: list[int], rows: Sequence[tuple], steps: Sequence[_Step]) -> Iterator[list[int]]:
+    """For each linking set, the ids of the block's authorships sharing
+    one value of each of its features, read from ``rows`` by id: one
+    ascending list per combination of values that two or more of them
+    share, and one for a pair however many values it shares.
 
     Rows are grouped one feature at a time along ``steps`` (see
     :func:`_refinements`) and only groups of two or more are split
     further, so sets that start with the same features share those steps.
     """
-    refined: dict[tuple[str, ...], list[list[int]]] = {(): [list(range(len(rows)))]}
+    refined: dict[tuple[str, ...], list[list[int]]] = {(): [block]}
     for prefix, parent, field, is_linking in steps:
         groups: list[list[int]] = []
         for group in refined[parent]:
@@ -399,18 +400,23 @@ def _union_linked(
     splits: dict[int, set[int]],
     uf: _UnionFind,
 ) -> None:
-    """Union one linking group: authorships sharing every value of a
-    minimal linking set, so each pair of them reaches the threshold unless
-    its full first names conflict or a SPLIT override suppresses its edge.
+    """Union one linking group: the ids of authorships sharing every value
+    of a minimal linking set, so each pair of them reaches the threshold
+    unless its full first names conflict or a SPLIT override vetoes it.
 
-    A member with a SPLIT partner in the group joins each other member it
-    is not split from and whose first name does not conflict with its
-    own. The rest form one component when one of them has no full first
-    name, and one component per full first name otherwise; each component
-    is joined along a chain.
+    A pair, the most common group, is joined unless a veto holds. In a
+    larger group, a member with a SPLIT partner in it joins each other
+    member it is not split from and whose first name does not conflict.
+    The rest form one component when one has no full first name, and one
+    component per full first name otherwise, each joined along a chain.
     """
-    split = [i for i, id_ in enumerate(ids) if id_ in splits and not splits[id_].isdisjoint(ids)]
-    free = [i for i in range(len(ids)) if i not in split]
+    if len(ids) == 2:
+        a, b = ids
+        if b not in splits.get(a, ()) and not _first_names_conflict(rows[a], rows[b]):
+            uf.union(a, b)
+        return
+    split = [i for i in ids if i in splits and not splits[i].isdisjoint(ids)]
+    free = [i for i in ids if i not in split]
     components: Iterable[list[int]] = [free]
     if all(rows[i][_FIRST_NAME] for i in free):
         by_name: dict[str, list[int]] = {}
@@ -419,11 +425,11 @@ def _union_linked(
         components = by_name.values()
     for component in components:
         for i, j in zip(component, component[1:]):
-            uf.union(ids[i], ids[j])
+            uf.union(i, j)
     for n, i in enumerate(split):
         for j in free + split[n + 1:]:
-            if ids[j] not in splits[ids[i]] and not _first_names_conflict(rows[i], rows[j]):
-                uf.union(ids[i], ids[j])
+            if j not in splits[i] and not _first_names_conflict(rows[i], rows[j]):
+                uf.union(i, j)
 
 
 def _link_authorships(
@@ -467,17 +473,9 @@ def _link_authorships(
     uf = _UnionFind(size)
     steps = _refinements(_linking_sets(weights))
     for block in blocks:
-        if len(block) < 2:
-            continue
-        block_rows = [rows[i] for i in block]
-        for group in _linked_groups(block_rows, steps):
-            if len(group) == 2:
-                # most groups: one edge, unless SPLIT or first names veto it
-                a, b = block[group[0]], block[group[1]]
-                if b not in splits.get(a, ()) and not _first_names_conflict(rows[a], rows[b]):
-                    uf.union(a, b)
-                continue
-            _union_linked([block[i] for i in group], [block_rows[i] for i in group], splits, uf)
+        if len(block) > 1:
+            for group in _linked_groups(block, rows, steps):
+                _union_linked(group, rows, splits, uf)
     for a, b in merges:
         uf.union(a, b)
     return uf

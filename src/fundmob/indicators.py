@@ -135,11 +135,13 @@ def temporal_distribution(
     tag_of: Callable[[PublicationRecord], str],
 ) -> dict[int, dict[str, int]]:
     """Publication counts per year per ``tag_of(record)``, with a Total
-    column per year."""
+    column per year; a record tagged Total raises ValueError."""
     years: dict[int, dict[str, int]] = {}
     for record in records:
         row = years.setdefault(record.pub_year, {})
         tag = tag_of(record)
+        if tag == TOTAL_FIELD:
+            raise ValueError(f"record {record.pub_id} is tagged {tag!r}, the name of the Total column")
         row[tag] = row.get(tag, 0) + 1
         row[TOTAL_FIELD] = row.get(TOTAL_FIELD, 0) + 1
     return {year: years[year] for year in sorted(years)}

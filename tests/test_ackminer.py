@@ -225,6 +225,18 @@ class TestNameVariants:
         for variant in generate_name_variants(author):
             assert variant == normalize_text(variant)
 
+    @pytest.mark.parametrize("last", ["", "  ", "\u0301"])
+    def test_surname_without_characters_gives_the_reference_variants(self, last, lexicon):
+        # each surname normalizes to "": parsing refuses it, library callers
+        # may still build such an Authorship
+        author = make_author(1, last, first="Zhi-Chao")
+        assert normalize_text(last) == ""
+        assert generate_name_variants(author) == reference_generate_name_variants(author)
+        record = make_record("r1", (author, make_author(2, "Chen", first="Long")),
+                             ack="Z.C. and Long Chen thank the China Scholarship Council.")
+        _, matches = mine_record(record, lexicon)
+        assert [m.author_position for m in matches] == [1, 2]
+
     def test_ordinal_word_and_numeric_forms(self):
         assert ordinal_phrases(1) == {"the first author", "the 1st author"}
         assert ordinal_phrases(3) == {"the third author", "the 3rd author"}

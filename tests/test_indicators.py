@@ -196,6 +196,12 @@ class TestTemporalDistribution:
             assert sum(v for tag, v in row.items() if tag != TOTAL_FIELD) == row[TOTAL_FIELD]
 
 
+    def test_a_record_tagged_total_is_rejected(self):
+        records = [paper("a", [], year=2010), paper("b", [], year=2010)]
+        tags = {"a": TOTAL_FIELD, "b": "SCIE"}
+        with pytest.raises(ValueError, match="record a"):
+            temporal_distribution(records, lambda r: tags[r.pub_id])
+
 # -- randomized conservation ---------------------------------------------------
 
 def random_corpus(rng: random.Random, size: int):

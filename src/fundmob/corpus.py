@@ -254,6 +254,14 @@ def _tsv_cell(value: str, label: str) -> str:
     return value
 
 
+def _row_start(value: str, label: str) -> str:
+    """``value``, which can open a row of an artifact, so that it may not
+    start with ``#``: a reader skips such a line as a comment."""
+    if value.startswith("#"):
+        raise RecordError(f"{label} {value!r} starts with '#', which marks a comment line")
+    return value
+
+
 #: each raw affiliation of one parse, ``(org_name, country)`` as read,
 #: mapped to the one affiliation it parses to
 _Interned = dict[tuple[str | None, str | None], Affiliation]
@@ -344,7 +352,7 @@ def _record_from_dict(
         pub_id = str(pub_id)
     elif not isinstance(pub_id, str):
         raise RecordError("pub_id is not a string or an integer")
-    _tsv_cell(pub_id, "pub_id")
+    _row_start(_tsv_cell(pub_id, "pub_id"), "pub_id")
 
     if "pub_year" not in obj:
         raise RecordError("missing pub_year")
@@ -383,7 +391,7 @@ def _record_from_dict(
         if not isinstance(fw["field_id"], str):
             raise RecordError("field_id is not a string")
         field_id = _tsv_cell(fw["field_id"], "field_id")
-        name = field_map.get(field_id, field_id)
+        name = _row_start(field_map.get(field_id, field_id), "field")
         if name == TOTAL_FIELD:
             raise RecordError(f"field {name!r} names the whole-period row")
         field_weights.append(FieldWeight(name, weight))

@@ -21,9 +21,9 @@ reaches the threshold exactly when its full first names do not
 conflict, so first names and SPLIT overrides alone decide its edges.
 
 In :func:`cluster_corpus` each authorship gets a dense integer id in
-``(pub_id, position)`` order: the records are sorted by ``pub_id`` once,
-and the ids follow; a duplicate ``pub_id`` is caught where the ids are
-assigned. :func:`block_authorships` numbers the authorships the same way
+``(pub_id, position)`` order: :class:`CorpusIndex` refuses a duplicate
+``pub_id``, the indexed records are sorted by ``pub_id`` once, and the
+ids follow. :func:`block_authorships` numbers the authorships the same way
 and hands each block over as its ascending ids. The feature rows, the
 grouping, the overrides and the union-find work on ids: each group comes
 as ascending ids, and :func:`_union_linked` holds the one pair rule. Only
@@ -137,7 +137,8 @@ class ResearcherCluster:
 
 
 class CorpusIndex(dict[str, PublicationRecord]):
-    """The records by ``pub_id``, refusing a duplicate. Authorship
+    """The records by ``pub_id``, refusing a duplicate: the one duplicate
+    check, which :func:`cluster_corpus` makes on its input. Authorship
     ``(pub_id, p)`` is ``index[pub_id].authors[p - 1]``: parsing checks
     that a record's author positions run 1, 2, ... in order."""
 
@@ -437,17 +438,15 @@ def _link_authorships(
     weights: ScoringWeights,
     overrides: Iterable[ManualOverride],
 ) -> _UnionFind:
-    """The union-find over the authorship ids of ``records``, joined along
-    a spanning forest of the threshold graph less the SPLIT pairs, and
-    along the MERGE pairs. The feature rows live only while it runs. An
-    override naming an authorship outside ``records`` is ignored, with
-    one warning each, in override order."""
+    """The union-find over the authorship ids of ``records``, which hold
+    distinct pub ids, joined along a spanning forest of the threshold
+    graph less the SPLIT pairs, and along the MERGE pairs. The feature
+    rows live only while it runs. An override naming an authorship
+    outside ``records`` is ignored, with one warning each, in override order."""
     # authorship (pub_id, p) has id ids_of[pub_id][p - 1], as in blocking
     ids_of: dict[str, range] = {}
     size = 0
     for record in records:
-        if record.pub_id in ids_of:
-            raise ValueError(f"duplicate pub_id: {record.pub_id}")
         ids_of[record.pub_id] = range(size, size + len(record.authors))
         size += len(record.authors)
     # blocks come in key order, so a block's index stands for its key
@@ -498,6 +497,6 @@ def cluster_corpus(
     """
     # authorship ids follow (pub_id, position) order: the records sorted by
     # pub_id, each record's authors in position order, as parsing checks
-    records = sorted(corpus, key=attrgetter("pub_id"))
+    records = sorted(CorpusIndex(corpus).values(), key=attrgetter("pub_id"))
     uf = _link_authorships(records, weights, overrides or ())
     return _make_clusters(records, uf)

@@ -187,6 +187,9 @@ def load_field_map(path: str | Path) -> dict[str, str]:
     for line_no, field_id, name in config_pairs(path, "\t", "field_id", "field name"):
         if name == TOTAL_FIELD:
             raise ValueError(f"field name {name!r} on line {line_no} names the whole-period row")
+        if name.startswith("#"):
+            raise ValueError(f"field name {name!r} on line {line_no} starts with '#', "
+                             "which marks a comment line")
         mapping[field_id] = name
     return mapping
 

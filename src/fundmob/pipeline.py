@@ -174,7 +174,7 @@ def _run_stages(config: PipelineConfig) -> dict:
         logger.warning("field id %r is not in the field map and keeps its own name; "
                        "records holding it: %d", name, field_records[name])
     docs = corpus.filter_documents(parsed.records)
-    records = disambig.CorpusIndex(docs)
+    records = {record.pub_id: record for record in docs}
 
     funded_ids = periods.funded_pub_ids(docs, lexicon)
     if not funded_ids:

@@ -10,7 +10,9 @@ so "(c.l.)," in a sentence and the variant "c.l." meet as "c.l".
 ``normalize_text`` is memoized: every stage normalizes the same names,
 org names and funders, and each distinct string is normalized once per
 run. The memo is per run: ``run_pipeline`` empties it when the run ends,
-also on error. Within a run it is unbounded on purpose. It holds one
+also on error. A stage called on its own, outside ``run_pipeline``,
+leaves its strings in the memo until ``normalize_text.cache_clear()``
+empties it. Within a run it is unbounded on purpose. It holds one
 normalized copy of each distinct input string, and a run already holds
 every record those strings come from in memory. Funding sentences are
 the exception: each is seen once, so ``match_tokens`` tokenizes them

@@ -231,6 +231,25 @@ class TestParseCorpus:
         assert [e.line_no for e in result.errors] == [2]
         assert "holds a tab or a line break" in result.errors[0].message
 
+    @pytest.mark.parametrize("overrides, field_map, value", [
+        ({"pub_id": "#W2"}, {}, "pub_id '#W2'"),
+        ({"field_weights": [{"field_id": "#phys", "weight": 1.0}]}, {}, "field '#phys'"),
+        ({"field_weights": [{"field_id": "phys", "weight": 1.0}]}, {"phys": "#Physics"},
+         "field '#Physics'"),
+    ], ids=["pub_id", "raw-field", "mapped-field"])
+    def test_row_opening_value_starting_with_a_hash_is_a_parse_issue(self, overrides, field_map, value):
+        # a pub_id or a field name opens rows of the TSV artifacts, whose
+        # readers skip every line that starts with "#" as a comment
+        result = parse_corpus([line(), line(**{"pub_id": "W2", **overrides})], field_map=field_map)
+        assert [r.pub_id for r in result.records] == ["W1"]
+        assert result.errors == [ParseIssue(2, f"{value} starts with '#', which marks a comment line")]
+
+    def test_hash_inside_a_row_opening_value_is_kept(self):
+        weights = [{"field_id": "phys#1", "weight": 1.0}]
+        result = parse_corpus([line(pub_id="W#1", field_weights=weights)])
+        assert result.errors == []
+        assert [(r.pub_id, r.field_weights[0].field) for r in result.records] == [("W#1", "phys#1")]
+
     @pytest.mark.parametrize("field_id, field_map", [
         ("Total", {}), ("Total", {"phys": "Physics"}), ("all", {"all": "Total"}),
     ], ids=["raw", "raw-beside-a-map", "mapped"])
@@ -480,9 +499,11 @@ class TestResolvePubDate:
 _names = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll")), min_size=1, max_size=8
 )
-#: a pub_id is a TSV cell, so it holds no tab and no line break
+#: a pub_id is a TSV cell, so it holds no tab and no line break, and it
+#: opens artifact rows, so it does not start with "#"
 _pub_ids = st.text(min_size=1, max_size=10).filter(
     lambda text: "\t" not in text and "".join(text.splitlines()) == text
+    and not text.startswith("#")
 )
 
 

@@ -435,6 +435,15 @@ def test_field_named_total_is_an_error(tmp_path):
         load_field_map(path)
 
 
+def test_field_name_starting_with_a_hash_is_an_error(tmp_path):
+    # a field name opens rows of field_distribution.tsv, whose readers
+    # skip a line starting with "#" as a comment
+    path = tmp_path / "fields.tsv"
+    path.write_text("# field_id<TAB>name\nphys\tPhysics\nchem\t#Chemistry\n")
+    with pytest.raises(ValueError, match="'#Chemistry' on line 3 starts with '#'"):
+        load_field_map(path)
+
+
 def test_leading_byte_order_mark_is_dropped_from_surnames(tmp_path):
     path = tmp_path / "surnames.txt"
     path.write_bytes(b"\xef\xbb\xbfwang\nli\n")

@@ -19,19 +19,19 @@ bounds. Sentences before the next mention cannot hold one, so a text
 without a mention classifies no boundary, and no character is read more
 than a bounded number of times.
 
-The funder scan is case-folded under a lexicon of ASCII variants: the
-text is lower-cased once per extraction and searched case-sensitively
-with the lower-cased variants, in the same order. Lower-casing keeps
-every offset, every whitespace and every word character, and the copy
-meets an ASCII variant where the text meets it case-insensitively, but
-for three letters that ``re.IGNORECASE`` folds onto ASCII ones and
-``str.lower`` does not: "İ", which lower-cases to two characters, "ı"
-and "ſ". A text holding one of them, and every text under a lexicon
-with a non-ASCII variant, is searched with the ``re.IGNORECASE``
-pattern. Curly quotes, dashes and accented names keep a text on the
-case-folded scan. Extraction, the funded flag and any caller walking the
-mentions search through ``FunderLexicon.mentions``, which lower-cases a
-text once, however many times its search is called.
+The lexicon picks the funder scan. Under a lexicon of ASCII variants
+every text is folded once per extraction, "İ" and "ı" to "i" and "ſ" to
+"s" and then lower-cased, and searched case-sensitively with the
+lower-cased variants, in the same order. Those three letters are the
+ones ``re.IGNORECASE`` folds onto ASCII letters and ``str.lower`` does
+not. Folding keeps every offset, every whitespace and every word
+character, and the copy meets an ASCII variant exactly where the text
+meets it case-insensitively, so curly quotes, dashes and accented
+names need no other scan. Under a lexicon with a non-ASCII variant
+every text is searched with the ``re.IGNORECASE`` pattern. Extraction,
+the funded flag and any caller walking the mentions search through
+``FunderLexicon.mentions``, which folds a text once, however many
+times its search is called.
 
 Variant strings are stored normalized (case-folded, diacritics stripped)
 with dotted-initial forms kept as explicit entries. Each funding sentence
@@ -110,29 +110,28 @@ class FunderLexicon:
         return tuple(sorted(self.variants, key=lambda v: (-len(v), v)))
 
     @cached_property
-    def _pattern(self) -> re.Pattern[str]:
-        return _mention_pattern(self._ordered, re.IGNORECASE)
-
-    @cached_property
-    def _folded_pattern(self) -> re.Pattern[str] | None:
-        """The case-sensitive pattern of the lower-cased variants, in the
-        same order; None when a variant is not ASCII."""
-        if not all(v.isascii() for v in self._ordered):
-            return None
-        return _mention_pattern(tuple(v.lower() for v in self._ordered), 0)
+    def _scan(self) -> tuple[re.Pattern[str], bool]:
+        """The pattern and whether texts are folded for it: the lower-cased
+        variants, case-sensitive, when every variant is ASCII, else the
+        variants under ``re.IGNORECASE``."""
+        if all(v.isascii() for v in self._ordered):
+            return _mention_pattern(tuple(v.lower() for v in self._ordered), 0), True
+        return _mention_pattern(self._ordered, re.IGNORECASE), False
 
     def mentions(self, text: str) -> Callable[[int, int], re.Match[str] | None]:
         """A search of ``text``: ``find(pos, endpos)`` is the leftmost
         word-bounded variant occurrence in ``text[pos:endpos]``, the
         longest variant there, or None; the character before ``pos`` is
-        read as part of the text. Unless the case-insensitive pattern is
-        needed (see the module docstring), the text is lower-cased once,
-        here, and the match is over that copy; its span indexes ``text``."""
-        folded = self._folded_pattern
-        if folded is not None and (text.isascii() or not any(ch in text for ch in _UNFOLDABLE)):
-            search, text = folded.search, text.lower()
-        else:
-            search = self._pattern.search
+        read as part of the text. Under a lexicon of ASCII variants the
+        text is folded once, here, and the match is over that copy; its
+        span indexes ``text`` (see the module docstring)."""
+        pattern, folds = self._scan
+        if folds:
+            # str.translate takes about ten times as long on non-ASCII text
+            for letter, ascii_letter in _ASCII_FOLDS:
+                text = text.replace(letter, ascii_letter)
+            text = text.lower()
+        search = pattern.search
 
         def first(pos: int, endpos: int) -> re.Match[str] | None:
             # the first match with no letter or digit right before it
@@ -147,10 +146,10 @@ class FunderLexicon:
 
 
 # The letters re.IGNORECASE matches to an ASCII letter that str.lower does
-# not map to that letter: "İ" lower-cases to "i" and a combining dot, and
-# "ı" and "ſ" lower-case to themselves. The tests check every other code
-# point reads the same to both scans.
-_UNFOLDABLE = ("\u0130", "\u0131", "\u017f")
+# not map them to: "İ" lower-cases to "i" and a combining dot, and "ı" and
+# "ſ" lower-case to themselves. The tests check that, with these mapped,
+# every code point reads the same to both scans.
+_ASCII_FOLDS = (("\u0130", "i"), ("\u0131", "i"), ("\u017f", "s"))
 
 
 def _mention_pattern(variants: tuple[str, ...], flags: int) -> re.Pattern[str]:

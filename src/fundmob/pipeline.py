@@ -61,8 +61,12 @@ class PipelineConfig:
                 setattr(self, name, Path(getattr(self, name)))
 
 
-def _load_config_files(config: PipelineConfig) -> list[object]:
-    """The loaded config files in table order, None for absent overrides.
+def _load_config_files(config: PipelineConfig) -> tuple[list[object], dict[str, str | None]]:
+    """The loaded config files in table order, None for absent overrides,
+    and the manifest's ``{field}_sha256`` of each, None for absent
+    overrides. Each file is hashed right after its loader reads it and
+    before any stage runs, so the hash is of the file as loaded unless
+    the file changes between those two reads.
 
     Raises one ``ConfigError`` listing every problem with the
     configuration, not just the first.
@@ -71,15 +75,18 @@ def _load_config_files(config: PipelineConfig) -> list[object]:
     if not config.input.is_file():
         problems.append(f"input file does not exist: {config.input}")
     loaded = []
+    hashes: dict[str, str | None] = {}
     for field, label, loader in _CONFIG_FILES:
         path = getattr(config, field)
         if path is None:
             loaded.append(None)
+            hashes[f"{field}_sha256"] = None
         elif not path.is_file():
             problems.append(f"{label} file does not exist: {path}")
         else:
             try:
                 loaded.append(loader(path))
+                hashes[f"{field}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
             except (ValueError, OSError) as exc:
                 problems.append(f"{label} file {path}: {exc}")
     probe = config.out_dir
@@ -89,8 +96,9 @@ def _load_config_files(config: PipelineConfig) -> list[object]:
             break
         probe = parent
     if probe.exists():
-        if config.out_dir.exists() and not config.out_dir.is_dir():
-            problems.append(f"output path is not a directory: {config.out_dir}")
+        # the output directory itself, or the file it would be made below
+        if not probe.is_dir():
+            problems.append(f"output path is not a directory: {probe}")
         elif not os.access(probe, os.W_OK):
             problems.append(f"output directory is not writable: {config.out_dir}")
     if type(config.top_k) is not int:  # a bool is an int too
@@ -101,15 +109,7 @@ def _load_config_files(config: PipelineConfig) -> list[object]:
         problems.append(f"whole-count must be a bool, got {config.whole_count!r}")
     if problems:
         raise ConfigError(problems)
-    return loaded
-
-
-def _sha256(path: Path | None) -> str | None:
-    """The config file's SHA-256, read whole as its loader reads it. The
-    corpus is hashed while it is parsed."""
-    if path is None:
-        return None
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return loaded, hashes
 
 
 def _fmt(value: object) -> str:
@@ -158,7 +158,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 
 def _run_stages(config: PipelineConfig) -> dict:
-    aliases, lexicon, surnames, field_map, weights, overrides = _load_config_files(config)
+    loaded, config_sha256 = _load_config_files(config)
+    aliases, lexicon, surnames, field_map, weights, overrides = loaded
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     # a manifest marks a complete run, so a stale one goes before any table
@@ -332,7 +333,7 @@ def _run_stages(config: PipelineConfig) -> dict:
     manifest = {
         "input_sha256": parsed.sha256,
         "config": {
-            **{f"{field}_sha256": _sha256(getattr(config, field)) for field, _, _ in _CONFIG_FILES},
+            **config_sha256,
             "whole_count": config.whole_count,
             "top_k": config.top_k,
         },

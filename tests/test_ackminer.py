@@ -632,8 +632,8 @@ _ORACLE_LEXICONS = (
 # word characters to glue onto the variants (letters, digits, "_", accented
 # letters), whitespace runs, the splitter's pieces around sentence ends,
 # and non-ASCII text: a curly quote, a dash, a no-break space, a final
-# sigma, the Kelvin sign, and the letters that keep a text off the
-# case-folded scan
+# sigma, the Kelvin sign, and the letters the case-folded scan maps to
+# ASCII ones
 _NON_ASCII_GLUE = ["\u2019", "\u2013", "\u00a0", "\u0391\u03a3 ", "\u212a", "\u017f", "\u0131", "\u0130"]
 _GLUE = st.one_of(_SPLIT_PIECES, st.sampled_from(
     ["_", "9", "Z", " ", "\t", "\n\n", ". ", ". The ", ".  the ", *_NON_ASCII_GLUE],
@@ -706,9 +706,8 @@ class TestFunderScanOracle:
     @settings(deadline=None)
     @given(scan_lexicon_texts())
     def test_case_folded_scan_equals_reference_for_every_bounds(self, drawn):
-        # a text takes the case-folded scan under an ASCII lexicon unless it
-        # holds one of the unfoldable letters, and the re.IGNORECASE scan
-        # otherwise; both must find the reference's spans
+        # a text takes the case-folded scan under an ASCII lexicon and the
+        # re.IGNORECASE scan otherwise; both must find the reference's spans
         lexicon, text = drawn
         _, reference = _reference_mention_pattern(lexicon)
         scan = lexicon.mentions(text)
@@ -718,18 +717,28 @@ class TestFunderScanOracle:
                 scanned = scan(pos, endpos)
                 assert (scanned and scanned.span()) == (want and want.span())
 
-    @pytest.mark.parametrize("variants, text, span", [
+    @pytest.mark.parametrize("text, span", [
         # re.IGNORECASE folds the long s, the dotless i and the dotted
-        # capital I onto "s" and "i", which lower-casing does not do
-        (None, "the CSC \u017fcholarship", (4, 19)),
-        (None, "the Ch\u0131na Scholarship Council", (4, 29)),
-        (None, "the CH\u0130NA Scholarship Council", (4, 29)),
-        # an ASCII text under a lexicon with a non-ASCII variant
-        (("CSC \u017fcholarship", "China Scholarship Council"), "the csc SCHOLARSHIP", (4, 19)),
-        (("CSC \u017fcholarship", "China Scholarship Council"), "by the CHINA scholarship  council.", (7, 33)),
+        # capital I onto "s" and "i", which lower-casing alone does not do
+        ("the CSC \u017fcholarship", (4, 19)),
+        ("the Ch\u0131na Scholarship Council", (4, 29)),
+        ("the CH\u0130NA Scholarship Council", (4, 29)),
     ])
-    def test_other_texts_and_lexicons_take_the_ignorecase_pattern(self, lexicon, variants, text, span):
-        lexicon = lexicon if variants is None else FunderLexicon(variants)
+    def test_letters_mapped_to_ascii_take_the_case_folded_scan(self, lexicon, text, span):
+        m = lexicon.mentions(text)(0, len(text))
+        assert m is not None and m.span() == span
+        folded = text.replace("\u017f", "s").replace("\u0131", "i").replace("\u0130", "i").lower()
+        assert m.string == folded
+        _, reference = _reference_mention_pattern(lexicon)
+        assert reference.search(text).span() == span
+
+    @pytest.mark.parametrize("text, span", [
+        # an ASCII text under a lexicon with a non-ASCII variant
+        ("the csc SCHOLARSHIP", (4, 19)),
+        ("by the CHINA scholarship  council.", (7, 33)),
+    ])
+    def test_non_ascii_lexicons_take_the_ignorecase_pattern(self, text, span):
+        lexicon = FunderLexicon(("CSC \u017fcholarship", "China Scholarship Council"))
         m = lexicon.mentions(text)(0, len(text))
         assert m is not None and m.span() == span and m.string is text
         _, reference = _reference_mention_pattern(lexicon)
@@ -747,21 +756,21 @@ class TestFunderScanOracle:
         scanned = lexicon.mentions(text)(0, len(text))
         assert scanned.string == text.lower() and scanned.span() == span
 
-    def test_the_ignorecase_pattern_compiles_only_when_a_text_needs_it(self):
+    def test_the_ignorecase_pattern_compiles_only_for_a_non_ascii_lexicon(self):
         lexicon = FunderLexicon.load(DATA_DIR / "lexicon_csc.txt")
-        record = make_record("f", (make_author(1, "Chen", first="Long"),), ack=WORKED_EXAMPLE)
-        assert record_acknowledges_funder(record, lexicon)
-        assert extract_funding_sentences(WORKED_EXAMPLE, lexicon)
-        assert "_pattern" not in vars(lexicon)
         assert find_mentions("the CSC \u017fcholarship", lexicon) == [("CSC \u017fcholarship", (4, 19))]
-        assert "_pattern" in vars(lexicon)
+        assert not lexicon._scan[0].flags & re.IGNORECASE
+        non_ascii = FunderLexicon(("CSC \u017fcholarship", "China Scholarship Council"))
+        assert find_mentions("the csc SCHOLARSHIP", non_ascii) == [("csc SCHOLARSHIP", (4, 19))]
+        assert non_ascii._scan[0].flags & re.IGNORECASE
 
-    def test_lower_casing_meets_what_ignorecase_meets_but_for_the_unfoldable_letters(self):
+    def test_folding_meets_what_ignorecase_meets_for_every_code_point(self):
         # For every code point: the case-folded scan reads the character's
-        # lower-cased form where the case-insensitive pattern reads the
-        # character, so that form must be one character, match the same
-        # ASCII pattern characters, and be whitespace, a word character
-        # and alphanumeric exactly when the character is.
+        # folded form, its ASCII fold if it has one, lower-cased, where the
+        # case-insensitive pattern reads the character, so that form must
+        # be one character, match the same ASCII pattern characters, and
+        # be whitespace, a word character and alphanumeric exactly when
+        # the character is.
         ascii_chars = [chr(a) for a in range(128)]
         # re matches a class case-insensitively as it matches each member
         any_ascii = re.compile("[\x00-\x7f]", re.IGNORECASE)
@@ -778,17 +787,18 @@ class TestFunderScanOracle:
                 and char.isalnum() == low.isalnum()
             )
 
+        folds = dict(ackminer._ASCII_FOLDS)
         differ = set()
         for code in range(sys.maxunicode + 1):
             char = chr(code)
-            low = char.lower()
+            low = folds.get(char, char).lower()
             # a character that lower-cases to itself and meets no ASCII
             # character is read the same on both paths
             if (low != char or any_ascii.match(char)) and not keeps(char, low):
                 differ.add(char)
-        # each of them sends a text to the re.IGNORECASE pattern, and the
-        # fallback pins show that each one needs to
-        assert differ <= set(ackminer._UNFOLDABLE)
+        assert differ == set()
+        # lower-casing alone would read each mapped letter differently
+        assert not any(keeps(letter, letter.lower()) for letter in folds)
         # str.lower maps a capital sigma at a word end to the final sigma
         assert keeps("\u03a3", "\u03c2")
 

@@ -20,7 +20,7 @@ from fundmob import ackminer, corpus, disambig, indicators, mobility, periods
 from fundmob.textnorm import normalize_text
 from fundmob.cli import main
 from fundmob.pipeline import (
-    _CONFIG_FILES, ConfigError, PipelineConfig, _fmt, _sha256, run_pipeline,
+    _CONFIG_FILES, ConfigError, PipelineConfig, _fmt, run_pipeline,
 )
 
 from .conftest import DATA_DIR, load_bench_gen
@@ -90,6 +90,18 @@ class TestValidateConfig:
             assert str(locked) in problems[0]
         finally:
             locked.chmod(stat.S_IRWXU)
+
+    @pytest.mark.parametrize("below", [(), ("sub",), ("sub", "deeper")])
+    def test_out_dir_at_or_below_a_file_is_config_error(self, data_dir, tmp_path, capsys, below):
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept\n")
+        out_dir = blocker.joinpath(*below)
+        problem = f"output path is not a directory: {blocker}"
+        assert config_problems(demo_config(data_dir, out_dir)) == [problem]
+        assert main(cli_args(data_dir, out_dir)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+        assert blocker.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_out_dir_may_not_exist_yet(self, data_dir, tmp_path):
         config = demo_config(data_dir, tmp_path / "a" / "b" / "c")
@@ -393,7 +405,44 @@ def test_config_sha256_is_the_hash_of_each_config_file(data_dir, tmp_path):
         path = getattr(config, field)
         expected = None if path is None else hashlib.sha256(path.read_bytes()).hexdigest()
         assert hashes[f"{field}_sha256"] == expected
-    assert _sha256(None) is None
+
+
+def test_config_sha256_is_the_hash_of_the_file_as_loaded(data_dir, tmp_path, monkeypatch):
+    lexicon = tmp_path / "lexicon.txt"
+    loaded = (data_dir / "lexicon_csc.txt").read_bytes()
+    lexicon.write_bytes(loaded)
+    cluster_corpus = disambig.cluster_corpus
+
+    def rewriting(*args, **kwargs):
+        lexicon.write_text("Deutsche Forschungsgemeinschaft\n")
+        return cluster_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(disambig, "cluster_corpus", rewriting)
+    manifest = run_pipeline(demo_config(data_dir, tmp_path / "out", lexicon=lexicon))
+    assert lexicon.read_bytes() != loaded
+    assert manifest["stages"]["funded_records"] == 7
+    assert manifest["config"]["lexicon_sha256"] == hashlib.sha256(loaded).hexdigest()
+
+
+def test_non_ascii_acknowledgments_give_the_ascii_artifacts(demo_output, data_dir, tmp_path):
+    # funder names in funded acknowledgments rewritten character for
+    # character: the letters re.IGNORECASE folds onto ASCII ones and str.lower
+    # does not, and curly quotes for parentheses
+    text = (data_dir / "demo" / "corpus.jsonl").read_text(encoding="utf-8")
+    for ascii_text, non_ascii in [
+        ("the China Scholarship Council (CSC)", "the CH\u0130NA Scholarship Counc\u0131l \u201cCSC\u201d"),
+        ("the CSC scholarship", "the CSC \u017fcholarship"),
+        ("the Chinese Scholarship Council", "the Ch\u0131nese \u017fCHOLARSHIP Council"),
+    ]:
+        assert text.count(ascii_text) == 1 and len(non_ascii) == len(ascii_text)
+        text = text.replace(ascii_text, non_ascii)
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(text, encoding="utf-8")
+    manifest = run_pipeline(demo_config(data_dir, tmp_path / "out", input=corpus_path))
+    for name in ARTIFACTS:
+        if name != "manifest.json":
+            assert (tmp_path / "out" / name).read_bytes() == (demo_output / name).read_bytes(), name
+    assert manifest["stages"] == json.loads((demo_output / "manifest.json").read_text())["stages"]
 
 
 @pytest.mark.parametrize("prefix, suffix", [
